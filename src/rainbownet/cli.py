@@ -46,7 +46,7 @@ from .network import load_scenario, max_flow
 from .pet import PetProfile, description_from_bytes, description_to_bytes, pet_decode, pet_encode
 from .progressive import progressive_gaussian_source
 from .rationals import format_rational, parse_rational
-from .search import SearchConfig, exact_search, greedy_search
+from .search import SearchConfig, alternating_search, exact_search, greedy_search, route
 
 
 @dataclass
@@ -289,10 +289,7 @@ def _lemma_rows(name: str, net, args):
     cfg = SearchConfig(
         num_colors=args.K, rate=rate, max_path_len=args.max_path_len, strict=args.strict
     )
-    try:
-        result = exact_search(net, cfg)
-    except SearchSizeError:
-        result = greedy_search(net, cfg)
+    result = route(net, cfg)
     q = list(result.rfv.values)
     weights = tuple(1.0 / len(q) for _ in q)
     rows = []
@@ -345,33 +342,11 @@ def cmd_pipeline(args) -> CliOutput:
         rate=rate,
         max_path_len=args.max_path_len,
         objective="trf",
+        weights=weights,
         strict=args.strict,
     )
-    try:
-        result = exact_search(net, cfg)
-    except SearchSizeError:
-        result = greedy_search(net, cfg)
+    result, profile_vec, _ = alternating_search(net, cfg, rounds=args.rounds)
     q = list(result.rfv.values)
-    optimum = optimize_pet_profile(q, weights, args.K, rate)
-    profile_vec = optimum.y
-    for _ in range(args.rounds - 1):
-        wd_cfg = SearchConfig(
-            num_colors=args.K,
-            rate=rate,
-            max_path_len=args.max_path_len,
-            objective="wd",
-            weights=weights,
-            profile=profile_vec,
-            strict=args.strict,
-        )
-        try:
-            result = exact_search(net, wd_cfg)
-        except SearchSizeError:
-            result = greedy_search(net, wd_cfg)
-        q = list(result.rfv.values)
-        optimum = optimize_pet_profile(q, weights, args.K, rate)
-        profile_vec = optimum.y
-
     profile = PetProfile.quantize(profile_vec, rate, args.K, args.n)
     source = progressive_gaussian_source(args.seed, args.n, float(rate) * args.K)
     encoded = pet_encode(source.bitstream, profile)
@@ -389,9 +364,9 @@ def cmd_pipeline(args) -> CliOutput:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    common.add_argument("--strict", action="store_true", help="strict capacity comparison (<)")
-    common.add_argument("--seed", type=int, default=0, help="seed for stochastic steps")
     common.add_argument("--manifest", help="write a reproducibility manifest to this path")
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true", help="strict capacity comparison (<)")
 
     parser = argparse.ArgumentParser(
         prog="rainbow-net",
@@ -401,12 +376,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rainbow-net {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("validate", parents=[common], help="check a flow against a scenario")
+    p = sub.add_parser(
+        "validate", parents=[common, strict], help="check a flow against a scenario"
+    )
     p.add_argument("scenario")
     p.add_argument("flow")
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("search", parents=[common], help="find a good admissible flow")
+    p = sub.add_parser("search", parents=[common, strict], help="find a good admissible flow")
     p.add_argument("scenario")
     p.add_argument("--K", type=int, required=True, help="number of descriptions")
     p.add_argument("--rate", required=True, help="description rate (exact rational)")
@@ -445,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0.25,0.5,1,2,4", help="rate grid CSV")
     p.set_defaults(handler=cmd_fig1)
 
-    p = sub.add_parser("lemmas", parents=[common], help="monotonicity property suites")
+    p = sub.add_parser("lemmas", parents=[common, strict], help="monotonicity property suites")
     p.add_argument("--scenario", action="append", help="scenario path (repeatable)")
     p.add_argument("--K", type=int, default=2)
     p.add_argument("--rate", default="1/2")
@@ -453,13 +430,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=7)
     p.set_defaults(handler=cmd_lemmas)
 
-    p = sub.add_parser("pipeline", parents=[common], help="search, optimize, encode, decode")
+    p = sub.add_parser(
+        "pipeline", parents=[common, strict], help="search, optimize, encode, decode"
+    )
     p.add_argument("scenario")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--rate", required=True)
     p.add_argument("--weights", default="uniform")
     p.add_argument("--n", type=int, default=16384)
     p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="seed of the Gaussian source block")
     p.add_argument("--max-path-len", type=int, default=4)
     p.set_defaults(handler=cmd_pipeline)
 

@@ -13,12 +13,19 @@ would exceed the configured bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .distortion import GAUSSIAN, DistortionModel, drnf_distortion, weighted_distortion
+from .distortion import (
+    GAUSSIAN,
+    DistortionModel,
+    description_rate,
+    drnf_distortion,
+    optimize_pet_profile,
+    weighted_distortion,
+)
 from .errors import SearchSizeError
 from .flows import DiscreteRnf, RainbowFlowVector, rainbow_flow_vector
 from .network import FlowPath, Network, enumerate_paths, max_flow
@@ -236,17 +243,12 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
         if cfg.objective == "trf":
             return float(len(new_sinks))
         gain = 0.0
-        rate_f = float(cfg.rate)
         for sink, weight in zip(net.sinks, cfg.weights):
             if sink not in new_sinks:
                 continue
             count = sink_counts.get(sink, 0)
-            before = cfg.model.distortion(
-                rate_f * sum((i + 1) * profile[i] for i in range(count))
-            )
-            after = cfg.model.distortion(
-                rate_f * sum((i + 1) * profile[i] for i in range(count + 1))
-            )
+            before = cfg.model.distortion(description_rate(profile, cfg.rate, count))
+            after = cfg.model.distortion(description_rate(profile, cfg.rate, count + 1))
             gain += weight * (before - after)
         return gain
 
@@ -310,40 +312,36 @@ def separate_coding_baseline(net: Network, model: DistortionModel = GAUSSIAN) ->
     return BaselineResult(rate=rate, distortions=tuple(model.distortion(rate) for _ in net.sinks))
 
 
+def route(net: Network, cfg: SearchConfig) -> SearchResult:
+    """The package's routing policy: exact search, greedy past its guard.
+
+    Returns ``exact_search(net, cfg)``, or ``greedy_search(net, cfg)`` when
+    the instance overflows the exact search's guard (SearchSizeError). The
+    fallback is silent: the result does not say which search produced it.
+    """
+    try:
+        return exact_search(net, cfg)
+    except SearchSizeError:
+        return greedy_search(net, cfg)
+
+
 def alternating_search(net: Network, cfg: SearchConfig, rounds: int = 1):
     """Alternate flow search and layer-profile optimization.
 
-    Each round searches a flow under the current profile (exact when the
-    instance fits the guard, greedy otherwise) and then re-optimizes the
-    profile for the resulting flow vector. Returns the final
+    Round 1 routes under `cfg` as given (its objective and profile); every
+    later round routes for weighted distortion ("wd") under the profile the
+    previous round optimized. Each round routes through `route` and then
+    re-optimizes the profile for the flow vector it found, under
+    `cfg.weights`. At least one round runs. Returns the final
     (SearchResult, profile, weighted objective).
     """
-    from .distortion import optimize_pet_profile
-
     if cfg.weights is None:
         raise ValueError("alternating search needs a weight vector")
-    profile = cfg.profile or tuple(1.0 / cfg.num_colors for _ in range(cfg.num_colors))
-    result = None
-    objective = None
+    round_cfg = cfg
     for _ in range(max(1, rounds)):
-        round_cfg = SearchConfig(
-            num_colors=cfg.num_colors,
-            rate=cfg.rate,
-            max_path_len=cfg.max_path_len,
-            objective="wd",
-            weights=cfg.weights,
-            profile=profile,
-            model=cfg.model,
-            strict=cfg.strict,
-            candidate_limit=cfg.candidate_limit,
-        )
-        try:
-            result = exact_search(net, round_cfg)
-        except SearchSizeError:
-            result = greedy_search(net, round_cfg)
+        result = route(net, round_cfg)
         optimum = optimize_pet_profile(
             list(result.rfv), cfg.weights, cfg.num_colors, cfg.rate, cfg.model
         )
-        profile = optimum.y
-        objective = optimum.objective
-    return result, profile, objective
+        round_cfg = replace(cfg, objective="wd", profile=optimum.y)
+    return result, optimum.y, optimum.objective

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -329,3 +330,61 @@ class TestOutputDiscipline:
         data_line = out.splitlines()[1]
         values = data_line.split(",")
         assert all("." in v or v in ("true", "false") for v in values[1:5])
+
+
+# sha256 of stdout (and of the written flow document) for each README
+# example that runs on bundled inputs, plus a multi-round pipeline: any
+# change to routing, profile optimization or the codec shows up here.
+GOLDEN = [
+    (
+        ["validate", "fig1", "fig1_flow"],
+        "44558d325e09ecf9f13446efc4f40da805a38a3dd104172ff01b10da6c3811eb",
+        None,
+    ),
+    (
+        ["search", "fig1", "--K", "2", "--rate", "1", "--mode", "exact"],
+        "c060d1ba5aaa71285f0d3f7ed39d9efa24391ad26886045c9dcc851e6ea9acd8",
+        "2051bf42c1c89edf1e3628d14fdb8bc54d1ca28e420d04c145aa0fc04fe095ab",
+    ),
+    (
+        ["optimize", "fig1", "--flow", "fig1_flow", "--weights", "0,0,0.5,0.5"],
+        "642fefad89276ae6b7c23d4f330c3873373ac0139c9b91c765bb475529a7ecb7",
+        None,
+    ),
+    (
+        ["fig1", "--grid", "0.25,0.5,1,2,4"],
+        "a90086c4ab17970bb9461220948d169209fa29cc8397168a90f86fa345f60153",
+        None,
+    ),
+    (
+        ["lemmas"],
+        "842771e8e191201e7779a2b3a8e12edadd570b8ff444b56bfe7ba3c3bf56a6f6",
+        None,
+    ),
+    (
+        ["pipeline", "fig1", "--K", "2", "--rate", "1", "--seed", "0"],
+        "3144d0d1c9a827e784cb1ebdda366cbae71357147e5613f962ffa9a1e1be7d86",
+        None,
+    ),
+    (
+        ["pipeline", "fig2", "--K", "3", "--rate", "1/2", "--rounds", "3",
+         "--weights", "maxflow", "--n", "4096"],
+        "e10eaf281d248c0072a4076371b55929ace3ee9e95a4f73ce44e8c4f829b3f21",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout_sha256, flow_sha256", GOLDEN, ids=[" ".join(g[0][:2]) for g in GOLDEN]
+)
+def test_golden_output(capsys, tmp_path, argv, stdout_sha256, flow_sha256):
+    argv = list(argv)
+    out_flow = tmp_path / "found.json"
+    if flow_sha256 is not None:
+        argv += ["--out-flow", str(out_flow)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+    if flow_sha256 is not None:
+        assert hashlib.sha256(out_flow.read_bytes()).hexdigest() == flow_sha256

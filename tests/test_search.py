@@ -18,6 +18,7 @@ from rainbownet import (
     is_admissible,
     max_flow,
     optimize_pet_profile,
+    route,
     separate_coding_baseline,
 )
 
@@ -209,6 +210,27 @@ class TestBaseline:
         assert all(b >= o - 1e-12 for b, o in zip(baseline.distortions, optimized))
 
 
+class TestRoute:
+    def test_guard_overflow_falls_back_to_greedy(self):
+        net = helpers.fig1_network()
+        cfg = _cfg(2, 1, max_path_len=2, candidate_limit=5)
+        with pytest.raises(SearchSizeError):
+            exact_search(net, cfg)
+        routed = route(net, cfg)
+        greedy = greedy_search(net, cfg)
+        assert routed.flow == greedy.flow
+        assert routed.objective == greedy.objective
+
+    def test_fitting_instance_is_exact(self):
+        # greedy finds a different flow here, so this pins the exact branch
+        net = helpers.fig1_network()
+        cfg = _cfg(2, 1, max_path_len=2)
+        routed = route(net, cfg)
+        exact = exact_search(net, cfg)
+        assert routed.flow == exact.flow
+        assert routed.objective == exact.objective
+
+
 class TestAlternation:
     def test_fig1_uniform_weights(self):
         net = helpers.fig1_network()
@@ -217,3 +239,16 @@ class TestAlternation:
         assert is_admissible(result.flow)
         assert objective == pytest.approx(0.25)
         assert profile[0] == pytest.approx(1.0)
+
+    def test_first_round_searches_under_the_callers_objective(self):
+        # all weight on one sink: a wd search would serve that sink only,
+        # while the trf optimum serves every sink
+        net = helpers.fig1_network()
+        weights = (1.0, 0.0, 0.0, 0.0)
+        cfg = _cfg(2, 1, max_path_len=2, objective="trf", weights=weights)
+        result, profile, objective = alternating_search(net, cfg, rounds=1)
+        exact = exact_search(net, cfg)
+        assert result == exact
+        optimum = optimize_pet_profile(list(exact.rfv.values), weights, 2, Fraction(1))
+        assert profile == optimum.y
+        assert objective == optimum.objective
