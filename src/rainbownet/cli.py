@@ -167,17 +167,16 @@ def cmd_validate(args) -> CliOutput:
     return CliOutput([slack, vector], exit_code=0 if report.admissible else 1)
 
 
-def _search_config(args, net, objective=None) -> SearchConfig:
+def _search_config(args, net) -> SearchConfig:
     weights = None
-    objective = objective or args.objective
-    if objective == "wd" or args.weights is not None:
+    if args.objective == "wd" or args.weights is not None:
         weights = _parse_weights(args.weights or "uniform", net)
-    profile = _parse_profile(args.y) if getattr(args, "y", None) else None
+    profile = _parse_profile(args.y) if args.y else None
     return SearchConfig(
         num_colors=args.K,
         rate=parse_rational(args.rate, what="rate"),
         max_path_len=args.max_path_len,
-        objective=objective,
+        objective=args.objective,
         weights=weights,
         profile=profile,
         strict=args.strict,

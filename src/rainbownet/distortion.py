@@ -17,6 +17,8 @@ from typing import Sequence
 import numpy as np
 
 _LN2 = math.log(2.0)
+# Largest layer count a refinement sweep may optimize (K=2 allows 14 steps).
+MAX_REFINEMENT_LAYERS = 2**14
 
 
 class DistortionModel:
@@ -288,28 +290,37 @@ def _check_weights(weights: Sequence[float], size: int) -> np.ndarray:
     return p
 
 
+def _profile_functions(q: Sequence, weights: Sequence[float], num_descriptions: int, rate, model):
+    """The weighted distortion of a layer profile and its gradient, for fixed q."""
+    counts = _description_counts(list(q), Fraction(rate), num_descriptions)
+    p = _check_weights(weights, len(counts))
+    matrix = _layer_matrix(counts, num_descriptions)
+    rf = float(rate)
+
+    def objective(vec: np.ndarray) -> float:
+        return float(p @ model.distortion_array(rf * (matrix @ vec)))
+
+    def gradient(vec: np.ndarray) -> np.ndarray:
+        weighted = p * model.derivative_array(rf * (matrix @ vec))
+        return rf * (matrix.T @ weighted)
+
+    return objective, gradient
+
+
 def profile_objective(
     y: Sequence[float], q: Sequence, weights: Sequence[float], rate, model: DistortionModel = GAUSSIAN
 ) -> float:
     """Weighted distortion of a layer profile `y` for a fixed flow vector."""
-    counts = _description_counts(list(q), Fraction(rate), len(y))
-    p = _check_weights(weights, len(counts))
-    matrix = _layer_matrix(counts, len(y))
-    rates = float(rate) * (matrix @ np.asarray(y, dtype=float))
-    return float(p @ model.distortion_array(rates))
+    objective, _ = _profile_functions(q, weights, len(y), rate, model)
+    return objective(np.asarray(y, dtype=float))
 
 
 def profile_gradient(
     y: Sequence[float], q: Sequence, weights: Sequence[float], rate, model: DistortionModel = GAUSSIAN
 ) -> np.ndarray:
     """Analytic gradient of `profile_objective` with respect to y."""
-    counts = _description_counts(list(q), Fraction(rate), len(y))
-    p = _check_weights(weights, len(counts))
-    matrix = _layer_matrix(counts, len(y))
-    rf = float(rate)
-    rates = rf * (matrix @ np.asarray(y, dtype=float))
-    weighted = p * model.derivative_array(rates)
-    return rf * (matrix.T @ weighted)
+    _, gradient = _profile_functions(q, weights, len(y), rate, model)
+    return gradient(np.asarray(y, dtype=float))
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -350,18 +361,7 @@ def optimize_pet_profile(
     """
     if num_descriptions < 1:
         raise ValueError("num_descriptions must be at least 1")
-    counts = _description_counts(list(q), Fraction(rate), num_descriptions)
-    p = _check_weights(weights, len(counts))
-    matrix = _layer_matrix(counts, num_descriptions)
-    rf = float(rate)
-
-    def objective(vec: np.ndarray) -> float:
-        return float(p @ model.distortion_array(rf * (matrix @ vec)))
-
-    def gradient(vec: np.ndarray) -> np.ndarray:
-        weighted = p * model.derivative_array(rf * (matrix @ vec))
-        return rf * (matrix.T @ weighted)
-
+    objective, gradient = _profile_functions(q, weights, num_descriptions, rate, model)
     y = np.full(num_descriptions, 1.0 / num_descriptions)
     value = objective(y)
     step = 1.0
@@ -385,6 +385,19 @@ def optimize_pet_profile(
         if improvement < tol:
             break
     return ProfileOptimum(y=tuple(float(v) for v in y), objective=value, iterations=iterations)
+
+
+def _optimize_from(warm, q, weights, num_descriptions, rate, model):
+    """Optimize the profile, then keep the warm start if it does strictly better.
+
+    Returns (value, profile). `warm` may be None.
+    """
+    optimum = optimize_pet_profile(q, weights, num_descriptions, rate, model)
+    if warm is not None:
+        warm_value = profile_objective(warm, q, weights, rate, model)
+        if warm_value < optimum.objective:
+            return warm_value, warm
+    return optimum.objective, optimum.y
 
 
 def _pad_profile(y: Sequence[float], size: int) -> tuple[float, ...]:
@@ -415,15 +428,9 @@ def more_descriptions_values(
     values: list[float] = []
     best: tuple[float, ...] | None = None
     for count in description_counts:
-        optimum = optimize_pet_profile(q, weights, count, rate, model)
-        value, y = optimum.objective, optimum.y
-        if best is not None and len(best) <= count:
-            padded = _pad_profile(best, count)
-            padded_value = profile_objective(padded, q, weights, rate, model)
-            if padded_value < value:
-                value, y = padded_value, padded
+        warm = _pad_profile(best, count) if best is not None and len(best) <= count else None
+        value, best = _optimize_from(warm, q, weights, count, rate, model)
         values.append(value)
-        best = y
     return values
 
 
@@ -445,13 +452,11 @@ def rate_split_values(
     base = optimize_pet_profile(q, weights, num_descriptions, rate, model)
     values: list[float] = []
     for factor in factors:
-        r_split = Fraction(rate) / factor
-        optimum = optimize_pet_profile(
-            q, weights, num_descriptions * factor, r_split, model
-        )
         mapped = _split_profile(base.y, factor)
-        mapped_value = profile_objective(mapped, q, weights, r_split, model)
-        values.append(min(optimum.objective, mapped_value))
+        value, _ = _optimize_from(
+            mapped, q, weights, num_descriptions * factor, Fraction(rate) / factor, model
+        )
+        values.append(value)
     return base.objective, values
 
 
@@ -467,20 +472,22 @@ def refinement_sweep(
 
     Step n optimizes the profile at (2**n * K, rate / 2**n); the previous
     optimum split onto even layers achieves the same value, so the sweep is
-    nonincreasing up to float noise.
+    nonincreasing up to float noise. The finest profile has
+    K * 2**(steps - 1) layers, at most `MAX_REFINEMENT_LAYERS`.
     """
+    # the exponent is clamped so a huge `steps` is never materialized;
+    # 2**63 already exceeds the limit
+    if steps > 0 and num_descriptions * 2 ** (min(steps, 64) - 1) > MAX_REFINEMENT_LAYERS:
+        raise ValueError(
+            f"a refinement sweep of {steps} steps at K={num_descriptions} needs "
+            f"K * 2**(steps - 1) layers, more than the limit of {MAX_REFINEMENT_LAYERS}"
+        )
     values: list[float] = []
     best: tuple[float, ...] | None = None
     for n in range(steps):
-        count = num_descriptions * (2**n)
-        r_n = Fraction(rate) / (2**n)
-        optimum = optimize_pet_profile(q, weights, count, r_n, model)
-        value, y = optimum.objective, optimum.y
-        if best is not None:
-            split = _split_profile(best, 2)
-            split_value = profile_objective(split, q, weights, r_n, model)
-            if split_value < value:
-                value, y = split_value, split
+        warm = _split_profile(best, 2) if best is not None else None
+        value, best = _optimize_from(
+            warm, q, weights, num_descriptions * (2**n), Fraction(rate) / (2**n), model
+        )
         values.append(value)
-        best = y
     return values

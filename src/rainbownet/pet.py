@@ -31,6 +31,22 @@ MAGIC = b"RNF1"
 _U32_MAX = 2**32 - 1
 
 
+def _description_byte_count(num_descriptions: int, rate: Fraction, block_symbols: int) -> int:
+    """Check K, r and n of a profile; return the description size n*r/8 in bytes."""
+    if not 1 <= num_descriptions <= 255:
+        raise CodecError(f"num_descriptions must be in 1..255, got {num_descriptions}")
+    if rate <= 0:
+        raise CodecError("description rate must be positive")
+    if block_symbols < 1:
+        raise CodecError("block_symbols must be at least 1")
+    bits = rate * block_symbols
+    if bits.denominator != 1 or bits.numerator % 8:
+        raise CodecError(
+            f"block_symbols * rate must be a whole number of bytes, got {bits} bits"
+        )
+    return bits.numerator // 8
+
+
 @dataclass(frozen=True)
 class PetProfile:
     """One balanced multiple-description design.
@@ -53,26 +69,14 @@ class PetProfile:
     def __post_init__(self):
         object.__setattr__(self, "rate", Fraction(self.rate))
         object.__setattr__(self, "segment_bytes", tuple(int(s) for s in self.segment_bytes))
-        K = self.num_descriptions
-        if not 1 <= K <= 255:
-            raise CodecError(f"num_descriptions must be in 1..255, got {K}")
-        if self.rate <= 0:
-            raise CodecError("description rate must be positive")
-        if self.block_symbols < 1:
-            raise CodecError("block_symbols must be at least 1")
-        bits = self.rate * self.block_symbols
-        if bits.denominator != 1 or bits.numerator % 8:
-            raise CodecError(
-                f"block_symbols * rate must be a whole number of bytes, got {bits} bits"
-            )
-        if len(self.segment_bytes) != K:
+        total = _description_byte_count(self.num_descriptions, self.rate, self.block_symbols)
+        if len(self.segment_bytes) != self.num_descriptions:
             raise CodecError("segment_bytes must have one entry per description")
         if any(s < 0 for s in self.segment_bytes):
             raise CodecError("segment sizes must be nonnegative")
-        if sum(self.segment_bytes) != self.description_bytes:
+        if sum(self.segment_bytes) != total:
             raise CodecError(
-                f"segment sizes sum to {sum(self.segment_bytes)}, "
-                f"expected {self.description_bytes}"
+                f"segment sizes sum to {sum(self.segment_bytes)}, expected {total}"
             )
         if (
             self.block_symbols > _U32_MAX
@@ -94,7 +98,7 @@ class PetProfile:
 
     @property
     def source_bytes_required(self) -> int:
-        return sum((i + 1) * s for i, s in enumerate(self.segment_bytes))
+        return self.prefix_bytes(self.num_descriptions)
 
     def prefix_bytes(self, received: int) -> int:
         """Bytes recoverable from any `received` descriptions."""
@@ -116,16 +120,7 @@ class PetProfile:
         index on ties), so the result always sums to one.
         """
         rate = Fraction(rate)
-        if not 1 <= num_descriptions <= 255:
-            raise CodecError(f"num_descriptions must be in 1..255, got {num_descriptions}")
-        if rate <= 0:
-            raise CodecError("description rate must be positive")
-        bits = rate * block_symbols
-        if bits.denominator != 1 or bits.numerator % 8:
-            raise CodecError(
-                f"block_symbols * rate must be a whole number of bytes, got {bits} bits"
-            )
-        total = bits.numerator // 8
+        total = _description_byte_count(num_descriptions, rate, block_symbols)
         if len(y) != num_descriptions:
             raise CodecError(f"expected {num_descriptions} layer weights, got {len(y)}")
         weights = [Fraction(v) if isinstance(v, (int, Fraction)) else Fraction(repr(float(v))) for v in y]

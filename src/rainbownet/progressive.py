@@ -6,8 +6,12 @@ bit-planes from coarse to fine; per plane it first codes significance
 significant sample) and then one refinement bit for every previously
 significant sample. All decisions go through one binary arithmetic coder,
 so every byte prefix of the stream is decodable: decoding simply stops
-when the prefix is exhausted. Reconstruction uses the conditional mean of
-the standard normal on each sample's surviving uncertainty interval.
+when the prefix is exhausted. One plane scan, `_scan`, drives both
+directions: it hands each decision to the encoder, which writes the known
+bit, or to the decoder, which reads it, and stops when the bit writer's
+budget or the bit reader's prefix runs out. Reconstruction uses the
+conditional mean of the standard normal on each sample's surviving
+uncertainty interval.
 
 The stream is prefix-significant but not rate-distortion optimal; the
 measured gap against 2**(-2R) is pinned in the test-suite.
@@ -30,16 +34,22 @@ _COUNT_CAP = 1024
 
 
 class _BitWriter:
-    def __init__(self):
+    """Collects bits; flags overrun once `limit_bits` of them are written."""
+
+    def __init__(self, limit_bits: int | None = None):
         self._buffer = bytearray()
         self._acc = 0
         self._filled = 0
+        self._limit = limit_bits
         self.bit_count = 0
+        self.overrun = limit_bits is not None and limit_bits <= 0
 
     def write(self, bit: int):
         self._acc = (self._acc << 1) | bit
         self._filled += 1
         self.bit_count += 1
+        if self.bit_count == self._limit:
+            self.overrun = True
         if self._filled == 8:
             self._buffer.append(self._acc)
             self._acc = 0
@@ -105,7 +115,7 @@ class _Encoder:
             self._writer.write(opposite)
             self._pending -= 1
 
-    def encode(self, bit: int, model: _Model | None):
+    def encode(self, bit: int, model: _Model | None) -> int:
         zero = model.zero if model else 1
         one = model.one if model else 1
         span = self._high - self._low + 1
@@ -131,6 +141,7 @@ class _Encoder:
             self._high = ((self._high << 1) | 1) & _MASK
         if model:
             model.update(bit)
+        return bit
 
     def finish(self):
         self._pending += 1
@@ -149,7 +160,8 @@ class _Decoder:
         for _ in range(32):
             self._value = (self._value << 1) | reader.read()
 
-    def decode(self, model: _Model | None) -> int:
+    def decode(self, _bit: int, model: _Model | None) -> int:
+        """Read one decision; the bit argument keeps the encoder's call shape."""
         zero = model.zero if model else 1
         one = model.one if model else 1
         span = self._high - self._low + 1
@@ -180,91 +192,45 @@ class _Decoder:
         return bit
 
 
-def _encode_magnitudes(magnitudes, signs, budget_bits: int) -> bytes:
-    """Run the plane scan until the bit budget is spent; return the stream."""
-    n = len(magnitudes)
-    writer = _BitWriter()
-    encoder = _Encoder(writer)
-    significant = bytearray(n)
-    lower = [0.0] * n
-    threshold = _FIRST_THRESHOLD
-    exhausted = False
-    while not exhausted and threshold > 1e-12:
-        significance_model = _Model()
-        refinement_model = _Model()
-        newly = bytearray(n)
-        for i in range(n):
-            if significant[i]:
-                continue
-            if writer.bit_count >= budget_bits:
-                exhausted = True
-                break
-            bit = 1 if magnitudes[i] >= threshold else 0
-            encoder.encode(bit, significance_model)
-            if bit:
-                encoder.encode(signs[i], None)
-                significant[i] = 1
-                newly[i] = 1
-                lower[i] = threshold
-        if exhausted:
-            break
-        for i in range(n):
-            if not significant[i] or newly[i]:
-                continue
-            if writer.bit_count >= budget_bits:
-                exhausted = True
-                break
-            midpoint = lower[i] + threshold
-            bit = 1 if magnitudes[i] >= midpoint else 0
-            encoder.encode(bit, refinement_model)
-            if bit:
-                lower[i] = midpoint
-        threshold /= 2.0
-    encoder.finish()
-    stream = writer.getvalue()
-    return stream[: (budget_bits + 7) // 8]
+def _scan(code, stream, magnitudes, signs):
+    """The plane scan shared by the encoder and the decoder.
 
-
-def _decode_stream(data: bytes, limit_bits: int, n: int):
-    """Mirror of the encoder scan; stops once the bit prefix is exhausted.
-
-    Returns per-sample (significant, sign, lower, width) state from which
-    reconstructions are formed.
+    Every decision is `code(bit, model) -> bit`: the encoder writes the bit
+    computed from `magnitudes`/`signs` and returns it, the decoder ignores
+    it and returns the bit it read (decoding passes zero magnitudes and
+    signs). The scan stops before the first decision made once
+    `stream.overrun` is set. Returns per-sample (significant, sign, lower,
+    width) state from which reconstructions are formed.
     """
-    reader = _BitReader(data, limit_bits)
-    decoder = _Decoder(reader)
+    n = len(magnitudes)
     significant = bytearray(n)
     sign = bytearray(n)
     lower = [0.0] * n
     width = [0.0] * n
     threshold = _FIRST_THRESHOLD
-    exhausted = reader.overrun
-    while not exhausted and threshold > 1e-12:
+    while not stream.overrun and threshold > 1e-12:
         significance_model = _Model()
         refinement_model = _Model()
         newly = bytearray(n)
         for i in range(n):
             if significant[i]:
                 continue
-            if reader.overrun:
-                exhausted = True
+            if stream.overrun:
                 break
-            if decoder.decode(significance_model):
-                sign[i] = decoder.decode(None)
+            if code(1 if magnitudes[i] >= threshold else 0, significance_model):
+                sign[i] = code(signs[i], None)
                 significant[i] = 1
                 newly[i] = 1
                 lower[i] = threshold
                 width[i] = threshold
-        if exhausted:
-            break
         for i in range(n):
             if not significant[i] or newly[i]:
                 continue
-            if reader.overrun:
-                exhausted = True
+            if stream.overrun:
                 break
-            if decoder.decode(refinement_model):
-                lower[i] += threshold
+            midpoint = lower[i] + threshold
+            if code(1 if magnitudes[i] >= midpoint else 0, refinement_model):
+                lower[i] = midpoint
             width[i] = threshold
         threshold /= 2.0
     return significant, sign, lower, width
@@ -299,7 +265,10 @@ class ProgressiveGaussianSource:
             raise ValueError("prefix_bits must be nonnegative")
         stream = self.bitstream if data is None else data
         n = len(self.samples)
-        significant, sign, lower, width = _decode_stream(stream, prefix_bits, n)
+        reader = _BitReader(stream, prefix_bits)
+        significant, sign, lower, width = _scan(
+            _Decoder(reader).decode, reader, [0.0] * n, bytes(n)
+        )
         reconstruction = np.zeros(n, dtype=float)
         cache: dict[tuple[float, float], float] = {}
         for i in range(n):
@@ -338,7 +307,11 @@ def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGauss
     clipped = np.clip(samples, -(_TOP - 1e-9), _TOP - 1e-9)
     magnitudes = np.abs(clipped).tolist()
     signs = [0 if v >= 0 else 1 for v in clipped]
-    stream = _encode_magnitudes(magnitudes, signs, budget_bits)
+    writer = _BitWriter(budget_bits)
+    encoder = _Encoder(writer)
+    _scan(encoder.encode, writer, magnitudes, signs)
+    encoder.finish()
+    stream = writer.getvalue()[: (budget_bits + 7) // 8]
     return ProgressiveGaussianSource(
         seed=seed, samples=samples, bitstream=stream, max_rate_bits=budget_bits
     )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -211,6 +212,17 @@ class TestLemmas:
         rows = parse_blocks(out)[header]
         assert {row[1] for row in rows} == {"fig1", "fig2"}
         assert all(row[2] == "true" for row in rows)
+
+    def test_oversized_refinement_sweep_is_rejected_quickly(self, capsys):
+        # 2 * 2**63 layers would be a matrix of exabytes; the cap refuses it
+        # before any of that work starts
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lemmas", "--steps", "64")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "limit" in err
+        assert "Traceback" not in err
 
 
 class TestPipeline:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ class TestArithmeticCoder:
             reader = _BitReader(writer.getvalue())
             decoder = _Decoder(reader)
             model = _Model()
-            decoded = [decoder.decode(model if use_model else None) for use_model in adaptive]
+            decoded = [decoder.decode(0, model if use_model else None) for use_model in adaptive]
             assert decoded == bits
 
     def test_skewed_source_compresses(self):
@@ -102,3 +104,40 @@ class TestGaussianSource:
         source = progressive_gaussian_source(0, 100, 1.0)
         with pytest.raises(ValueError):
             source.decode_prefix(-1)
+
+
+# sha256 of the bitstream and of the concatenated reconstructions over
+# `_pinned_prefixes`. The grid covers n=1, budgets under the decoder's
+# 32-bit start-up read (the decoder overruns while initialising), prefixes
+# around 32 bits, an odd prefix that ends inside a decision, the full
+# stream and a prefix past its end.
+PINNED_STREAMS = [
+    (0, 1, 0.5, "36a9e7f1c95b82ffb99743e0c5c4ce95d83c9a430aac59f84ef3cbfab6145068",
+     "5b6fb58e61fa475939767d68a446f97f1bff02c0e5935a3ea8bb51e6515783d8"),
+    (1, 7, 3, "df2611ac1d954e549a7e15f14e3b7be07f715e85b90df5918446087532177527",
+     "f9d54bbe3ccaf08564c2928c55218a3f696989a05dffc8edf057773751aae153"),
+    (2, 100, 1, "2fd9168bdebd4de3427ba9d6eb26543b335074a57926829d4795de8bfe7d9a53",
+     "c5f0bb09b379de5c5f6f9b45f03d71d7096228074faf643d6106273b86ae9065"),
+    (3, 1000, 2.25, "0e2966330c51c6549ba29582de8778389c7415f79bb34e0550c6532f2e4b58df",
+     "9776175fac9ed25da260a3501916513b522ce2b90cddde14f1da766689eafd49"),
+    (4, 4096, 2, "d3ed8d124cf29f0d71c1286212ebb7fafed7699dd2d7ebb6c473cffcf59dbbe4",
+     "1ba85b3dff98111af979abf46bf004c4ded385e787198bc7ef6810a619880189"),
+    (5, 3000, 6, "3d44d2262014c74de9f7c8dc4979db2846e51baf31fa5db77338d5fb69f4bb4c",
+     "bf3dfc650680e4e7e29827e65c18af8ffdc210141d8454e9d02379ee1ef14613"),
+]
+
+
+def _pinned_prefixes(length: int) -> list[int]:
+    return sorted(
+        {0, 1, 5, 31, 32, 33, length // 3, length // 2 + 3, length - 1, length, length + 100}
+    )
+
+
+@pytest.mark.parametrize("seed,n,rate,stream_sha,decode_sha", PINNED_STREAMS)
+def test_pinned_stream_bytes(seed, n, rate, stream_sha, decode_sha):
+    source = progressive_gaussian_source(seed, n, rate)
+    assert hashlib.sha256(source.bitstream).hexdigest() == stream_sha
+    digest = hashlib.sha256()
+    for prefix in _pinned_prefixes(8 * len(source.bitstream)):
+        digest.update(source.decode_prefix(prefix).tobytes())
+    assert digest.hexdigest() == decode_sha
