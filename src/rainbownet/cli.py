@@ -135,6 +135,8 @@ def _parse_weights(text: str, net) -> tuple[float, ...]:
     parts = [float(x) for x in text.split(",")]
     if len(parts) != count:
         raise ValueError(f"expected {count} weights, got {len(parts)}")
+    if not all(math.isfinite(v) for v in parts):
+        raise ValueError("weights must be finite")
     if any(v < 0 for v in parts):
         raise ValueError("weights must be nonnegative")
     total = sum(parts)
@@ -145,6 +147,8 @@ def _parse_weights(text: str, net) -> tuple[float, ...]:
 
 def _parse_profile(text: str) -> tuple[float, ...]:
     values = [float(x) for x in text.split(",")]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("profile entries must be finite")
     if any(v < 0 for v in values):
         raise ValueError("profile entries must be nonnegative")
     total = sum(values)

@@ -283,6 +283,8 @@ def _check_weights(weights: Sequence[float], size: int) -> np.ndarray:
     p = np.array([float(w) for w in weights], dtype=float)
     if p.shape != (size,):
         raise ValueError(f"weight vector length {p.size} does not match {size} sinks")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("weights must be finite")
     if np.any(p < 0):
         raise ValueError("weights must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-9:

@@ -14,7 +14,11 @@ class FlowDocumentError(RainbowNetError):
 
 
 class SearchSizeError(RainbowNetError):
-    """Exact search refused an instance larger than its enumeration guard."""
+    """A search refused an instance larger than one of its enumeration guards.
+
+    The guards bound the paths enumerated, the exact search's signature
+    closure and its candidate colorings.
+    """
 
 
 class CodecError(RainbowNetError):

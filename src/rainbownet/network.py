@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ScenarioError
+from .errors import ScenarioError, SearchSizeError
 from .rationals import format_rational, parse_rational
 
 
@@ -253,19 +253,36 @@ def max_flow(net: Network, sink: str):
         total += bottleneck
 
 
+# Edge-simple paths grow exponentially with their length bound on dense
+# graphs (about x2.7 per step on a 12-node, 43-edge graph); past this many
+# the enumeration stops instead of running for hours. The walk counts every
+# partial path it extends, not only those ending at sinks, so a dense part
+# of the graph that leads to no sink is bounded too.
+MAX_PATHS = 100_000
+
+
 def enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
     """All edge-simple source-to-sink paths of length <= max_len.
 
     A path is emitted every time the walk stands on a sink, so prefixes that
     already end at sinks are included. Output order is lexicographic by the
-    edge-id sequence and duplicate-free.
+    edge-id sequence and duplicate-free. Raises SearchSizeError once the
+    walk has visited more than MAX_PATHS source-rooted partial paths.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     sink_set = set(net.sinks)
     found: list[FlowPath] = []
+    visited = 0
 
     def walk(node: str, used: set[str], trail: list[str]):
+        nonlocal visited
+        visited += 1
+        if visited > MAX_PATHS:
+            raise SearchSizeError(
+                f"path enumeration exceeded {MAX_PATHS} partial paths of length <= {max_len}; "
+                "reduce max_path_len"
+            )
         if trail and node in sink_set:
             found.append(FlowPath(tuple(trail)))
         if len(trail) == max_len:

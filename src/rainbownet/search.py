@@ -1,19 +1,20 @@
 """Routing search: exact on small instances, greedy at scale, baselines.
 
-The exact search exploits that only two things about a color's path set
-matter: the union of edges it occupies (for admissibility) and the set of
-sinks it touches (for the objective). It therefore enumerates distinct
-(edge-union, sink-set) signatures realizable as unions of enumerated
-paths, prunes dominated signatures, and scans multisets of K signatures.
-Candidate order and tie-breaking are fixed, so results are reproducible
-regardless of scheduling; a guard refuses instances whose candidate count
-would exceed the configured bound.
+A color's sink set follows from its edge union (the sinks among the edges'
+endpoints), and both searches score a flow by its per-sink description
+counts, through one objective. The exact search enumerates the distinct
+(edge-union, sink-set) signatures of unions of enumerated paths, prunes
+dominated ones (dominance compares unions with equal sink sets), and
+scans multisets of K signatures. Candidate order and tie-breaking are
+fixed, so results are reproducible regardless of scheduling; guards refuse
+instances whose path, signature or coloring count would exceed its bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -22,7 +23,6 @@ from .distortion import (
     GAUSSIAN,
     DistortionModel,
     description_rate,
-    drnf_distortion,
     optimize_pet_profile,
     weighted_distortion,
 )
@@ -36,9 +36,9 @@ class SearchConfig:
     """Knobs for the flow search.
 
     `objective` is "trf" (total rainbow flow, maximized) or "wd" (weighted
-    distortion under a caller-fixed layer profile, minimized). For "wd",
-    `weights` must be a simplex vector over the sinks and `profile` an
-    optional layer profile (uniform when omitted).
+    distortion under a caller-fixed layer profile, minimized). "wd" needs
+    `weights`, a finite simplex vector over the sinks, at construction, and
+    takes an optional nonnegative `profile` (uniform when omitted).
     """
 
     num_colors: int
@@ -47,7 +47,6 @@ class SearchConfig:
     objective: str = "trf"
     weights: tuple[float, ...] | None = None
     profile: tuple[float, ...] | None = None
-    model: DistortionModel = field(default_factory=DistortionModel.gaussian)
     strict: bool = False
     candidate_limit: int = 10_000_000
 
@@ -61,11 +60,16 @@ class SearchConfig:
             raise ValueError("max_path_len must be at least 1")
         if self.objective not in ("trf", "wd"):
             raise ValueError(f"unknown objective '{self.objective}'")
-        if self.profile is not None and len(self.profile) != self.num_colors:
-            raise ValueError("profile length must equal num_colors")
+        if self.objective == "wd" and self.weights is None:
+            raise ValueError("weighted-distortion search needs a weight vector")
+        if self.profile is not None:
+            if len(self.profile) != self.num_colors:
+                raise ValueError("profile length must equal num_colors")
+            if not all(math.isfinite(v) and v >= 0 for v in self.profile):
+                raise ValueError("profile entries must be finite and nonnegative")
         if self.weights is not None:
-            if any(w < 0 for w in self.weights):
-                raise ValueError("weights must be nonnegative")
+            if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+                raise ValueError("weights must be finite and nonnegative")
             if abs(sum(self.weights) - 1.0) > 1e-9:
                 raise ValueError("weights must sum to 1")
 
@@ -77,12 +81,46 @@ class SearchResult:
     rfv: RainbowFlowVector
 
 
-def _color_capacity(capacity: Fraction, rate: Fraction, strict: bool) -> int:
-    """Distinct colors an edge can carry: floor(capacity/rate), strict < variant."""
-    ratio = capacity / rate
-    if strict:
-        return int(ratio) - 1 if ratio.denominator == 1 else int(ratio)
-    return int(ratio)
+def _objective(cfg: SearchConfig, net: Network):
+    """The search objective on per-sink description counts.
+
+    Returns (score, levels, weights). `score` maps sink -> descriptions held
+    to rate * their sum for "trf" (maximized) or to the weighted distortion
+    for "wd" (minimized). One more description at a sink t holding c gains
+    weights[t] * (levels[c] - levels[c + 1]): levels[c] is -c under unit
+    weights for "trf", D(rate of the first c profile layers) for "wd".
+    """
+    if cfg.objective == "trf":
+        weights = tuple(1.0 for _ in net.sinks)
+        levels = [-c for c in range(cfg.num_colors + 1)]
+        return (lambda counts: cfg.rate * sum(counts.values())), levels, weights
+
+    if len(cfg.weights) != len(net.sinks):
+        raise ValueError(f"expected {len(net.sinks)} weights, got {len(cfg.weights)}")
+    profile = cfg.profile or tuple(1.0 / cfg.num_colors for _ in range(cfg.num_colors))
+    rates = (description_rate(profile, cfg.rate, c) for c in range(cfg.num_colors + 1))
+    levels = [GAUSSIAN.distortion(rate) for rate in rates]
+
+    def score(counts) -> float:
+        return weighted_distortion([levels[counts.get(t, 0)] for t in net.sinks], cfg.weights)
+
+    return score, levels, cfg.weights
+
+
+def _color_capacities(net: Network, cfg: SearchConfig) -> dict[str, int]:
+    """Distinct colors each edge can carry: floor(capacity/rate), strict < variant."""
+    out = {}
+    for edge in net.edges:
+        ratio = edge.capacity / cfg.rate
+        out[edge.id] = int(ratio) - 1 if cfg.strict and ratio.denominator == 1 else int(ratio)
+    return out
+
+
+def _result(net: Network, cfg: SearchConfig, chosen, objective) -> SearchResult:
+    """Assemble a search result from (path, color) pairs in flow order."""
+    paths, colors = tuple(p for p, _ in chosen), tuple(c for _, c in chosen)
+    flow = DiscreteRnf(net, paths, colors, cfg.num_colors, cfg.rate)
+    return SearchResult(flow=flow, objective=objective, rfv=rainbow_flow_vector(flow))
 
 
 def _path_signatures(net: Network, paths: Sequence[FlowPath]):
@@ -123,32 +161,26 @@ def _signature_closure(infos, limit: int):
 
 
 def _prune_dominated(signatures):
-    """Drop signatures that use more edges to reach no more sinks."""
+    """Drop unions that reach the same sinks as a strict subset of their edges.
+
+    Fewer edges never reach more sinks, so only unions with equal sink sets
+    are compared. Kept (signature, rep) pairs keep the (edges, sinks) order.
+    """
+    groups: dict[frozenset, list[frozenset]] = {}
+    for edges, sinks in signatures:
+        groups.setdefault(sinks, []).append(edges)
+    dominated = set()
+    for sinks, unions in groups.items():
+        minimal: list[frozenset] = []
+        for edges in sorted(unions, key=len):
+            if any(other < edges for other in minimal):
+                dominated.add((edges, sinks))
+            else:
+                minimal.append(edges)
     items = sorted(
         signatures.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))
     )
-    kept = []
-    for (edges, sinks), rep in items:
-        dominated = False
-        for (other_edges, other_sinks), _ in items:
-            if (other_edges, other_sinks) == (edges, sinks):
-                continue
-            if other_edges <= edges and other_sinks >= sinks:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(((edges, sinks), rep))
-    return kept
-
-
-def _wd_score(sink_counts, cfg: SearchConfig, net: Network) -> float:
-    rate = cfg.rate
-    profile = cfg.profile or tuple(
-        1.0 / cfg.num_colors for _ in range(cfg.num_colors)
-    )
-    q = [rate * sink_counts.get(t, 0) for t in net.sinks]
-    d = drnf_distortion(q, profile, rate, cfg.model)
-    return weighted_distortion(d, cfg.weights)
+    return [item for item in items if item[0] not in dominated]
 
 
 def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
@@ -160,13 +192,11 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     SearchSizeError when the post-pruning candidate count would exceed
     ``cfg.candidate_limit``.
     """
-    if cfg.objective == "wd" and cfg.weights is None:
-        raise ValueError("weighted-distortion search needs a weight vector")
+    score, _, _ = _objective(cfg, net)
     paths = enumerate_paths(net, cfg.max_path_len)
     infos = _path_signatures(net, paths)
 
-    strict_blocked = cfg.strict and any(e.capacity <= 0 for e in net.edges)
-    if strict_blocked:
+    if cfg.strict and any(e.capacity <= 0 for e in net.edges):
         candidates = [((frozenset(), frozenset()), ())]
     else:
         closure = _signature_closure(infos, min(cfg.candidate_limit, 200_000))
@@ -178,11 +208,9 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
             f"{count} candidate colorings exceed the guard of {cfg.candidate_limit}"
         )
 
-    capacity_for = {
-        e.id: _color_capacity(e.capacity, cfg.rate, cfg.strict) for e in net.edges
-    }
-    best_key = None
-    best_score = None
+    capacity_for = _color_capacities(net, cfg)
+    minimize = cfg.objective == "wd"
+    best_key = best_score = None
     for combo in combinations_with_replacement(range(len(candidates)), cfg.num_colors):
         edge_load: dict[str, int] = {}
         feasible = True
@@ -197,27 +225,20 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
                 break
         if not feasible:
             continue
-        if cfg.objective == "trf":
-            score = cfg.rate * sum(len(candidates[index][0][1]) for index in combo)
-        else:
-            sink_counts: dict[str, int] = {}
-            for index in combo:
-                for sink in candidates[index][0][1]:
-                    sink_counts[sink] = sink_counts.get(sink, 0) + 1
-            score = -_wd_score(sink_counts, cfg, net)
-        if best_score is None or score > best_score:
-            best_score = score
-            best_key = combo
+        sink_counts: dict[str, int] = {}
+        for index in combo:
+            for sink in candidates[index][0][1]:
+                sink_counts[sink] = sink_counts.get(sink, 0) + 1
+        value = score(sink_counts)
+        if best_score is None or (value < best_score if minimize else value > best_score):
+            best_score, best_key = value, combo
 
-    flow_paths: list[FlowPath] = []
-    colors: list[int] = []
-    for color, index in enumerate(best_key, start=1):
-        for path_index in candidates[index][1]:
-            flow_paths.append(paths[path_index])
-            colors.append(color)
-    flow = DiscreteRnf(net, tuple(flow_paths), tuple(colors), cfg.num_colors, cfg.rate)
-    objective = best_score if cfg.objective == "trf" else -best_score
-    return SearchResult(flow=flow, objective=objective, rfv=rainbow_flow_vector(flow))
+    chosen = [
+        (paths[path_index], color)
+        for color, index in enumerate(best_key, start=1)
+        for path_index in candidates[index][1]
+    ]
+    return _result(net, cfg, chosen, best_score)
 
 
 def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
@@ -227,29 +248,21 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     marginal objective gain that fits the residual per-edge color budget;
     stops when a full round adds nothing.
     """
-    if cfg.objective == "wd" and cfg.weights is None:
-        raise ValueError("weighted-distortion search needs a weight vector")
+    score, levels, weights = _objective(cfg, net)
     paths = enumerate_paths(net, cfg.max_path_len)
     infos = _path_signatures(net, paths)
-    residual = {e.id: _color_capacity(e.capacity, cfg.rate, cfg.strict) for e in net.edges}
+    residual = _color_capacities(net, cfg)
     color_edges: list[set[str]] = [set() for _ in range(cfg.num_colors)]
     color_sinks: list[set[str]] = [set() for _ in range(cfg.num_colors)]
-    chosen: list[tuple[int, int]] = []  # (path index, color)
-    sink_counts: dict[str, int] = {}
+    chosen: list[tuple[FlowPath, int]] = []
+    sink_counts: Counter[str] = Counter()
 
-    profile = cfg.profile or tuple(1.0 / cfg.num_colors for _ in range(cfg.num_colors))
-
-    def marginal(color: int, new_sinks: set[str]) -> float:
-        if cfg.objective == "trf":
-            return float(len(new_sinks))
+    def marginal(new_sinks: set[str]) -> float:
         gain = 0.0
-        for sink, weight in zip(net.sinks, cfg.weights):
-            if sink not in new_sinks:
-                continue
-            count = sink_counts.get(sink, 0)
-            before = cfg.model.distortion(description_rate(profile, cfg.rate, count))
-            after = cfg.model.distortion(description_rate(profile, cfg.rate, count + 1))
-            gain += weight * (before - after)
+        for sink, weight in zip(net.sinks, weights):
+            if sink in new_sinks:
+                count = sink_counts[sink]
+                gain += weight * (levels[count] - levels[count + 1])
         return gain
 
     progress = True
@@ -259,41 +272,27 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
             best_index = None
             best_gain = 0.0
             for index, (path_edges, path_sinks) in enumerate(infos):
-                fresh_edges = [e for e in path_edges if e not in color_edges[color]]
-                if any(residual[e] < 1 for e in fresh_edges):
+                if any(residual[e] < 1 for e in path_edges - color_edges[color]):
                     continue
                 new_sinks = path_sinks - color_sinks[color]
                 if not new_sinks:
                     continue
-                gain = marginal(color, new_sinks)
+                gain = marginal(new_sinks)
                 if gain > best_gain + 1e-15:
                     best_gain = gain
                     best_index = index
             if best_index is None:
                 continue
             path_edges, path_sinks = infos[best_index]
-            for edge_id in path_edges:
-                if edge_id not in color_edges[color]:
-                    residual[edge_id] -= 1
-                    color_edges[color].add(edge_id)
-            for sink in path_sinks - color_sinks[color]:
-                sink_counts[sink] = sink_counts.get(sink, 0) + 1
+            for edge_id in path_edges - color_edges[color]:
+                residual[edge_id] -= 1
+            color_edges[color] |= path_edges
+            sink_counts.update(path_sinks - color_sinks[color])
             color_sinks[color] |= path_sinks
-            chosen.append((best_index, color + 1))
+            chosen.append((paths[best_index], color + 1))
             progress = True
 
-    flow = DiscreteRnf(
-        net,
-        tuple(paths[i] for i, _ in chosen),
-        tuple(c for _, c in chosen),
-        cfg.num_colors,
-        cfg.rate,
-    )
-    if cfg.objective == "trf":
-        objective = cfg.rate * sum(len(s) for s in color_sinks)
-    else:
-        objective = _wd_score(sink_counts, cfg, net)
-    return SearchResult(flow=flow, objective=objective, rfv=rainbow_flow_vector(flow))
+    return _result(net, cfg, chosen, score(sink_counts))
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def alternating_search(net: Network, cfg: SearchConfig, rounds: int = 1):
     for _ in range(max(1, rounds)):
         result = route(net, round_cfg)
         optimum = optimize_pet_profile(
-            list(result.rfv), cfg.weights, cfg.num_colors, cfg.rate, cfg.model
+            list(result.rfv), cfg.weights, cfg.num_colors, cfg.rate
         )
         round_cfg = replace(cfg, objective="wd", profile=optimum.y)
     return result, optimum.y, optimum.objective

@@ -70,6 +70,28 @@ def random_network(rng: random.Random, max_nodes: int = 7) -> Network:
     )
 
 
+def layered_network(rng: random.Random, width: int, depth: int) -> Network:
+    """A layered DAG: the source feeds layer 0, each relay two nodes below.
+
+    Sinks are the last layer plus one relay of an earlier layer, so path
+    unions reach many distinct sink sets.
+    """
+    layers = [[f"l{d}n{w}" for w in range(width)] for d in range(depth)]
+    pairs = [("s", node) for node in layers[0]]
+    for upper, lower in zip(layers, layers[1:]):
+        pairs += [(node, head) for node in upper for head in rng.sample(lower, min(2, width))]
+    edges = tuple(
+        Edge(f"{tail}-{head}", tail, head, rng.choice(CAPACITY_CHOICES)) for tail, head in pairs
+    )
+    sinks = (rng.choice(layers[max(depth // 2 - 1, 0)]),) if depth > 1 else ()
+    return Network(
+        nodes=("s",) + tuple(n for layer in layers for n in layer),
+        edges=edges,
+        sources=("s",),
+        sinks=sinks + tuple(layers[-1]),
+    )
+
+
 def random_admissible_flow(
     rng: random.Random,
     net: Network,

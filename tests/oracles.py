@@ -55,6 +55,26 @@ def brute_best_total_flow(net: Network, num_colors: int, rate: Fraction, max_len
     return best
 
 
+def all_pairs_prune(signatures):
+    """Dominance pruning by comparing every pair of (edge-union, sink-set).
+
+    A signature is dropped when another uses a subset of its edges to reach
+    a superset of its sinks. Kept (signature, rep) pairs are sorted by
+    (sorted edges, sorted sinks).
+    """
+    items = sorted(signatures.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1])))
+    kept = []
+    for (edges, sinks), rep in items:
+        if not any(
+            (other_edges, other_sinks) != (edges, sinks)
+            and other_edges <= edges
+            and other_sinks >= sinks
+            for (other_edges, other_sinks), _ in items
+        ):
+            kept.append(((edges, sinks), rep))
+    return kept
+
+
 def balanced_pair_bound(side: float, rate: float) -> float:
     """Joint-distortion floor of the balanced two-description region, inline."""
     floor = 2.0 ** (-4.0 * rate)

@@ -102,6 +102,52 @@ class TestSearch:
         assert code == 1
         assert "guard" in err or "closure" in err
 
+    @pytest.mark.parametrize("sinks", [["v5", "v6", "v7", "v8"], ["t"]], ids=["dense", "dead-end"])
+    def test_path_enumeration_guard_maps_to_exit_one(self, capsys, tmp_path, sinks):
+        # a complete digraph has more edge-simple paths of length <= 20 than
+        # could be enumerated in hours; the path guard stops the walk early,
+        # also when (dead-end) no walk through the digraph reaches a sink
+        nodes = [f"v{i}" for i in range(9)]
+        edges = [
+            {"id": f"{a}-{b}", "tail": a, "head": b, "capacity": "1"}
+            for a in nodes
+            for b in nodes[1:]
+            if a != b
+        ]
+        edges.append({"id": "v0-t", "tail": "v0", "head": "t", "capacity": "1"})
+        doc = {"nodes": nodes + ["t"], "edges": edges, "sources": ["v0"], "sinks": sinks}
+        scenario = tmp_path / "dense.json"
+        scenario.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "search", str(scenario), "--K", "3", "--rate", "1/2",
+            "--mode", "greedy", "--max-path-len", "20",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "paths" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "fig1", "--K", "2", "--rate", "1", "--objective", "wd", "--weights", "{},1,1,1"],
+        ["search", "fig1", "--K", "2", "--rate", "1", "--mode", "greedy", "--objective", "wd",
+         "--weights", "{},1,1,1"],
+        ["search", "fig1", "--K", "2", "--rate", "1", "--objective", "wd", "--y", "{},1"],
+        ["pipeline", "fig1", "--K", "2", "--rate", "1", "--n", "256", "--weights", "{},1,1,1"],
+        ["optimize", "fig1", "--flow", "fig1_flow", "--weights", "{},1,1,1"],
+    ],
+    ids=["search-wd", "greedy-wd", "search-wd-profile", "pipeline", "optimize"],
+)
+def test_non_finite_weights_and_profiles_exit_one(capsys, argv, value):
+    code, out, err = run(capsys, *[arg.format(value) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
 
 class TestOptimize:
     def test_skewed_weights_pick_joint_layer(self, capsys):
@@ -384,12 +430,37 @@ GOLDEN = [
         "e10eaf281d248c0072a4076371b55929ace3ee9e95a4f73ce44e8c4f829b3f21",
         None,
     ),
+    (
+        ["search", "fig2", "--K", "3", "--rate", "1/2", "--objective", "wd",
+         "--weights", "maxflow"],
+        "15542583d230f16a64666e799c8ec405c40f559ba70098589d96cb5644b2628a",
+        "320b5a95942358d90d565465848b3e64cd49557cb96dcf4348887ce6b2333a7e",
+    ),
+    (
+        ["search", "fig2", "--K", "2", "--rate", "1/2", "--mode", "greedy",
+         "--max-path-len", "3"],
+        "a9bf1859d26b4ecb88d7d70e715b765209165e1822fc248e2ef17c616fdc5d6d",
+        "809777c697029bd8d33c41b6d024374a6a2731d8e1a783d0362ed5ae74cfe8da",
+    ),
+    (
+        ["search", "fig1", "--K", "2", "--rate", "1", "--mode", "greedy", "--objective", "wd",
+         "--weights", "0.1,0.2,0.3,0.4", "--y", "0.7,0.3"],
+        "83adb721837d4486fb5d7965b4970c3013d7bff6b959cef9cdaca8e94240f9ca",
+        "615d7268d713450bc8c4dcdc76fcbda917f6726b21abf1823abf9df2bf36866d",
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, stdout_sha256, flow_sha256", GOLDEN, ids=[" ".join(g[0][:2]) for g in GOLDEN]
-)
+def _golden_ids(cases):
+    """Command and scenario; the whole argv where that pair is already taken."""
+    ids = []
+    for argv, _, _ in cases:
+        short = " ".join(argv[:2])
+        ids.append(" ".join(argv) if short in ids else short)
+    return ids
+
+
+@pytest.mark.parametrize("argv, stdout_sha256, flow_sha256", GOLDEN, ids=_golden_ids(GOLDEN))
 def test_golden_output(capsys, tmp_path, argv, stdout_sha256, flow_sha256):
     argv = list(argv)
     out_flow = tmp_path / "found.json"

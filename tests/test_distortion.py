@@ -273,6 +273,11 @@ class TestProfileOptimizer:
         with pytest.raises(ValueError, match="nonnegative"):
             optimize_pet_profile([Fraction(1), Fraction(1)], (1.5, -0.5), 1, Fraction(1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_weights_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            optimize_pet_profile([Fraction(1), Fraction(1)], (bad, 0.5), 1, Fraction(1))
+
 
 class TestLayeredCodeAgreement:
     def test_formula_matches_codec_prefix_exactly(self):

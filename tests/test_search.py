@@ -13,6 +13,7 @@ from rainbownet import (
     SearchSizeError,
     alternating_search,
     drnf_distortion,
+    enumerate_paths,
     exact_search,
     greedy_search,
     is_admissible,
@@ -20,7 +21,9 @@ from rainbownet import (
     optimize_pet_profile,
     route,
     separate_coding_baseline,
+    weighted_distortion,
 )
+from rainbownet.search import _path_signatures, _prune_dominated, _signature_closure
 
 
 def _cfg(num_colors, rate, **kw):
@@ -168,6 +171,70 @@ class TestWeightedObjective:
     def test_wd_requires_weights(self):
         with pytest.raises(ValueError, match="weight"):
             exact_search(helpers.fig1_network(), _cfg(2, 1, objective="wd"))
+
+    @staticmethod
+    def _wd_instances():
+        yield helpers.fig1_network(), 2, Fraction(1), (0.1, 0.2, 0.3, 0.4), None
+        yield helpers.fig1_network(), 2, Fraction(1), (0.25,) * 4, (0.7, 0.3)
+        yield helpers.fig2_network(), 3, Fraction(1, 2), (0.5, 0.3, 0.2), None
+        yield helpers.fig2_network(), 2, Fraction(1, 2), (0.2, 0.2, 0.6), (0.4, 0.6)
+        rng = random.Random(17)
+        for _ in range(6):
+            net = helpers.random_network(rng, max_nodes=6)
+            raw = [rng.random() + 0.05 for _ in net.sinks]
+            weights = tuple(v / sum(raw) for v in raw)
+            yield net, 2, Fraction(1, 2), weights, (0.6, 0.4)
+
+    @pytest.mark.parametrize("search", [exact_search, greedy_search])
+    def test_objective_is_the_weighted_distortion_of_the_flow_vector(self, search):
+        # bit for bit: the objective evaluates the same per-sink distortion
+        # as drnf_distortion on the flow vector it returns
+        for net, colors, rate, weights, profile in self._wd_instances():
+            cfg = _cfg(
+                colors, rate, max_path_len=3, objective="wd", weights=weights, profile=profile
+            )
+            result = search(net, cfg)
+            layers = profile or tuple(1.0 / colors for _ in range(colors))
+            expected = drnf_distortion(result.rfv.values, layers, rate)
+            assert result.objective == weighted_distortion(expected, weights)
+
+    @pytest.mark.parametrize("search", [exact_search, greedy_search])
+    def test_weight_count_must_match_the_sinks(self, search):
+        cfg = _cfg(2, 1, max_path_len=2, objective="wd", weights=(0.5, 0.5))
+        with pytest.raises(ValueError, match="expected 4 weights"):
+            search(helpers.fig1_network(), cfg)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weights", (math.nan, 0.5, 0.25, 0.25)),
+            ("weights", (math.inf, 0.0, 0.0, 0.0)),
+            ("profile", (math.nan, 1.0)),
+            ("profile", (math.inf, 1.0)),
+            ("profile", (-0.5, 1.5)),
+        ],
+    )
+    def test_config_rejects_non_finite_or_negative_entries(self, field, value):
+        kw = {"weights": (0.25,) * 4, field: value}
+        with pytest.raises(ValueError, match=field.rstrip("s")):
+            _cfg(2, 1, objective="wd", **kw)
+
+
+class TestPruning:
+    @staticmethod
+    def _closures():
+        rng = random.Random(23)
+        for _ in range(30):
+            net = helpers.random_network(rng, max_nodes=6)
+            yield _signature_closure(_path_signatures(net, enumerate_paths(net, 3)), 200_000)
+        for width, depth in ((2, 3), (3, 2), (2, 4), (3, 3)):
+            net = helpers.layered_network(rng, width, depth)
+            paths = enumerate_paths(net, depth + 1)
+            yield _signature_closure(_path_signatures(net, paths), 200_000)
+
+    def test_matches_the_all_pairs_prune(self):
+        for closure in self._closures():
+            assert _prune_dominated(closure) == oracles.all_pairs_prune(closure)
 
 
 class TestBaseline:
