@@ -33,7 +33,7 @@ from .distortion import (
     rate_split_values,
     refinement_sweep,
 )
-from .errors import CodecError, FlowDocumentError, ScenarioError, SearchSizeError
+from .errors import CodecError, RainbowNetError, ScenarioError
 from .flows import (
     DiscreteRnf,
     check_admissibility,
@@ -484,10 +484,7 @@ def main(argv=None) -> int:
         return 2
     try:
         output = args.handler(args)
-    except (ScenarioError, FlowDocumentError, CodecError, SearchSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (RainbowNetError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
@@ -495,11 +492,16 @@ def main(argv=None) -> int:
         return 3
     text = _render_json(output.tables) if args.json else _render_csv(output.tables)
     sys.stdout.write(text)
-    for path, blob in output.files.items():
-        with open(path, "wb") as handle:
-            handle.write(blob)
-    if getattr(args, "manifest", None):
-        _write_manifest(args.manifest, args, argv, text, output.files)
+    try:
+        for path, blob in output.files.items():
+            with open(path, "wb") as handle:
+                handle.write(blob)
+        if getattr(args, "manifest", None):
+            path = args.manifest
+            _write_manifest(path, args, argv, text, output.files)
+    except OSError as exc:
+        print(f"error: cannot write '{path}': {exc}", file=sys.stderr)
+        return 1
     return output.exit_code
 
 

@@ -239,6 +239,8 @@ def load_flow(text_or_doc, net: Network) -> RainbowFlow:
             raise FlowDocumentError(
                 f"flow parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise FlowDocumentError("flow document is nested too deeply to parse") from exc
     else:
         doc = text_or_doc
     if not isinstance(doc, dict) or "paths" not in doc or not isinstance(doc["paths"], list):

@@ -3,9 +3,12 @@
 Codewords are formed across descriptions: a (k, total) code maps k data
 bytes to `total` bytes such that any k of them recover the data. Data
 symbols are values of the degree<k polynomial through points 0..k-1;
-parity symbols are its values at points k..total-1 (Lagrange evaluation),
-so the code is MDS and systematic. Field elements double as evaluation
-points, which caps `total` at 255.
+parity symbols are its values at points k..total-1, so the code is MDS
+and systematic; field elements double as points, which caps `total` at
+255. Evaluating the polynomial through `sources` at `targets` is linear:
+one cached Lagrange coefficient matrix per (sources, targets), applied to
+whole byte rows through the product table `MUL`, does the encoding, the
+recovery of missing data rows and the parity check on extra rows.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ for _power in range(255, 512):
     EXP[_power] = EXP[_power - 255]
 
 _EXP_NP = np.array(EXP, dtype=np.uint8)
-_LOG_NP = np.array(LOG, dtype=np.int32)
+_LOG_NP = np.array(LOG, dtype=np.int64)
+
+# MUL[a, b] = a * b in GF(256); row and column 0 are the zero products.
+MUL = _EXP_NP[_LOG_NP[:, None] + _LOG_NP[None, :]]
+MUL[0, :] = MUL[:, 0] = 0
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -44,58 +51,48 @@ def gf_inv(a: int) -> int:
     return EXP[255 - LOG[a]]
 
 
-def gf_mul_vec(scalar: int, vec: np.ndarray) -> np.ndarray:
-    """Multiply every byte of `vec` by a scalar field element."""
-    if scalar == 0:
-        return np.zeros_like(vec)
-    out = _EXP_NP[(_LOG_NP[vec] + LOG[scalar]) % 255]
-    np.putmask(out, vec == 0, 0)
-    return out
-
-
 @lru_cache(maxsize=None)
-def _lagrange_coefficients(sources: tuple[int, ...], target: int) -> tuple[int, ...]:
-    """Coefficients c_u with value(target) = xor_u c_u * value(sources[u])."""
-    coefficients = []
-    for u in sources:
-        numer = 1
-        denom = 1
-        for v in sources:
-            if v == u:
-                continue
-            numer = gf_mul(numer, target ^ v)
-            denom = gf_mul(denom, u ^ v)
-        coefficients.append(gf_mul(numer, gf_inv(denom)))
-    return tuple(coefficients)
+def _coefficients(sources: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
+    """Matrix C with value(targets[t]) = xor_u C[t, u] * value(sources[u]).
+
+    C[t, u] = prod_{v != u} (x_t - v) / (u - v), summed in the log domain;
+    no target may be a source, so every factor is nonzero.
+    """
+    points = np.array(sources)
+    gaps = _LOG_NP[np.array(targets)[:, None] ^ points]  # log(x_t - u)
+    spread = _LOG_NP[points[:, None] ^ points].sum(axis=1)  # LOG[0] = 0 on the diagonal
+    matrix = _EXP_NP[(gaps.sum(axis=1, keepdims=True) - gaps - spread) % 255]
+    matrix.setflags(write=False)
+    return matrix
 
 
-def _evaluate(sources: tuple[int, ...], rows: list[np.ndarray], target: int) -> np.ndarray:
-    acc = np.zeros_like(rows[0])
-    for coefficient, row in zip(_lagrange_coefficients(sources, target), rows):
-        acc ^= gf_mul_vec(coefficient, row)
-    return acc
+def _evaluate(sources, rows: np.ndarray, targets) -> np.ndarray:
+    """Values at `targets` of the polynomial through (sources[u], rows[u])."""
+    targets = tuple(targets)
+    out = np.zeros((len(targets), rows.shape[1]), dtype=np.uint8)
+    if not targets:
+        return out
+    matrix = _coefficients(tuple(sources), targets)
+    for u, row in enumerate(rows):
+        out ^= MUL[matrix[:, u]][:, row]
+    return out
 
 
 def encode_block(data: np.ndarray, total: int) -> np.ndarray:
     """Extend a (k, width) uint8 block to (total, width) with parity rows."""
     data = np.asarray(data, dtype=np.uint8)
-    k, width = data.shape
+    k, _ = data.shape
     if not 1 <= k <= total <= 255:
         raise ValueError(f"need 1 <= k <= total <= 255, got k={k}, total={total}")
-    out = np.zeros((total, width), dtype=np.uint8)
-    out[:k] = data
-    sources = tuple(range(k))
-    rows = [data[u] for u in range(k)]
-    for target in range(k, total):
-        out[target] = _evaluate(sources, rows, target)
-    return out
+    return np.concatenate([data, _evaluate(range(k), data, range(k, total))])
 
 
 def recover_block(shares: dict[int, np.ndarray], k: int, total: int) -> np.ndarray:
     """Recover the (k, width) data block from any >= k coded rows.
 
     `shares` maps row index (0-based point) to its byte row. Extra rows
-    beyond k are used to verify consistency; a mismatch raises ValueError.
+    beyond k are used to verify consistency; a mismatch raises ValueError
+    naming the first inconsistent row in the order given.
     """
     if not 1 <= k <= total <= 255:
         raise ValueError(f"need 1 <= k <= total <= 255, got k={k}, total={total}")
@@ -104,18 +101,15 @@ def recover_block(shares: dict[int, np.ndarray], k: int, total: int) -> np.ndarr
     for point in shares:
         if not 0 <= point < total:
             raise ValueError(f"row index {point} outside 0..{total - 1}")
-    chosen = tuple(sorted(shares)[:k])
-    rows = [np.asarray(shares[point], dtype=np.uint8) for point in chosen]
-    width = rows[0].shape[0]
-    data = np.zeros((k, width), dtype=np.uint8)
-    for target in range(k):
-        if target in shares:
-            data[target] = shares[target]
-        else:
-            data[target] = _evaluate(chosen, rows, target)
-    for point, row in shares.items():
-        if point in chosen or point < k:
-            continue
-        if not np.array_equal(_evaluate(tuple(range(k)), list(data), point), row):
+    chosen = sorted(shares)[:k]
+    rows = np.array([shares[point] for point in chosen], dtype=np.uint8)
+    present = [point for point in chosen if point < k]
+    missing = [point for point in range(k) if point not in shares]
+    data = np.empty_like(rows)
+    data[present] = rows[: len(present)]
+    data[missing] = _evaluate(chosen, rows, missing)
+    extras = [point for point in shares if point not in chosen]
+    for point, row in zip(extras, _evaluate(range(k), data, extras)):
+        if not np.array_equal(row, shares[point]):
             raise ValueError(f"parity row {point} is inconsistent with the recovered data")
     return data

@@ -144,6 +144,8 @@ def load_scenario(text: str) -> Network:
         raise ScenarioError(
             f"scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario document is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     for key in ("nodes", "edges", "sources", "sinks"):

@@ -172,7 +172,7 @@ def pet_encode(bitstream: bytes, profile: PetProfile) -> DescriptionSet:
             f"bitstream too short: need {required} bytes for this profile, got {len(bitstream)}"
         )
     K = profile.num_descriptions
-    columns = [bytearray() for _ in range(K)]
+    blocks = []
     offset = 0
     for depth, size in enumerate(profile.segment_bytes, start=1):
         if size == 0:
@@ -180,11 +180,10 @@ def pet_encode(bitstream: bytes, profile: PetProfile) -> DescriptionSet:
         chunk = bitstream[offset : offset + depth * size]
         offset += depth * size
         rows = np.frombuffer(chunk, dtype=np.uint8).reshape(depth, size)
-        coded = encode_block(rows, K)
-        for j in range(K):
-            columns[j] += coded[j].tobytes()
+        blocks.append(encode_block(rows, K))
+    columns = np.concatenate(blocks, axis=1)
     descriptions = tuple(
-        Description(profile, index=j + 1, payload=bytes(columns[j])) for j in range(K)
+        Description(profile, index=j + 1, payload=columns[j].tobytes()) for j in range(K)
     )
     return DescriptionSet(profile, descriptions)
 

@@ -116,6 +116,11 @@ def _color_capacities(net: Network, cfg: SearchConfig) -> dict[str, int]:
     return out
 
 
+def _nothing_admissible(net: Network, cfg: SearchConfig) -> bool:
+    """Strict comparison fails every flow, even the empty one, on a zero-capacity edge."""
+    return cfg.strict and any(edge.capacity <= 0 for edge in net.edges)
+
+
 def _result(net: Network, cfg: SearchConfig, chosen, objective) -> SearchResult:
     """Assemble a search result from (path, color) pairs in flow order."""
     paths, colors = tuple(p for p, _ in chosen), tuple(c for _, c in chosen)
@@ -193,14 +198,12 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     ``cfg.candidate_limit``.
     """
     score, _, _ = _objective(cfg, net)
+    if _nothing_admissible(net, cfg):
+        return _result(net, cfg, [], score({}))
     paths = enumerate_paths(net, cfg.max_path_len)
     infos = _path_signatures(net, paths)
-
-    if cfg.strict and any(e.capacity <= 0 for e in net.edges):
-        candidates = [((frozenset(), frozenset()), ())]
-    else:
-        closure = _signature_closure(infos, min(cfg.candidate_limit, 200_000))
-        candidates = _prune_dominated(closure)
+    closure = _signature_closure(infos, min(cfg.candidate_limit, 200_000))
+    candidates = _prune_dominated(closure)
 
     count = math.comb(len(candidates) + cfg.num_colors - 1, cfg.num_colors)
     if count > cfg.candidate_limit:
@@ -249,6 +252,8 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     stops when a full round adds nothing.
     """
     score, levels, weights = _objective(cfg, net)
+    if _nothing_admissible(net, cfg):
+        return _result(net, cfg, [], score({}))
     paths = enumerate_paths(net, cfg.max_path_len)
     infos = _path_signatures(net, paths)
     residual = _color_capacities(net, cfg)

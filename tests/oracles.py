@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from rainbownet import DiscreteRnf, Network, enumerate_paths, is_admissible, total_rainbow_flow
+from rainbownet.gf256 import EXP, LOG, gf_inv, gf_mul
 
 
 def brute_min_cut(net: Network, sink: str) -> Fraction:
@@ -136,3 +137,48 @@ def central_difference_gradient(fn, y, h: float = 1e-6) -> np.ndarray:
         down[i] -= h
         out[i] = (fn(up) - fn(down)) / (2.0 * h)
     return out
+
+
+def _gf_mul_row(scalar: int, row: np.ndarray) -> np.ndarray:
+    """Every byte of `row` times one field element, through the log tables."""
+    if scalar == 0:
+        return np.zeros_like(row)
+    out = np.array(EXP, dtype=np.uint8)[(np.array(LOG)[row] + LOG[scalar]) % 255]
+    out[row == 0] = 0
+    return out
+
+
+def lagrange_value(sources, rows, target: int) -> np.ndarray:
+    """Value at `target` of the polynomial through (sources[u], rows[u]).
+
+    One scalar Lagrange coefficient per source row, one row multiply each.
+    """
+    acc = np.zeros_like(rows[0])
+    for u, row in zip(sources, rows):
+        numer = denom = 1
+        for v in sources:
+            if v != u:
+                numer = gf_mul(numer, target ^ v)
+                denom = gf_mul(denom, u ^ v)
+        acc ^= _gf_mul_row(gf_mul(numer, gf_inv(denom)), row)
+    return acc
+
+
+def reference_encode_block(data: np.ndarray, total: int) -> np.ndarray:
+    """Systematic (k, total) codeword rows: the data, then one parity row per point."""
+    k = len(data)
+    parity = [lagrange_value(range(k), list(data), point) for point in range(k, total)]
+    return np.array(list(data) + parity, dtype=np.uint8).reshape(total, -1)
+
+
+def reference_recover_block(shares: dict, k: int) -> np.ndarray:
+    """Data rows from the k lowest shares; ValueError names the first bad extra share."""
+    chosen = sorted(shares)[:k]
+    rows = [shares[point] for point in chosen]
+    data = np.array([lagrange_value(chosen, rows, point) for point in range(k)])
+    for point, row in shares.items():
+        if point not in chosen and not np.array_equal(
+            lagrange_value(range(k), list(data), point), row
+        ):
+            raise ValueError(f"parity row {point} is inconsistent with the recovered data")
+    return data

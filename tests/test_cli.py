@@ -6,6 +6,7 @@ import time
 import pytest
 
 import helpers
+from rainbownet import PetProfile, description_to_bytes, pet_encode
 from rainbownet.cli import main
 
 
@@ -471,3 +472,37 @@ def test_golden_output(capsys, tmp_path, argv, stdout_sha256, flow_sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
     if flow_sha256 is not None:
         assert hashlib.sha256(out_flow.read_bytes()).hexdigest() == flow_sha256
+
+
+class TestUnreadableAndUnwritable:
+    @pytest.mark.parametrize("position", ["scenario", "flow"])
+    def test_deeply_nested_json_exits_one(self, capsys, tmp_path, position):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["validate", str(deep), "fig1_flow"]
+        if position == "flow":
+            argv = ["validate", "fig1", str(deep)]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: {position} document is nested too deeply to parse\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "fig1", "--K", "2", "--rate", "1", "--out-flow", "{missing}/f.json"],
+            ["fig1", "--C", "1", "--manifest", "{missing}/m.json"],
+            ["pet", "decode", "{description}", "--out", "{missing}/rec.bin"],
+        ],
+        ids=["out-flow", "manifest", "pet-decode-out"],
+    )
+    def test_unwritable_output_path_exits_one(self, capsys, tmp_path, argv):
+        description = tmp_path / "block.d01"
+        encoded = pet_encode(bytes(8), PetProfile.quantize([1.0], 1, 1, 64))
+        description.write_bytes(description_to_bytes(encoded.descriptions[0]))
+        missing = tmp_path / "no-such-dir"
+        argv = [a.format(missing=missing, description=description) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: cannot write '{argv[-1]}': ")
+        assert "Traceback" not in err
+        assert not missing.exists()

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from rainbownet import (
     CodecError,
     Description,
@@ -195,3 +198,90 @@ class TestSerialization:
         )
         with pytest.raises(CodecError, match="payload"):
             description_from_bytes(blob[:-1])
+
+
+def _seeded_blocks(count: int):
+    """Seeded (k, total, width) shapes: edge cases, then random codes of up to 40 rows."""
+    rng = np.random.default_rng(20)
+    shapes = [(1, 1, 5), (1, 255, 3), (12, 255, 2), (3, 4, 1)]
+    while len(shapes) < count:
+        total = int(rng.integers(1, 41))
+        shapes.append((int(rng.integers(1, total + 1)), total, int(rng.integers(1, 33))))
+    return rng, shapes
+
+
+class TestBlockCodeAgainstReference:
+    def test_encode_matches_per_coefficient_lagrange(self):
+        rng, shapes = _seeded_blocks(40)
+        for k, total, width in shapes:
+            data = rng.integers(0, 256, size=(k, width), dtype=np.uint8)
+            expected = oracles.reference_encode_block(data, total)
+            assert np.array_equal(encode_block(data, total), expected)
+
+    def test_recover_matches_reference_with_extra_shares(self):
+        rng, shapes = _seeded_blocks(60)
+        for k, total, width in shapes:
+            data = rng.integers(0, 256, size=(k, width), dtype=np.uint8)
+            coded = oracles.reference_encode_block(data, total)
+            kept = [int(p) for p in rng.permutation(total)[: int(rng.integers(k, total + 1))]]
+            shares = {point: coded[point] for point in kept}
+            recovered = recover_block(shares, k, total)
+            assert np.array_equal(recovered, oracles.reference_recover_block(shares, k))
+            assert np.array_equal(recovered, data)
+
+    def test_first_inconsistent_share_in_given_order_is_named(self):
+        rng, shapes = _seeded_blocks(60)
+        checked = 0
+        for k, total, width in shapes:
+            if total - k < 2:
+                continue
+            data = rng.integers(0, 256, size=(k, width), dtype=np.uint8)
+            coded = encode_block(data, total)
+            kept = [int(p) for p in rng.permutation(total)[: int(rng.integers(k + 2, total + 1))]]
+            shares = {point: coded[point].copy() for point in kept}
+            extras = [point for point in kept if point not in sorted(kept)[:k]]
+            for point in rng.choice(extras, size=2, replace=False):
+                shares[int(point)][int(rng.integers(width))] ^= int(rng.integers(1, 256))
+            with pytest.raises(ValueError) as expected:
+                oracles.reference_recover_block(shares, k)
+            with pytest.raises(ValueError, match="inconsistent") as raised:
+                recover_block(shares, k, total)
+            assert str(raised.value) == str(expected.value)
+            checked += 1
+        assert checked >= 20
+
+
+# sha256 of the serialized descriptions of a seeded payload, and of the
+# prefixes decoded from seeded subsets (in seeded order), per profile. The
+# first case is the K=32, n=65536 uniform profile of the pet-wide benchmark;
+# the others are small non-uniform profiles, two with zero-size layers.
+PINNED_PET = [
+    (0, 32, "1", 65536, [1 / 32] * 32,
+     "bcfa31af2eda827706c9fe782a17ab453e9d17a75635ea0f83e0424ff18ac983",
+     "6ae4c61c00d1de8d5c4fba78047b1ce5c23b5367c58333427553c080fd7be07c"),
+    (1, 5, "2", 800, [0.1, 0.3, 0.0, 0.4, 0.2],
+     "9aec9a838faa91bdfb7fe8edcc9c7c1c6f060e2bc12387efd1338a4530ca8eff",
+     "4a7893e36eefc14b767ff03a33def855cbae4bad0a40f509ce35a545e8a56f33"),
+    (2, 3, "1/2", 48, [0.0, 1.0, 0.0],
+     "008767a81bb4a7eddd4966c04ce15fafed5264998c19afbc430e1d9b115d91f8",
+     "e866d64c97249e8b4daef90c8620f42fd97ed8540b78d466446bb836dfe3d35c"),
+    (3, 7, "3", 768, [0.05, 0.25, 0.1, 0.2, 0.15, 0.15, 0.1],
+     "7d98157d0f479abe7f3da5002646ceaa89bd8a5279645dee2a374e638cec5adb",
+     "4d8e0b7a508b09f446a81da366a0ca3470f968c330d4e72a11aa8a99bc050ec4"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,K,rate,n,y,encode_sha,decode_sha", PINNED_PET, ids=[f"K{case[1]}" for case in PINNED_PET]
+)
+def test_pinned_pet_bytes(seed, K, rate, n, y, encode_sha, decode_sha):
+    profile = PetProfile.quantize(y, Fraction(rate), K, n)
+    rng = random.Random(f"pet:{seed}")
+    payload = rng.randbytes(profile.source_bytes_required)
+    encoded = pet_encode(payload, profile)
+    blobs = b"".join(description_to_bytes(d) for d in encoded.descriptions)
+    assert hashlib.sha256(blobs).hexdigest() == encode_sha
+    digest = hashlib.sha256()
+    for size in sorted({0, 1, K // 2, K - 1, K, rng.randrange(K + 1), rng.randrange(K + 1)}):
+        digest.update(pet_decode(rng.sample(encoded.descriptions, size)))
+    assert digest.hexdigest() == decode_sha

@@ -288,6 +288,27 @@ class TestRoute:
         assert routed.flow == greedy.flow
         assert routed.objective == greedy.objective
 
+    @pytest.mark.parametrize("objective", ["trf", "wd"])
+    def test_strict_zero_capacity_edge_gives_every_search_the_empty_flow(self, objective):
+        # strict comparison fails the unused s->u edge (0 < 0), so no flow
+        # is admissible, not even the empty one; without --strict one fits
+        net = Network(
+            nodes=("s", "t", "u"),
+            edges=(Edge("e1", "s", "t", Fraction(2)), Edge("e2", "s", "u", Fraction(0))),
+            sources=("s",),
+            sinks=("t",),
+        )
+        weights = (1.0,) if objective == "wd" else None
+        cfg = _cfg(1, 1, strict=True, objective=objective, weights=weights)
+        empty = exact_search(net, cfg)
+        assert empty.flow.paths == ()
+        assert not is_admissible(empty.flow, strict=True)
+        for search in (greedy_search, route):
+            result = search(net, cfg)
+            assert (result.flow, result.objective) == (empty.flow, empty.objective)
+        lenient = greedy_search(net, _cfg(1, 1, objective=objective, weights=weights))
+        assert [path.edges for path in lenient.flow.paths] == [("e1",)]
+
     def test_fitting_instance_is_exact(self):
         # greedy finds a different flow here, so this pins the exact branch
         net = helpers.fig1_network()
