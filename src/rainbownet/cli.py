@@ -39,6 +39,7 @@ from .flows import (
     check_admissibility,
     flow_to_document,
     load_flow,
+    node_spectrum,
     rainbow_flow_vector,
     refine,
 )
@@ -337,6 +338,8 @@ def cmd_lemmas(args) -> CliOutput:
 
 
 def cmd_pipeline(args) -> CliOutput:
+    if args.rounds < 1:
+        raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
     net = _load_net(args.scenario)
     weights = _parse_weights(args.weights, net)
     rate = parse_rational(args.rate, what="rate")
@@ -351,15 +354,23 @@ def cmd_pipeline(args) -> CliOutput:
     result, profile_vec, _ = alternating_search(net, cfg, rounds=args.rounds)
     q = list(result.rfv.values)
     profile = PetProfile.quantize(profile_vec, rate, args.K, args.n)
-    source = progressive_gaussian_source(args.seed, args.n, float(rate) * args.K)
+    # Encode only the prefix PET reads: a byte-aligned budget stream is the
+    # same bytes as the head of any longer one.
+    source = progressive_gaussian_source(
+        args.seed, args.n, Fraction(profile.prefix_bits(args.K), args.n)
+    )
     encoded = pet_encode(source.bitstream, profile)
     analytic = drnf_distortion(q, profile.y, rate)
+    # Decoding depends only on the recovered bytes, so sinks holding the
+    # same prefix share one decode.
+    mse_by_prefix: dict[bytes, float] = {}
     rows = []
     for position, sink in enumerate(net.sinks):
-        received = int(Fraction(q[position]) / rate)
-        recovered = pet_decode(encoded.descriptions[:received])
-        empirical = source.empirical_mse(8 * len(recovered), data=recovered)
-        rows.append([sink, q[position], analytic[position], empirical])
+        held = node_spectrum(result.flow, sink)
+        recovered = pet_decode([encoded.descriptions[color - 1] for color in held])
+        if recovered not in mse_by_prefix:
+            mse_by_prefix[recovered] = source.empirical_mse(8 * len(recovered), data=recovered)
+        rows.append([sink, q[position], analytic[position], mse_by_prefix[recovered]])
     table = Table("pipeline", ["sink", "q", "analytic_d", "empirical_mse"], rows)
     return CliOutput([table])
 

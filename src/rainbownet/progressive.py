@@ -294,12 +294,14 @@ def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGauss
     """Draw n unit-variance Gaussian samples and encode them progressively.
 
     `max_rate` is the stream budget in bits per sample; the returned
-    bitstream has ceil(n * max_rate / 8) bytes and any prefix of it decodes
-    to a reconstruction whose MSE shrinks as the prefix grows.
+    bitstream has ceil(n * max_rate) bits in ceil(n * max_rate / 8) bytes
+    (exact for a `Fraction`), and any prefix of it decodes to a
+    reconstruction whose MSE shrinks as the prefix grows. A stream with a
+    budget of B whole bytes is the first B bytes of any longer one.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    budget_bits = int(math.ceil(n * float(max_rate)))
+    budget_bits = math.ceil(n * max_rate)
     if budget_bits < 1:
         raise ValueError("max_rate must be positive")
     rng = np.random.default_rng(seed)

@@ -2,11 +2,19 @@ import hashlib
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
 import helpers
-from rainbownet import PetProfile, description_to_bytes, pet_encode
+from rainbownet import (
+    PetProfile,
+    cli,
+    description_to_bytes,
+    pet_encode,
+    progressive,
+    progressive_gaussian_source,
+)
 from rainbownet.cli import main
 
 
@@ -312,6 +320,65 @@ class TestPipeline:
         assert code == 1
         assert "sinks" in err
 
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_rounds_below_one_rejected(self, capsys, rounds):
+        code, out, err = run(
+            capsys, "pipeline", "fig1", "--K", "2", "--rate", "1", "--rounds", rounds
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --rounds must be at least 1, got {rounds}\n"
+
+
+def _record_codec_work(monkeypatch):
+    """Log the bit limit of every progressive scan and the profile PET encodes with."""
+    work = {"encode_bits": [], "decode_bits": [], "profiles": []}
+    scan = progressive._scan
+
+    def recording_scan(code, stream, magnitudes, signs):
+        kind = "encode_bits" if isinstance(stream, progressive._BitWriter) else "decode_bits"
+        work[kind].append(stream._limit)
+        return scan(code, stream, magnitudes, signs)
+
+    encode = cli.pet_encode
+
+    def recording_encode(bitstream, profile):
+        work["profiles"].append(profile)
+        return encode(bitstream, profile)
+
+    monkeypatch.setattr(progressive, "_scan", recording_scan)
+    monkeypatch.setattr(cli, "pet_encode", recording_encode)
+    return work
+
+
+class TestPipelineWork:
+    @pytest.mark.parametrize(
+        "scenario, K, rate, decodes",
+        [("fig1", 2, "1", 1), ("fig2", 3, "1/2", 2)],
+    )
+    def test_one_encode_of_the_pet_prefix_and_one_decode_per_distinct_prefix(
+        self, capsys, monkeypatch, scenario, K, rate, decodes
+    ):
+        work = _record_codec_work(monkeypatch)
+        n, seed = 4096, 5
+        code, out, _ = run(
+            capsys, "pipeline", scenario, "--K", str(K), "--rate", rate,
+            "--n", str(n), "--seed", str(seed),
+        )
+        assert code == 0
+        [profile] = work["profiles"]
+        assert work["encode_bits"] == [8 * profile.source_bytes_required]
+        # prefixes of one stream differ exactly when their lengths differ
+        assert len(work["decode_bits"]) == len(set(work["decode_bits"])) == decodes
+        # reference: the full rate*K stream, one un-shared decode per sink
+        rate = Fraction(rate)
+        full = progressive_gaussian_source(seed, n, rate * K)
+        rows = parse_blocks(out)[("sink", "q", "analytic_d", "empirical_mse")]
+        for _, q, _, empirical in rows:
+            received = int(Fraction(q) / rate)
+            reference = full.empirical_mse(profile.prefix_bits(received))
+            assert float(empirical) == reference
+
 
 class TestOutputDiscipline:
     def test_json_mirror(self, capsys):
@@ -448,6 +515,22 @@ GOLDEN = [
          "--weights", "0.1,0.2,0.3,0.4", "--y", "0.7,0.3"],
         "83adb721837d4486fb5d7965b4970c3013d7bff6b959cef9cdaca8e94240f9ca",
         "615d7268d713450bc8c4dcdc76fcbda917f6726b21abf1823abf9df2bf36866d",
+    ),
+    (
+        ["pipeline", "fig1", "--K", "4", "--rate", "1/2", "--n", "16384", "--seed", "3"],
+        "3996fc2eba230fde7295df4f1790548ec8bb3a86c9803a9809dafec0918b8f5c",
+        None,
+    ),
+    (
+        ["pipeline", "fig2", "--K", "2", "--rate", "1/2", "--seed", "1"],
+        "5e0d9cb0e91f351fc865e12a50fb739c7050c93b53d6e77c505fde7c2bbec1c8",
+        None,
+    ),
+    (
+        ["pipeline", "fig2", "--K", "3", "--rate", "1", "--n", "3000", "--weights", "maxflow",
+         "--rounds", "2", "--seed", "2"],
+        "52a3d1287c0ecfe97d476cace1841cfa0316c34ed8cedcc6a8317152a0850e37",
+        None,
     ),
 ]
 

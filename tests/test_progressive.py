@@ -1,9 +1,10 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rainbownet import progressive_gaussian_source
+from rainbownet import PetProfile, pet_encode, progressive_gaussian_source
 from rainbownet.progressive import _BitReader, _BitWriter, _Decoder, _Encoder, _Model
 
 
@@ -83,6 +84,12 @@ class TestGaussianSource:
         source = progressive_gaussian_source(1, 1000, 1.5)
         assert len(source.bitstream) == (1500 + 7) // 8
 
+    def test_fraction_budget_is_exact(self):
+        # float(56/3000) * 3000 rounds up past 56, which cost a whole extra byte
+        source = progressive_gaussian_source(0, 3000, Fraction(56, 3000))
+        assert source.max_rate_bits == 56
+        assert len(source.bitstream) == 7
+
     def test_deterministic_per_seed(self):
         a = progressive_gaussian_source(9, 2000, 2.0)
         b = progressive_gaussian_source(9, 2000, 2.0)
@@ -141,3 +148,22 @@ def test_pinned_stream_bytes(seed, n, rate, stream_sha, decode_sha):
     for prefix in _pinned_prefixes(8 * len(source.bitstream)):
         digest.update(source.decode_prefix(prefix).tobytes())
     assert digest.hexdigest() == decode_sha
+
+
+@pytest.mark.parametrize("n", [1000, 3000, 16384])
+@pytest.mark.parametrize("seed", range(4))
+def test_byte_budget_stream_is_a_prefix_of_the_full_stream(seed, n):
+    full = progressive_gaussian_source(seed, n, 2).bitstream
+    length = len(full)
+    for budget in sorted({1, 3, 37, length // 2, length // 2 | 1, length - 1}):
+        short = progressive_gaussian_source(seed, n, Fraction(8 * budget, n)).bitstream
+        assert short == full[:budget], budget
+    # a mixed K=4 profile whose descriptions fill a quarter of the full stream
+    # each: PET reads the same bytes from the exact-budget stream
+    K = 4
+    profile = PetProfile.quantize(
+        [0.4, 0.3, 0.2, 0.1], Fraction(8 * (length // K), n), K, n
+    )
+    exact = progressive_gaussian_source(seed, n, Fraction(profile.prefix_bits(K), n))
+    assert len(exact.bitstream) == profile.source_bytes_required < length
+    assert pet_encode(exact.bitstream, profile) == pet_encode(full, profile)
