@@ -204,6 +204,8 @@ def cmd_search(args) -> CliOutput:
 
 
 def cmd_optimize(args) -> CliOutput:
+    if args.K is not None and args.K < 1:
+        raise ValueError(f"--K must be at least 1, got {args.K}")
     net = _load_net(args.scenario)
     flow = load_flow(_read_document(args.flow, "flow"), net)
     if isinstance(flow, DiscreteRnf):
@@ -325,6 +327,8 @@ def _lemma_rows(name: str, net, args):
 
 
 def cmd_lemmas(args) -> CliOutput:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     names = args.scenario or ["fig1", "fig2"]
     rows = []
     failures = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -135,6 +136,8 @@ class StepDensity:
 
 def _description_counts(q: Sequence, rate: Fraction, limit: int) -> list[int]:
     rate = Fraction(rate)
+    if rate <= 0:
+        raise ValueError("rate must be positive")
     counts = []
     for position, value in enumerate(q):
         value = Fraction(value)
@@ -150,19 +153,24 @@ def _description_counts(q: Sequence, rate: Fraction, limit: int) -> list[int]:
     return counts
 
 
-def description_rate(y: Sequence, rate, count: int):
-    """Source rate delivered by the first `count` description layers.
+def description_rates(y: Sequence, rate):
+    """Source rate delivered by the first c description layers, c = 0..len(y).
 
-    Computes rate * sum(i * y_i, i = 1..count), exactly when the layer
-    weights are rational.
+    Entry c is rate * sum(i * y_i, i = 1..c), a running sum: exact when
+    every y_i is rational (ints stay ints), otherwise float64 summed in
+    layer order.
     """
-    if all(isinstance(v, (Fraction, int)) for v in y[:count]):
-        total = sum((Fraction(i + 1) * Fraction(y[i]) for i in range(count)), Fraction(0))
-        return Fraction(rate) * total
-    total = 0.0
-    for i in range(count):
-        total += (i + 1) * float(y[i])
-    return float(rate) * total
+    if not isinstance(y, np.ndarray) and all(isinstance(v, (Fraction, int)) for v in y):
+        rate = rate if isinstance(rate, (Fraction, int)) else Fraction(rate)
+        totals = accumulate((i * v for i, v in enumerate(y, start=1)), initial=0)
+        return [rate * total for total in totals]
+    terms = np.arange(1, len(y) + 1) * np.asarray(y, dtype=float)
+    return float(rate) * np.concatenate(([0.0], terms.cumsum()))
+
+
+def description_rate(y: Sequence, rate, count: int):
+    """Source rate delivered by the first `count` layers: one entry of `description_rates`."""
+    return description_rates(y[:count], rate)[count]
 
 
 def drnf_distortion(q: Sequence, y: Sequence, rate, model: DistortionModel = GAUSSIAN):
@@ -173,7 +181,8 @@ def drnf_distortion(q: Sequence, y: Sequence, rate, model: DistortionModel = GAU
     reconstructs at distortion D(rate * sum(i * y_i, i <= q_t/rate)).
     """
     counts = _description_counts(list(q), Fraction(rate), len(y))
-    return tuple(model.distortion(description_rate(y, rate, c)) for c in counts)
+    rates = description_rates(y, rate)
+    return tuple(model.distortion(rates[c]) for c in counts)
 
 
 def crnf_distortion(q: Sequence, density: StepDensity, model: DistortionModel = GAUSSIAN):
@@ -272,13 +281,6 @@ def minimize_balanced_average(rate: float, *, tol: float = 1e-10) -> BalancedDes
     return BalancedDesign(side=side, joint=joint, average=value, separate=separate)
 
 
-def _layer_matrix(counts: Sequence[int], num_descriptions: int) -> np.ndarray:
-    matrix = np.zeros((len(counts), num_descriptions), dtype=float)
-    for row, count in enumerate(counts):
-        matrix[row, :count] = np.arange(1, count + 1, dtype=float)
-    return matrix
-
-
 def _check_weights(weights: Sequence[float], size: int) -> np.ndarray:
     p = np.array([float(w) for w in weights], dtype=float)
     if p.shape != (size,):
@@ -294,17 +296,19 @@ def _check_weights(weights: Sequence[float], size: int) -> np.ndarray:
 
 def _profile_functions(q: Sequence, weights: Sequence[float], num_descriptions: int, rate, model):
     """The weighted distortion of a layer profile and its gradient, for fixed q."""
-    counts = _description_counts(list(q), Fraction(rate), num_descriptions)
+    counts = np.array(_description_counts(list(q), Fraction(rate), num_descriptions), dtype=int)
     p = _check_weights(weights, len(counts))
-    matrix = _layer_matrix(counts, num_descriptions)
+    layers = np.arange(1, num_descriptions + 1)
     rf = float(rate)
 
     def objective(vec: np.ndarray) -> float:
-        return float(p @ model.distortion_array(rf * (matrix @ vec)))
+        return float(p @ model.distortion_array(description_rates(vec, rf)[counts]))
 
     def gradient(vec: np.ndarray) -> np.ndarray:
-        weighted = p * model.derivative_array(rf * (matrix @ vec))
-        return rf * (matrix.T @ weighted)
+        # layer i reaches every sink holding at least i descriptions
+        weighted = p * model.derivative_array(description_rates(vec, rf)[counts])
+        per_count = np.bincount(counts, weights=weighted, minlength=num_descriptions + 1)
+        return rf * (layers * per_count[::-1].cumsum()[::-1][1:])
 
     return objective, gradient
 
@@ -389,29 +393,39 @@ def optimize_pet_profile(
     return ProfileOptimum(y=tuple(float(v) for v in y), objective=value, iterations=iterations)
 
 
-def _optimize_from(warm, q, weights, num_descriptions, rate, model):
-    """Optimize the profile, then keep the warm start if it does strictly better.
+def _lift(y: Sequence[float], rate, count: int, new_rate) -> tuple[float, ...] | None:
+    """Layer i at `rate` moved to layer i*rate/new_rate of `count` layers, or None.
 
-    Returns (value, profile). `warm` may be None.
+    Every `description_rates` entry reappears at the matching count, so the
+    lifted profile realizes the same per-sink rates at `new_rate`.
     """
-    optimum = optimize_pet_profile(q, weights, num_descriptions, rate, model)
-    if warm is not None:
-        warm_value = profile_objective(warm, q, weights, rate, model)
-        if warm_value < optimum.objective:
-            return warm_value, warm
-    return optimum.objective, optimum.y
-
-
-def _pad_profile(y: Sequence[float], size: int) -> tuple[float, ...]:
-    return tuple(y) + (0.0,) * (size - len(y))
-
-
-def _split_profile(y: Sequence[float], factor: int) -> tuple[float, ...]:
-    # moving layer k to layer factor*k at rate/factor preserves every rate term
-    out = [0.0] * (len(y) * factor)
-    for i, value in enumerate(y):
-        out[factor * (i + 1) - 1] = float(value)
+    factor = Fraction(rate) / Fraction(new_rate)
+    if factor.denominator != 1 or len(y) * factor > count:
+        return None
+    out = [0.0] * count
+    for i, value in enumerate(y, start=1):
+        out[factor.numerator * i - 1] = float(value)
     return tuple(out)
+
+
+def _sweep(q, weights, shapes, model, warm=None) -> list[float]:
+    """Optimal weighted distortion at each (K, rate) shape in turn.
+
+    Each shape also tries the previous optimum (first `warm`, a (profile,
+    rate) pair) lifted onto it, and keeps it if it does strictly better.
+    """
+    values: list[float] = []
+    for count, rate in shapes:
+        optimum = optimize_pet_profile(q, weights, count, rate, model)
+        value, best = optimum.objective, optimum.y
+        lifted = _lift(*warm, count, rate) if warm is not None else None
+        if lifted is not None:
+            lifted_value = profile_objective(lifted, q, weights, rate, model)
+            if lifted_value < value:
+                value, best = lifted_value, lifted
+        values.append(value)
+        warm = (best, rate)
+    return values
 
 
 def more_descriptions_values(
@@ -427,13 +441,7 @@ def more_descriptions_values(
     which realizes the same distortion, so the returned sequence is
     nonincreasing up to float noise.
     """
-    values: list[float] = []
-    best: tuple[float, ...] | None = None
-    for count in description_counts:
-        warm = _pad_profile(best, count) if best is not None and len(best) <= count else None
-        value, best = _optimize_from(warm, q, weights, count, rate, model)
-        values.append(value)
-    return values
+    return _sweep(q, weights, [(count, rate) for count in description_counts], model)
 
 
 def rate_split_values(
@@ -452,14 +460,8 @@ def rate_split_values(
     every i-th layer, which achieves the base value exactly.
     """
     base = optimize_pet_profile(q, weights, num_descriptions, rate, model)
-    values: list[float] = []
-    for factor in factors:
-        mapped = _split_profile(base.y, factor)
-        value, _ = _optimize_from(
-            mapped, q, weights, num_descriptions * factor, Fraction(rate) / factor, model
-        )
-        values.append(value)
-    return base.objective, values
+    shapes = [(num_descriptions * i, Fraction(rate) / i) for i in factors]
+    return base.objective, [_sweep(q, weights, [s], model, (base.y, rate))[0] for s in shapes]
 
 
 def refinement_sweep(
@@ -484,12 +486,5 @@ def refinement_sweep(
             f"a refinement sweep of {steps} steps at K={num_descriptions} needs "
             f"K * 2**(steps - 1) layers, more than the limit of {MAX_REFINEMENT_LAYERS}"
         )
-    values: list[float] = []
-    best: tuple[float, ...] | None = None
-    for n in range(steps):
-        warm = _split_profile(best, 2) if best is not None else None
-        value, best = _optimize_from(
-            warm, q, weights, num_descriptions * (2**n), Fraction(rate) / (2**n), model
-        )
-        values.append(value)
-    return values
+    shapes = [(num_descriptions * 2**n, Fraction(rate) / 2**n) for n in range(steps)]
+    return _sweep(q, weights, shapes, model)

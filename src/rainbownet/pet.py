@@ -6,8 +6,9 @@ Segment i occupies ``s_i`` bytes of every description and carries
 at each byte offset of the segment the K descriptions hold one codeword
 whose first i symbols are source bytes and whose remaining K - i symbols
 are parity. Any l descriptions therefore recover segments 1..l, i.e.
-exactly the first ``xi_l = 8 * sum_{k<=l} k * s_k`` bits of the stream,
-no matter which l descriptions arrive: the code is balanced.
+exactly the first ``xi_l = 8 * sum_{k<=l} k * s_k`` bits of the stream
+(``8 * description_rates(s, 1)[l]``, the table the distortion formula
+reads), no matter which l descriptions arrive: the code is balanced.
 
 Layer weights are grid-quantized so every segment is a whole number of
 bytes; all rate bookkeeping downstream consumes the quantized weights.
@@ -24,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .distortion import description_rates
 from .errors import CodecError
 from .gf256 import encode_block, recover_block
 
@@ -104,7 +106,7 @@ class PetProfile:
         """Bytes recoverable from any `received` descriptions."""
         if not 0 <= received <= self.num_descriptions:
             raise ValueError(f"received count {received} outside 0..{self.num_descriptions}")
-        return sum((i + 1) * s for i, s in enumerate(self.segment_bytes[:received]))
+        return description_rates(self.segment_bytes, 1)[received]
 
     def prefix_bits(self, received: int) -> int:
         return 8 * self.prefix_bytes(received)
@@ -172,13 +174,12 @@ def pet_encode(bitstream: bytes, profile: PetProfile) -> DescriptionSet:
             f"bitstream too short: need {required} bytes for this profile, got {len(bitstream)}"
         )
     K = profile.num_descriptions
+    prefix = description_rates(profile.segment_bytes, 1)
     blocks = []
-    offset = 0
     for depth, size in enumerate(profile.segment_bytes, start=1):
         if size == 0:
             continue
-        chunk = bitstream[offset : offset + depth * size]
-        offset += depth * size
+        chunk = bitstream[prefix[depth - 1] : prefix[depth]]
         rows = np.frombuffer(chunk, dtype=np.uint8).reshape(depth, size)
         blocks.append(encode_block(rows, K))
     columns = np.concatenate(blocks, axis=1)

@@ -22,13 +22,18 @@ from typing import Sequence
 from .distortion import (
     GAUSSIAN,
     DistortionModel,
-    description_rate,
+    description_rates,
     optimize_pet_profile,
     weighted_distortion,
 )
 from .errors import SearchSizeError
 from .flows import DiscreteRnf, RainbowFlowVector, rainbow_flow_vector
 from .network import FlowPath, Network, enumerate_paths, max_flow
+
+# Guards of the exact search: distinct path unions in the closure, and
+# K-multisets of pruned candidates scanned.
+MAX_SIGNATURES = 200_000
+MAX_COLORINGS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,6 @@ class SearchConfig:
     weights: tuple[float, ...] | None = None
     profile: tuple[float, ...] | None = None
     strict: bool = False
-    candidate_limit: int = 10_000_000
 
     def __post_init__(self):
         object.__setattr__(self, "rate", Fraction(self.rate))
@@ -98,8 +102,7 @@ def _objective(cfg: SearchConfig, net: Network):
     if len(cfg.weights) != len(net.sinks):
         raise ValueError(f"expected {len(net.sinks)} weights, got {len(cfg.weights)}")
     profile = cfg.profile or tuple(1.0 / cfg.num_colors for _ in range(cfg.num_colors))
-    rates = (description_rate(profile, cfg.rate, c) for c in range(cfg.num_colors + 1))
-    levels = [GAUSSIAN.distortion(rate) for rate in rates]
+    levels = [GAUSSIAN.distortion(rate) for rate in description_rates(profile, cfg.rate)]
 
     def score(counts) -> float:
         return weighted_distortion([levels[counts.get(t, 0)] for t in net.sinks], cfg.weights)
@@ -194,22 +197,20 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     Maximizes total rainbow flow (or minimizes weighted distortion) over
     every assignment of path-set unions to the K colors. Returns an empty
     flow with objective 0 when nothing admissible exists. Raises
-    SearchSizeError when the post-pruning candidate count would exceed
-    ``cfg.candidate_limit``.
+    SearchSizeError when the closure exceeds `MAX_SIGNATURES` unions or the
+    post-pruning coloring count exceeds `MAX_COLORINGS`.
     """
     score, _, _ = _objective(cfg, net)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], score({}))
     paths = enumerate_paths(net, cfg.max_path_len)
     infos = _path_signatures(net, paths)
-    closure = _signature_closure(infos, min(cfg.candidate_limit, 200_000))
+    closure = _signature_closure(infos, MAX_SIGNATURES)
     candidates = _prune_dominated(closure)
 
     count = math.comb(len(candidates) + cfg.num_colors - 1, cfg.num_colors)
-    if count > cfg.candidate_limit:
-        raise SearchSizeError(
-            f"{count} candidate colorings exceed the guard of {cfg.candidate_limit}"
-        )
+    if count > MAX_COLORINGS:
+        raise SearchSizeError(f"{count} candidate colorings exceed the guard of {MAX_COLORINGS}")
 
     capacity_for = _color_capacities(net, cfg)
     minimize = cfg.objective == "wd"

@@ -127,6 +127,30 @@ def profile_grid_min(q, weights, num_descriptions: int, rate, step: float = 1e-3
     return float(values.min())
 
 
+def matrix_profile_functions(q, weights, num_descriptions: int, rate, model):
+    """Weighted distortion of a layer profile and its gradient, by a dense matrix.
+
+    Row t of the matrix holds 1, 2, ..., c_t in its first c_t columns, so
+    matrix @ y is each sink's sum of i * y_i; the gradient is its transpose
+    applied to the weighted slopes.
+    """
+    counts = [int(Fraction(v) / Fraction(rate)) for v in q]
+    matrix = np.zeros((len(counts), num_descriptions))
+    for row, count in enumerate(counts):
+        matrix[row, :count] = np.arange(1, count + 1)
+    p = np.asarray(weights, dtype=float)
+    rf = float(rate)
+
+    def objective(y) -> float:
+        return float(p @ model.distortion_array(rf * (matrix @ np.asarray(y, dtype=float))))
+
+    def gradient(y) -> np.ndarray:
+        weighted = p * model.derivative_array(rf * (matrix @ np.asarray(y, dtype=float)))
+        return rf * (matrix.T @ weighted)
+
+    return objective, gradient
+
+
 def central_difference_gradient(fn, y, h: float = 1e-6) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)

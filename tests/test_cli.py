@@ -192,6 +192,21 @@ class TestOptimize:
         sinks = parse_blocks(out)[("sink", "q", "d")]
         assert [row[1] for row in sinks] == ["2.5", "0.5", "1"]
 
+    @pytest.mark.parametrize("rate", ["0", "-1"])
+    def test_nonpositive_rate_exits_one(self, capsys, rate):
+        code, out, err = run(capsys, "optimize", "fig1", "--flow", "fig1_flow", "--rate", rate)
+        assert (code, out, err) == (1, "", "error: rate must be positive\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig1", "--flow", "fig1_flow"], ["fig2", "--flow", "fig2_flow", "--rate", "1/2"]],
+        ids=["discrete", "continuous"],
+    )
+    @pytest.mark.parametrize("K", ["0", "-1"])
+    def test_descriptions_below_one_exit_one(self, capsys, argv, K):
+        code, out, err = run(capsys, "optimize", *argv, "--K", K)
+        assert (code, out, err) == (1, "", f"error: --K must be at least 1, got {K}\n")
+
 
 class TestPet:
     def test_encode_decode_round_trip(self, capsys, tmp_path):
@@ -278,6 +293,11 @@ class TestLemmas:
         assert out == ""
         assert err.startswith("error: ") and "limit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_rejected(self, capsys, steps):
+        code, out, err = run(capsys, "lemmas", "--steps", steps)
+        assert (code, out, err) == (1, "", f"error: --steps must be at least 1, got {steps}\n")
 
 
 class TestPipeline:

@@ -14,6 +14,7 @@ from rainbownet import (
     StepDensity,
     crnf_distortion,
     description_rate,
+    description_rates,
     drnf_distortion,
     exact_search,
     minimize_balanced_average,
@@ -96,6 +97,11 @@ class TestDiscreteDistortion:
             drnf_distortion([Fraction(i)], y, Fraction(1))[0] for i in range(4)
         ]
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("rate", [0, -1])
+    def test_rejects_nonpositive_rate(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            drnf_distortion([1], (0.5, 0.5), rate)
 
     def test_mass_on_first_layer_helps_single_description(self):
         base = drnf_distortion([Fraction(1)], [0.4, 0.6], Fraction(1))[0]
@@ -278,6 +284,34 @@ class TestProfileOptimizer:
         with pytest.raises(ValueError, match="finite"):
             optimize_pet_profile([Fraction(1), Fraction(1)], (bad, 0.5), 1, Fraction(1))
 
+    @pytest.mark.parametrize("rate", [0, -1])
+    def test_rate_must_be_positive(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            optimize_pet_profile([Fraction(1), Fraction(1)], (0.5, 0.5), 2, rate)
+
+    @pytest.mark.parametrize(
+        "model",
+        [GAUSSIAN, DistortionModel.tabulated([(0, 1.0), (0.5, 0.5), (1, 0.3), (3, 0.05)])],
+        ids=["gaussian", "tabulated"],
+    )
+    def test_objective_and_gradient_match_the_matrix_reference(self, model):
+        rng = random.Random(11)
+        for _ in range(200):
+            num = rng.randint(1, 8)
+            rate = rng.choice([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)])
+            q = [rate * rng.randint(0, num) for _ in range(rng.randint(1, 8))]
+            raw = [rng.random() for _ in q]
+            weights = tuple(v / sum(raw) for v in raw)
+            y = np.random.default_rng(rng.randrange(2**32)).dirichlet(np.ones(num))
+            objective, gradient = oracles.matrix_profile_functions(q, weights, num, rate, model)
+            # every term has one sign, so only the summation order differs
+            assert profile_objective(y, q, weights, rate, model) == pytest.approx(
+                objective(y), rel=1e-12
+            )
+            np.testing.assert_allclose(
+                profile_gradient(y, q, weights, rate, model), gradient(y), rtol=1e-12, atol=0
+            )
+
 
 class TestLayeredCodeAgreement:
     def test_formula_matches_codec_prefix_exactly(self):
@@ -345,3 +379,47 @@ def test_exact_rate_arithmetic_in_layered_formula():
     )
     assert isinstance(description_rate(y, Fraction(1, 2), 2), Fraction)
     assert isinstance(description_rate((0.5, 0.5), Fraction(1), 2), float)
+
+
+class TestRateTable:
+    def test_rational_profiles_match_a_brute_force_sum(self):
+        rng = random.Random(4)
+        for _ in range(100):
+            y = [Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 8))]
+            rate = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            expected = [
+                rate * sum((Fraction(i) * y[i - 1] for i in range(1, c + 1)), Fraction(0))
+                for c in range(len(y) + 1)
+            ]
+            table = description_rates(y, rate)
+            assert table == expected
+            assert all(isinstance(entry, Fraction) for entry in table)
+
+    def test_float_profiles_match_the_sequential_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            y = rng.dirichlet(np.ones(rng.integers(1, 65)))
+            rate = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            expected = [0.0]
+            total = 0.0
+            for i, value in enumerate(y.tolist(), start=1):
+                total += i * value
+                expected.append(float(rate) * total)
+            for profile in (tuple(y.tolist()), y):
+                assert description_rates(profile, rate).tolist() == expected
+
+    def test_ints_in_give_ints_out(self):
+        assert description_rates((3, 0, 2), 1) == [0, 3, 3, 9]
+        assert all(type(entry) is int for entry in description_rates((3, 0, 2), 1))
+
+    def test_prefix_bytes_is_the_weighted_segment_sum(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            num = int(rng.integers(1, 12))
+            n = 8 * int(rng.integers(1, 200))
+            profile = PetProfile.quantize(rng.dirichlet(np.ones(num)).tolist(), Fraction(1), num, n)
+            sizes = profile.segment_bytes
+            for received in range(num + 1):
+                expected = sum(i * sizes[i - 1] for i in range(1, received + 1))
+                assert profile.prefix_bytes(received) == expected
+                assert type(profile.prefix_bytes(received)) is int

@@ -23,6 +23,7 @@ from rainbownet import (
     separate_coding_baseline,
     weighted_distortion,
 )
+from rainbownet import search
 from rainbownet.search import _path_signatures, _prune_dominated, _signature_closure
 
 
@@ -52,11 +53,10 @@ class TestExactSearch:
         assert result.objective == 0
         assert result.flow.paths == ()
 
-    def test_guard_rejects_large_instances(self):
-        with pytest.raises(SearchSizeError):
-            exact_search(
-                helpers.fig1_network(), _cfg(2, 1, max_path_len=2, candidate_limit=5)
-            )
+    def test_guard_rejects_large_instances(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_COLORINGS", 5)
+        with pytest.raises(SearchSizeError, match="171 candidate colorings"):
+            exact_search(helpers.fig1_network(), _cfg(2, 1, max_path_len=2))
 
     def test_matches_brute_force_on_fig1(self):
         net = helpers.fig1_network()
@@ -278,9 +278,10 @@ class TestBaseline:
 
 
 class TestRoute:
-    def test_guard_overflow_falls_back_to_greedy(self):
+    def test_guard_overflow_falls_back_to_greedy(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_COLORINGS", 5)
         net = helpers.fig1_network()
-        cfg = _cfg(2, 1, max_path_len=2, candidate_limit=5)
+        cfg = _cfg(2, 1, max_path_len=2)
         with pytest.raises(SearchSizeError):
             exact_search(net, cfg)
         routed = route(net, cfg)
