@@ -365,13 +365,19 @@ def cmd_pipeline(args) -> CliOutput:
     )
     encoded = pet_encode(source.bitstream, profile)
     analytic = drnf_distortion(q, profile.y, rate)
-    # Decoding depends only on the recovered bytes, so sinks holding the
-    # same prefix share one decode.
+    # Sinks holding the same colors recover the same bytes, and decoding
+    # depends only on those bytes: each color set and each prefix is
+    # decoded once.
+    recovered_by_colors: dict[tuple[int, ...], bytes] = {}
     mse_by_prefix: dict[bytes, float] = {}
     rows = []
     for position, sink in enumerate(net.sinks):
-        held = node_spectrum(result.flow, sink)
-        recovered = pet_decode([encoded.descriptions[color - 1] for color in held])
+        held = tuple(node_spectrum(result.flow, sink))
+        if held not in recovered_by_colors:
+            recovered_by_colors[held] = pet_decode(
+                [encoded.descriptions[color - 1] for color in held]
+            )
+        recovered = recovered_by_colors[held]
         if recovered not in mse_by_prefix:
             mse_by_prefix[recovered] = source.empirical_mse(8 * len(recovered), data=recovered)
         rows.append([sink, q[position], analytic[position], mse_by_prefix[recovered]])

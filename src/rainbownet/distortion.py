@@ -295,38 +295,46 @@ def _check_weights(weights: Sequence[float], size: int) -> np.ndarray:
 
 
 def _profile_functions(q: Sequence, weights: Sequence[float], num_descriptions: int, rate, model):
-    """The weighted distortion of a layer profile and its gradient, for fixed q."""
+    """Per-sink rates of a layer profile, and the weighted distortion and its
+    gradient as functions of those rates, for fixed q.
+
+    The optimizer takes the gradient at the point whose objective it last
+    accepted, so both read the rates computed once for that point.
+    """
     counts = np.array(_description_counts(list(q), Fraction(rate), num_descriptions), dtype=int)
     p = _check_weights(weights, len(counts))
     layers = np.arange(1, num_descriptions + 1)
     rf = float(rate)
 
-    def objective(vec: np.ndarray) -> float:
-        return float(p @ model.distortion_array(description_rates(vec, rf)[counts]))
+    def rates(vec: np.ndarray) -> np.ndarray:
+        return description_rates(vec, rf)[counts]
 
-    def gradient(vec: np.ndarray) -> np.ndarray:
+    def objective(sink_rates: np.ndarray) -> float:
+        return float(p @ model.distortion_array(sink_rates))
+
+    def gradient(sink_rates: np.ndarray) -> np.ndarray:
         # layer i reaches every sink holding at least i descriptions
-        weighted = p * model.derivative_array(description_rates(vec, rf)[counts])
+        weighted = p * model.derivative_array(sink_rates)
         per_count = np.bincount(counts, weights=weighted, minlength=num_descriptions + 1)
         return rf * (layers * per_count[::-1].cumsum()[::-1][1:])
 
-    return objective, gradient
+    return rates, objective, gradient
 
 
 def profile_objective(
     y: Sequence[float], q: Sequence, weights: Sequence[float], rate, model: DistortionModel = GAUSSIAN
 ) -> float:
     """Weighted distortion of a layer profile `y` for a fixed flow vector."""
-    objective, _ = _profile_functions(q, weights, len(y), rate, model)
-    return objective(np.asarray(y, dtype=float))
+    rates, objective, _ = _profile_functions(q, weights, len(y), rate, model)
+    return objective(rates(np.asarray(y, dtype=float)))
 
 
 def profile_gradient(
     y: Sequence[float], q: Sequence, weights: Sequence[float], rate, model: DistortionModel = GAUSSIAN
 ) -> np.ndarray:
     """Analytic gradient of `profile_objective` with respect to y."""
-    _, gradient = _profile_functions(q, weights, len(y), rate, model)
-    return gradient(np.asarray(y, dtype=float))
+    rates, _, gradient = _profile_functions(q, weights, len(y), rate, model)
+    return gradient(rates(np.asarray(y, dtype=float)))
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -367,17 +375,19 @@ def optimize_pet_profile(
     """
     if num_descriptions < 1:
         raise ValueError("num_descriptions must be at least 1")
-    objective, gradient = _profile_functions(q, weights, num_descriptions, rate, model)
+    rates, objective, gradient = _profile_functions(q, weights, num_descriptions, rate, model)
     y = np.full(num_descriptions, 1.0 / num_descriptions)
-    value = objective(y)
+    at_y = rates(y)
+    value = objective(at_y)
     step = 1.0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad = gradient(y)
+        grad = gradient(at_y)
         accepted = False
         while step >= 1e-18:
             candidate = project_to_simplex(y - step * grad)
-            cand_value = objective(candidate)
+            at_candidate = rates(candidate)
+            cand_value = objective(at_candidate)
             decrease = float(grad @ (y - candidate))
             if cand_value <= value - 1e-4 * decrease + 1e-18:
                 accepted = True
@@ -386,7 +396,7 @@ def optimize_pet_profile(
         if not accepted:
             break
         improvement = value - cand_value
-        y, value = candidate, cand_value
+        y, value, at_y = candidate, cand_value, at_candidate
         step = min(step * 2.0, 1e8)
         if improvement < tol:
             break

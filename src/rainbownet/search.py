@@ -5,9 +5,11 @@ endpoints), and both searches score a flow by its per-sink description
 counts, through one objective. The exact search enumerates the distinct
 (edge-union, sink-set) signatures of unions of enumerated paths, prunes
 dominated ones (dominance compares unions with equal sink sets), and
-scans multisets of K signatures. Candidate order and tie-breaking are
-fixed, so results are reproducible regardless of scheduling; guards refuse
-instances whose path, signature or coloring count would exceed its bound.
+scans multisets of K signatures depth first, skipping every extension of
+a prefix that already overloads an edge. Candidate order and tie-breaking
+are fixed, so results are reproducible regardless of scheduling; guards
+refuse instances whose path, signature or coloring count would exceed its
+bound, and the coloring guard counts every multiset, skipped or not.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .distortion import (
@@ -191,14 +192,67 @@ def _prune_dominated(signatures):
     return [item for item in items if item[0] not in dominated]
 
 
+def _scan_colorings(candidates, capacity_for, num_colors: int, score, minimize: bool):
+    """The first best-scoring feasible K-multiset of candidates: (indices, score).
+
+    An iterative depth-first walk over nondecreasing candidate indices. It
+    keeps the edges at their color capacity and the per-sink description
+    counts as it pushes and pops a candidate, drops a prefix as soon as a
+    candidate would overload an edge (loads only grow, so no extension
+    fits), and scores complete multisets only. Feasible multisets come in
+    the lexicographic order of `combinations_with_replacement`, so a tie
+    keeps the first. The empty union is always a candidate, so at least
+    one multiset is feasible.
+    """
+    bits = {edge_id: 1 << position for position, edge_id in enumerate(capacity_for)}
+    room = {bits[edge_id]: capacity for edge_id, capacity in capacity_for.items()}
+    edge_bits = [tuple(bits[edge_id] for edge_id in edges) for (edges, _), _ in candidates]
+    masks = [sum(members) for members in edge_bits]
+    reached = [tuple(sinks) for (_, sinks), _ in candidates]
+    full = sum(bit for bit, left in room.items() if left <= 0)
+    counts: dict[str, int] = {}
+    combo: list[int] = []
+    best_key = best_score = None
+    index, size = 0, len(candidates)
+    while True:
+        if index < size:
+            if masks[index] & full:
+                index += 1
+                continue
+            for bit in edge_bits[index]:
+                room[bit] -= 1
+                if not room[bit]:
+                    full |= bit
+            for sink in reached[index]:
+                counts[sink] = counts.get(sink, 0) + 1
+            combo.append(index)
+            if len(combo) < num_colors:
+                continue  # the next color may take the same candidate
+            value = score(counts)
+            if best_score is None or (value < best_score if minimize else value > best_score):
+                best_score, best_key = value, tuple(combo)
+        elif not combo:
+            return best_key, best_score
+        index = combo.pop()
+        for bit in edge_bits[index]:
+            room[bit] += 1
+            full &= ~bit
+        for sink in reached[index]:
+            counts[sink] -= 1
+        index += 1
+
+
 def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     """Globally optimal admissible flow within the enumerated path universe.
 
     Maximizes total rainbow flow (or minimizes weighted distortion) over
-    every assignment of path-set unions to the K colors. Returns an empty
-    flow with objective 0 when nothing admissible exists. Raises
-    SearchSizeError when the closure exceeds `MAX_SIGNATURES` unions or the
-    post-pruning coloring count exceeds `MAX_COLORINGS`.
+    every assignment of path-set unions to the K colors; the scan skips the
+    extensions of a prefix that overloads an edge and scores only feasible
+    multisets. Returns an empty flow with objective 0 when nothing
+    admissible exists. Raises SearchSizeError when the closure exceeds
+    `MAX_SIGNATURES` unions or the post-pruning coloring count, every
+    K-multiset of candidates whether feasible or not, exceeds
+    `MAX_COLORINGS`.
     """
     score, _, _ = _objective(cfg, net)
     if _nothing_admissible(net, cfg):
@@ -212,31 +266,9 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     if count > MAX_COLORINGS:
         raise SearchSizeError(f"{count} candidate colorings exceed the guard of {MAX_COLORINGS}")
 
-    capacity_for = _color_capacities(net, cfg)
-    minimize = cfg.objective == "wd"
-    best_key = best_score = None
-    for combo in combinations_with_replacement(range(len(candidates)), cfg.num_colors):
-        edge_load: dict[str, int] = {}
-        feasible = True
-        for index in combo:
-            for edge_id in candidates[index][0][0]:
-                load = edge_load.get(edge_id, 0) + 1
-                if load > capacity_for[edge_id]:
-                    feasible = False
-                    break
-                edge_load[edge_id] = load
-            if not feasible:
-                break
-        if not feasible:
-            continue
-        sink_counts: dict[str, int] = {}
-        for index in combo:
-            for sink in candidates[index][0][1]:
-                sink_counts[sink] = sink_counts.get(sink, 0) + 1
-        value = score(sink_counts)
-        if best_score is None or (value < best_score if minimize else value > best_score):
-            best_score, best_key = value, combo
-
+    best_key, best_score = _scan_colorings(
+        candidates, _color_capacities(net, cfg), cfg.num_colors, score, cfg.objective == "wd"
+    )
     chosen = [
         (paths[path_index], color)
         for color, index in enumerate(best_key, start=1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -118,3 +119,53 @@ def random_admissible_flow(
             paths.append(universe[index])
             colors.append(color)
     return DiscreteRnf(net, tuple(paths), tuple(colors), num_colors, rate)
+
+
+# The benchmark's seeded scenario families (perfbench/generators.py), as
+# scenario documents: the same seed gives the same network there and here.
+BENCHMARK_CAPACITIES = ("1/2", "1", "3/2", "2")
+
+
+def _document(nodes, edges, sources, sinks) -> dict:
+    return {
+        "nodes": list(nodes),
+        "edges": [
+            {"id": f"e{i}", "tail": tail, "head": head, "capacity": capacity}
+            for i, (tail, head, capacity) in enumerate(edges)
+        ],
+        "sources": list(sources),
+        "sinks": list(sinks),
+    }
+
+
+def layered_document(width: int, depth: int, seed: int, fanout: int = 2) -> dict:
+    """The benchmark's layered DAG: each relay feeds `fanout` nodes below."""
+    rng = random.Random(f"layered:{width}:{depth}:{fanout}:{seed}")
+    layers = [[f"l{d}n{w}" for w in range(width)] for d in range(depth)]
+    edges = [("s", node, rng.choice(BENCHMARK_CAPACITIES)) for node in layers[0]]
+    for upper, lower in zip(layers, layers[1:]):
+        for node in upper:
+            for head in sorted(rng.sample(lower, fanout)):
+                edges.append((node, head, rng.choice(BENCHMARK_CAPACITIES)))
+    sinks = list(layers[-1])
+    if depth > 1:
+        sinks.insert(0, rng.choice(layers[max(depth // 2 - 1, 0)]))
+    nodes = ["s"] + [n for layer in layers for n in layer]
+    return _document(nodes, edges, ["s"], sinks)
+
+
+def fanout_document(num_sinks: int, num_relays: int, seed: int) -> dict:
+    """The benchmark's distribution tree: source -> relays -> sinks."""
+    rng = random.Random(f"fanout:{num_sinks}:{num_relays}:{seed}")
+    relays = [f"r{i}" for i in range(num_relays)]
+    sinks = [f"t{i}" for i in range(num_sinks)]
+    edges = [("s", relay, "1") for relay in relays]
+    capacities = ["1/2", "1"] * (num_sinks // 2) + ["1"] * (num_sinks % 2)
+    rng.shuffle(capacities)
+    for i, (sink, capacity) in enumerate(zip(sinks, capacities)):
+        edges.append((relays[i % num_relays], sink, capacity))
+    return _document(["s"] + relays + sinks, edges, ["s"], sinks)
+
+
+def document_network(document: dict) -> Network:
+    return load_scenario(json.dumps(document))

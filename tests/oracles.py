@@ -76,6 +76,38 @@ def all_pairs_prune(signatures):
     return kept
 
 
+def reference_coloring_scan(candidates, capacity_for, K, score, minimize):
+    """The first best-scoring feasible K-multiset, by testing every multiset.
+
+    Checks each multiset from `combinations_with_replacement` on its own,
+    load by load, so an over-capacity prefix is re-tested for each of its
+    extensions. Returns (indices, score).
+    """
+    best_key = best_score = None
+    for combo in itertools.combinations_with_replacement(range(len(candidates)), K):
+        edge_load: dict[str, int] = {}
+        feasible = True
+        for index in combo:
+            for edge_id in candidates[index][0][0]:
+                load = edge_load.get(edge_id, 0) + 1
+                if load > capacity_for[edge_id]:
+                    feasible = False
+                    break
+                edge_load[edge_id] = load
+            if not feasible:
+                break
+        if not feasible:
+            continue
+        sink_counts: dict[str, int] = {}
+        for index in combo:
+            for sink in candidates[index][0][1]:
+                sink_counts[sink] = sink_counts.get(sink, 0) + 1
+        value = score(sink_counts)
+        if best_score is None or (value < best_score if minimize else value > best_score):
+            best_score, best_key = value, combo
+    return best_key, best_score
+
+
 def balanced_pair_bound(side: float, rate: float) -> float:
     """Joint-distortion floor of the balanced two-description region, inline."""
     floor = 2.0 ** (-4.0 * rate)

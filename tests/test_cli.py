@@ -16,6 +16,8 @@ from rainbownet import (
     progressive_gaussian_source,
 )
 from rainbownet.cli import main
+from rainbownet.flows import node_spectrum
+from rainbownet.search import SearchConfig, alternating_search
 
 
 def run(capsys, *argv):
@@ -399,6 +401,30 @@ class TestPipelineWork:
             reference = full.empirical_mse(profile.prefix_bits(received))
             assert float(empirical) == reference
 
+    def test_one_pet_decode_per_distinct_color_set(self, capsys, monkeypatch, tmp_path):
+        scenario = tmp_path / "fanout.json"
+        document = helpers.fanout_document(6, 3, 0)
+        scenario.write_text(json.dumps(document))
+        decoded = []
+        decode = cli.pet_decode
+
+        def recording_decode(descriptions):
+            decoded.append(tuple(d.index for d in descriptions))
+            return decode(descriptions)
+
+        monkeypatch.setattr(cli, "pet_decode", recording_decode)
+        code, _, _ = run(
+            capsys, "pipeline", str(scenario), "--K", "3", "--rate", "1/2", "--n", "2048",
+            "--rounds", "2",
+        )
+        assert code == 0
+        net = helpers.document_network(document)
+        cfg = SearchConfig(3, Fraction(1, 2), weights=(1 / 6,) * 6)
+        result, _, _ = alternating_search(net, cfg, rounds=2)
+        held = {tuple(node_spectrum(result.flow, sink)) for sink in net.sinks}
+        assert sorted(decoded) == sorted(held)
+        assert len(held) < len(net.sinks)
+
 
 class TestOutputDiscipline:
     def test_json_mirror(self, capsys):
@@ -481,6 +507,9 @@ class TestOutputDiscipline:
 # sha256 of stdout (and of the written flow document) for each README
 # example that runs on bundled inputs, plus a multi-round pipeline: any
 # change to routing, profile optimization or the codec shows up here.
+# One edge s->t of capacity 1.
+ONE_EDGE = os.path.join(os.path.dirname(__file__), "data", "one_edge.json")
+
 GOLDEN = [
     (
         ["validate", "fig1", "fig1_flow"],
@@ -552,14 +581,20 @@ GOLDEN = [
         "52a3d1287c0ecfe97d476cace1841cfa0316c34ed8cedcc6a8317152a0850e37",
         None,
     ),
+    (
+        # 3001 colorings of a 3000-deep scan: the walk must not recurse
+        ["search", ONE_EDGE, "--K", "3000", "--rate", "1/2", "--mode", "exact"],
+        "69dfa584710e4b8db4b12dbce4e8cb909d4dd49f174f04049ca57d0302591d70",
+        "4d213d8e8243e467fdc703b92fa74c3fcda5a1aec562dc115afb04bc998b9a69",
+    ),
 ]
 
 
 def _golden_ids(cases):
-    """Command and scenario; the whole argv where that pair is already taken."""
+    """Command and scenario file name; the whole argv where that pair is already taken."""
     ids = []
     for argv, _, _ in cases:
-        short = " ".join(argv[:2])
+        short = " ".join(os.path.basename(arg) for arg in argv[:2])
         ids.append(" ".join(argv) if short in ids else short)
     return ids
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -288,6 +289,25 @@ class TestProfileOptimizer:
     def test_rate_must_be_positive(self, rate):
         with pytest.raises(ValueError, match="rate must be positive"):
             optimize_pet_profile([Fraction(1), Fraction(1)], (0.5, 0.5), 2, rate)
+
+    def test_seeded_optima_are_pinned(self):
+        # 80 optima (y, objective, iterations), Gaussian then tabulated; the
+        # gradient reuses the rate table of the accepted point, and every
+        # float stays as it was when each evaluation built its own
+        tabulated = DistortionModel.tabulated([(0, 1.0), (0.5, 0.5), (1, 0.3), (3, 0.05)])
+        rng = random.Random(23)
+        optima = []
+        for model in (GAUSSIAN, tabulated):
+            for _ in range(40):
+                num = rng.randint(1, 8)
+                rate = rng.choice([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)])
+                q = [rate * rng.randint(0, num) for _ in range(rng.randint(1, 8))]
+                raw = [rng.random() for _ in q]
+                weights = tuple(v / sum(raw) for v in raw)
+                optima.append(optimize_pet_profile(q, weights, num, rate, model))
+        assert hashlib.sha256(repr(optima).encode()).hexdigest() == (
+            "94d59848c20286225c0b43e8f74635ffbcfeae4512935e777bb5ded21a53aa6a"
+        )
 
     @pytest.mark.parametrize(
         "model",

@@ -237,6 +237,88 @@ class TestPruning:
             assert _prune_dominated(closure) == oracles.all_pairs_prune(closure)
 
 
+def _scan_instances(family):
+    """(network, K, max_path_len) of one differential-scan family."""
+    if family == "layered":
+        for width, depth in ((3, 3), (2, 4)):
+            for seed in range(24):
+                document = helpers.layered_document(width, depth, seed)
+                yield helpers.document_network(document), 2, depth + 1
+    elif family == "fanout":
+        for seed in range(10):
+            yield helpers.document_network(helpers.fanout_document(6, 3, seed)), 3, 4
+    elif family == "figures":
+        for net in (helpers.fig1_network(), helpers.fig2_network()):
+            for K in (2, 3, 4):
+                yield net, K, 4
+    else:
+        rng = random.Random(31)
+        for _ in range(30):
+            yield helpers.random_network(rng), rng.randint(1, 3), 3
+
+
+class TestColoringScan:
+    @pytest.mark.parametrize("family", ["layered", "fanout", "figures", "random"])
+    def test_matches_the_reference_scan(self, family):
+        scans = 0
+        for net, K, max_len in _scan_instances(family):
+            infos = _path_signatures(net, enumerate_paths(net, max_len))
+            candidates = _prune_dominated(_signature_closure(infos, search.MAX_SIGNATURES))
+            weights = tuple(1 / len(net.sinks) for _ in net.sinks)
+            for objective in ("trf", "wd"):
+                for strict in (False, True):
+                    cfg = _cfg(
+                        K, Fraction(1, 2), max_path_len=max_len, objective=objective,
+                        weights=weights, strict=strict,
+                    )
+                    if search._nothing_admissible(net, cfg):
+                        continue
+                    score, _, _ = search._objective(cfg, net)
+                    capacity_for = search._color_capacities(net, cfg)
+                    args = (candidates, capacity_for, K, score, objective == "wd")
+                    # the same multiset (so the same tie-break) and objective
+                    assert search._scan_colorings(*args) == oracles.reference_coloring_scan(*args)
+                    scans += 1
+        assert scans >= 20
+
+    def test_scores_only_feasible_multisets(self, monkeypatch):
+        # fanout(6, 3, 0) at K=3: 45,760 multisets of 64 candidates, 2,667 fit
+        calls = []
+        objective = search._objective
+
+        def counting_objective(cfg, net):
+            score, levels, weights = objective(cfg, net)
+
+            def counted(counts):
+                calls.append(1)
+                return score(counts)
+
+            return counted, levels, weights
+
+        monkeypatch.setattr(search, "_objective", counting_objective)
+        net = helpers.document_network(helpers.fanout_document(6, 3, 0))
+        result = exact_search(net, _cfg(3, Fraction(1, 2)))
+        assert len(calls) == 2667
+        assert is_admissible(result.flow)
+
+    def test_never_extends_an_overloaded_prefix(self):
+        # the empty union and 200 single-edge unions, of which only e0 has
+        # room (for one color): of the ~1e53 multisets at K=50 two fit
+        candidates = [((frozenset(), frozenset()), ())] + [
+            ((frozenset({f"e{i}"}), frozenset({"t"})), (i,)) for i in range(200)
+        ]
+        capacity_for = {f"e{i}": int(i == 0) for i in range(200)}
+        scored = []
+
+        def score(counts):
+            scored.append(dict(counts))
+            return sum(counts.values())
+
+        best = search._scan_colorings(candidates, capacity_for, 50, score, False)
+        assert best == ((0,) * 49 + (1,), 1)
+        assert [sum(counts.values()) for counts in scored] == [0, 1]
+
+
 class TestBaseline:
     def test_fig1(self):
         baseline = separate_coding_baseline(helpers.fig1_network())
