@@ -18,6 +18,7 @@ regardless of evaluation order.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,6 +126,8 @@ class PetProfile:
         total = _description_byte_count(num_descriptions, rate, block_symbols)
         if len(y) != num_descriptions:
             raise CodecError(f"expected {num_descriptions} layer weights, got {len(y)}")
+        if not all(isinstance(v, (int, Fraction)) or math.isfinite(v) for v in y):
+            raise CodecError("layer weights must be finite")
         weights = [Fraction(v) if isinstance(v, (int, Fraction)) else Fraction(repr(float(v))) for v in y]
         if any(w < 0 for w in weights):
             raise CodecError("layer weights must be nonnegative")

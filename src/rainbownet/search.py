@@ -1,32 +1,27 @@
 """Routing search: exact on small instances, greedy at scale, baselines.
 
-A color's sink set follows from its edge union (the sinks among the edges'
-endpoints), and both searches score a flow by its per-sink description
-counts, through one objective. The exact search enumerates the distinct
-(edge-union, sink-set) signatures of unions of enumerated paths, prunes
-dominated ones (dominance compares unions with equal sink sets), and
-scans multisets of K signatures depth first, skipping every extension of
-a prefix that already overloads an edge. Candidate order and tie-breaking
-are fixed, so results are reproducible regardless of scheduling; guards
-refuse instances whose path, signature or coloring count would exceed its
-bound, and the coloring guard counts every multiset, skipped or not.
+A color is keyed by its edge union; its sinks (the sinks among the edges'
+endpoints) follow from it and are kept as positions in `net.sinks`. A flow
+whose sink t holds c_t descriptions costs sum_t w_t * levels[c_t] (minus
+the description count for "trf", the weighted distortion for "wd"), and
+both searches minimize that one cost. The exact search enumerates the
+distinct edge unions of enumerated paths, prunes dominated ones
+(dominance compares unions with equal sink sets), and scans multisets of
+K unions depth first, skipping every extension of a prefix that already
+overloads an edge. Candidate order and tie-breaking are fixed, so results
+are reproducible regardless of scheduling; guards refuse instances whose
+path, union or coloring count would exceed its bound, and the coloring
+guard counts every multiset, skipped or not.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .distortion import (
-    GAUSSIAN,
-    DistortionModel,
-    description_rates,
-    optimize_pet_profile,
-    weighted_distortion,
-)
+from .distortion import GAUSSIAN, DistortionModel, description_rates, optimize_pet_profile
 from .errors import SearchSizeError
 from .flows import DiscreteRnf, RainbowFlowVector, rainbow_flow_vector
 from .network import FlowPath, Network, enumerate_paths, max_flow
@@ -87,28 +82,27 @@ class SearchResult:
 
 
 def _objective(cfg: SearchConfig, net: Network):
-    """The search objective on per-sink description counts.
+    """The search cost on per-sink description counts, as (levels, weights).
 
-    Returns (score, levels, weights). `score` maps sink -> descriptions held
-    to rate * their sum for "trf" (maximized) or to the weighted distortion
-    for "wd" (minimized). One more description at a sink t holding c gains
-    weights[t] * (levels[c] - levels[c + 1]): levels[c] is -c under unit
-    weights for "trf", D(rate of the first c profile layers) for "wd".
+    A flow whose sink at position t holds c_t descriptions costs
+    sum_t weights[t] * levels[c_t], and both searches minimize it. For
+    "trf" levels[c] is -c under unit weights, so the cost is minus the
+    description count; for "wd" it is D(rate of the first c profile layers)
+    under the caller's weights, so the cost is the weighted distortion.
     """
     if cfg.objective == "trf":
-        weights = tuple(1.0 for _ in net.sinks)
-        levels = [-c for c in range(cfg.num_colors + 1)]
-        return (lambda counts: cfg.rate * sum(counts.values())), levels, weights
+        return range(0, -cfg.num_colors - 1, -1), (1,) * len(net.sinks)
 
     if len(cfg.weights) != len(net.sinks):
         raise ValueError(f"expected {len(net.sinks)} weights, got {len(cfg.weights)}")
     profile = cfg.profile or tuple(1.0 / cfg.num_colors for _ in range(cfg.num_colors))
     levels = [GAUSSIAN.distortion(rate) for rate in description_rates(profile, cfg.rate)]
+    return levels, cfg.weights
 
-    def score(counts) -> float:
-        return weighted_distortion([levels[counts.get(t, 0)] for t in net.sinks], cfg.weights)
 
-    return score, levels, cfg.weights
+def _cost(levels, weights, counts):
+    """sum_t weights[t] * levels[counts[t]], in sink order."""
+    return sum(w * levels[c] for w, c in zip(weights, counts))
 
 
 def _color_capacities(net: Network, cfg: SearchConfig) -> dict[str, int]:
@@ -125,81 +119,83 @@ def _nothing_admissible(net: Network, cfg: SearchConfig) -> bool:
     return cfg.strict and any(edge.capacity <= 0 for edge in net.edges)
 
 
-def _result(net: Network, cfg: SearchConfig, chosen, objective) -> SearchResult:
-    """Assemble a search result from (path, color) pairs in flow order."""
+def _result(net: Network, cfg: SearchConfig, chosen, cost) -> SearchResult:
+    """A search result from (path, color) pairs in flow order and their cost."""
     paths, colors = tuple(p for p, _ in chosen), tuple(c for _, c in chosen)
     flow = DiscreteRnf(net, paths, colors, cfg.num_colors, cfg.rate)
+    objective = cfg.rate * -cost if cfg.objective == "trf" else float(cost)
     return SearchResult(flow=flow, objective=objective, rfv=rainbow_flow_vector(flow))
 
 
 def _path_signatures(net: Network, paths: Sequence[FlowPath]):
-    sinks = set(net.sinks)
+    """(edge set, positions in net.sinks of the sinks it visits) per path."""
+    position = {sink: t for t, sink in enumerate(net.sinks)}
     out = []
     for path in paths:
         nodes = net.path_nodes(path)
-        out.append((frozenset(path.edges), frozenset(n for n in nodes if n in sinks)))
+        out.append((frozenset(path.edges), frozenset(position[n] for n in nodes if n in position)))
     return out
 
 
 def _signature_closure(infos, limit: int):
-    """All distinct unions of path subsets, as signature -> generating paths."""
-    signatures: dict[tuple[frozenset, frozenset], tuple[int, ...]] = {
-        (frozenset(), frozenset()): ()
-    }
-    frontier = [(frozenset(), frozenset())]
+    """All distinct edge unions of path subsets, as union -> generating paths."""
+    unions: dict[frozenset, tuple[int, ...]] = {frozenset(): ()}
+    frontier = [frozenset()]
     while frontier:
         added = []
-        for edges, sinks in frontier:
-            rep = signatures[(edges, sinks)]
-            rep_set = set(rep)
-            for index, (path_edges, path_sinks) in enumerate(infos):
-                if index in rep_set:
+        for edges in frontier:
+            rep = unions[edges]
+            for index, (path_edges, _) in enumerate(infos):
+                candidate = edges | path_edges
+                if candidate in unions:
                     continue
-                candidate = (edges | path_edges, sinks | path_sinks)
-                if candidate in signatures:
-                    continue
-                signatures[candidate] = rep + (index,)
+                unions[candidate] = rep + (index,)
                 added.append(candidate)
-                if len(signatures) > limit:
+                if len(unions) > limit:
                     raise SearchSizeError(
                         f"signature closure exceeded {limit} entries; "
                         "reduce max_path_len or use greedy mode"
                     )
         frontier = added
-    return signatures
+    return unions
 
 
-def _prune_dominated(signatures):
+def _prune_dominated(unions, infos):
     """Drop unions that reach the same sinks as a strict subset of their edges.
 
-    Fewer edges never reach more sinks, so only unions with equal sink sets
-    are compared. Kept (signature, rep) pairs keep the (edges, sinks) order.
+    A union's sinks are those of its rep paths. Fewer edges never reach more
+    sinks, so only unions with equal sink sets are compared. Kept
+    ((edges, sinks), rep) pairs are sorted by their sorted edges.
     """
+    sinks_of = {
+        edges: frozenset().union(*(infos[i][1] for i in rep)) for edges, rep in unions.items()
+    }
     groups: dict[frozenset, list[frozenset]] = {}
-    for edges, sinks in signatures:
+    for edges, sinks in sinks_of.items():
         groups.setdefault(sinks, []).append(edges)
     dominated = set()
-    for sinks, unions in groups.items():
+    for group in groups.values():
         minimal: list[frozenset] = []
-        for edges in sorted(unions, key=len):
+        for edges in sorted(group, key=len):
             if any(other < edges for other in minimal):
-                dominated.add((edges, sinks))
+                dominated.add(edges)
             else:
                 minimal.append(edges)
-    items = sorted(
-        signatures.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))
-    )
-    return [item for item in items if item[0] not in dominated]
+    return [
+        ((edges, sinks_of[edges]), unions[edges])
+        for edges in sorted(unions, key=sorted)
+        if edges not in dominated
+    ]
 
 
-def _scan_colorings(candidates, capacity_for, num_colors: int, score, minimize: bool):
-    """The first best-scoring feasible K-multiset of candidates: (indices, score).
+def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
+    """The first least-cost feasible K-multiset of candidates: (indices, cost).
 
     An iterative depth-first walk over nondecreasing candidate indices. It
     keeps the edges at their color capacity and the per-sink description
     counts as it pushes and pops a candidate, drops a prefix as soon as a
     candidate would overload an edge (loads only grow, so no extension
-    fits), and scores complete multisets only. Feasible multisets come in
+    fits), and costs complete multisets only. Feasible multisets come in
     the lexicographic order of `combinations_with_replacement`, so a tie
     keeps the first. The empty union is always a candidate, so at least
     one multiset is feasible.
@@ -210,9 +206,9 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, score, minimize: 
     masks = [sum(members) for members in edge_bits]
     reached = [tuple(sinks) for (_, sinks), _ in candidates]
     full = sum(bit for bit, left in room.items() if left <= 0)
-    counts: dict[str, int] = {}
+    counts = [0] * len(weights)
     combo: list[int] = []
-    best_key = best_score = None
+    best_key = best_cost = None
     index, size = 0, len(candidates)
     while True:
         if index < size:
@@ -224,15 +220,15 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, score, minimize: 
                 if not room[bit]:
                     full |= bit
             for sink in reached[index]:
-                counts[sink] = counts.get(sink, 0) + 1
+                counts[sink] += 1
             combo.append(index)
             if len(combo) < num_colors:
                 continue  # the next color may take the same candidate
-            value = score(counts)
-            if best_score is None or (value < best_score if minimize else value > best_score):
-                best_score, best_key = value, tuple(combo)
+            cost = _cost(levels, weights, counts)
+            if best_cost is None or cost < best_cost:
+                best_cost, best_key = cost, tuple(combo)
         elif not combo:
-            return best_key, best_score
+            return best_key, best_cost
         index = combo.pop()
         for bit in edge_bits[index]:
             room[bit] += 1
@@ -245,92 +241,93 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, score, minimize: 
 def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     """Globally optimal admissible flow within the enumerated path universe.
 
-    Maximizes total rainbow flow (or minimizes weighted distortion) over
-    every assignment of path-set unions to the K colors; the scan skips the
-    extensions of a prefix that overloads an edge and scores only feasible
-    multisets. Returns an empty flow with objective 0 when nothing
-    admissible exists. Raises SearchSizeError when the closure exceeds
-    `MAX_SIGNATURES` unions or the post-pruning coloring count, every
-    K-multiset of candidates whether feasible or not, exceeds
+    Minimizes the search cost (minus total rainbow flow, or the weighted
+    distortion) over every assignment of path-set unions to the K colors;
+    the scan skips the extensions of a prefix that overloads an edge and
+    costs only feasible multisets. Returns an empty flow with objective 0
+    when nothing admissible exists. Raises SearchSizeError when the closure
+    exceeds `MAX_SIGNATURES` unions or the post-pruning coloring count,
+    every K-multiset of candidates whether feasible or not, exceeds
     `MAX_COLORINGS`.
     """
-    score, _, _ = _objective(cfg, net)
+    levels, weights = _objective(cfg, net)
     if _nothing_admissible(net, cfg):
-        return _result(net, cfg, [], score({}))
+        return _result(net, cfg, [], _cost(levels, weights, [0] * len(weights)))
     paths = enumerate_paths(net, cfg.max_path_len)
     infos = _path_signatures(net, paths)
-    closure = _signature_closure(infos, MAX_SIGNATURES)
-    candidates = _prune_dominated(closure)
+    candidates = _prune_dominated(_signature_closure(infos, MAX_SIGNATURES), infos)
 
     count = math.comb(len(candidates) + cfg.num_colors - 1, cfg.num_colors)
     if count > MAX_COLORINGS:
         raise SearchSizeError(f"{count} candidate colorings exceed the guard of {MAX_COLORINGS}")
 
-    best_key, best_score = _scan_colorings(
-        candidates, _color_capacities(net, cfg), cfg.num_colors, score, cfg.objective == "wd"
+    best_key, best_cost = _scan_colorings(
+        candidates, _color_capacities(net, cfg), cfg.num_colors, levels, weights
     )
     chosen = [
         (paths[path_index], color)
         for color, index in enumerate(best_key, start=1)
         for path_index in candidates[index][1]
     ]
-    return _result(net, cfg, chosen, best_score)
+    return _result(net, cfg, chosen, best_cost)
 
 
 def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     """Deterministic greedy flow: grow each color's forwarding tree in turn.
 
     Round-robin over colors, each round adding the path with the best
-    marginal objective gain that fits the residual per-edge color budget;
-    stops when a full round adds nothing.
+    marginal cost decrease that fits the residual per-edge color budget;
+    stops when a full round adds nothing. Used colors form a prefix, and a
+    round ends at the first unused color that places nothing, since every
+    later color would see the same state.
     """
-    score, levels, weights = _objective(cfg, net)
+    levels, weights = _objective(cfg, net)
+    counts = [0] * len(weights)
     if _nothing_admissible(net, cfg):
-        return _result(net, cfg, [], score({}))
+        return _result(net, cfg, [], _cost(levels, weights, counts))
     paths = enumerate_paths(net, cfg.max_path_len)
     infos = _path_signatures(net, paths)
     residual = _color_capacities(net, cfg)
-    color_edges: list[set[str]] = [set() for _ in range(cfg.num_colors)]
-    color_sinks: list[set[str]] = [set() for _ in range(cfg.num_colors)]
+    color_edges: list[frozenset] = []
+    color_sinks: list[frozenset] = []
     chosen: list[tuple[FlowPath, int]] = []
-    sink_counts: Counter[str] = Counter()
-
-    def marginal(new_sinks: set[str]) -> float:
-        gain = 0.0
-        for sink, weight in zip(net.sinks, weights):
-            if sink in new_sinks:
-                count = sink_counts[sink]
-                gain += weight * (levels[count] - levels[count + 1])
-        return gain
 
     progress = True
     while progress:
         progress = False
         for color in range(cfg.num_colors):
-            best_index = None
-            best_gain = 0.0
+            if color == len(color_edges):
+                color_edges.append(frozenset())
+                color_sinks.append(frozenset())
+            best_index, best_gain = None, 0.0
             for index, (path_edges, path_sinks) in enumerate(infos):
                 if any(residual[e] < 1 for e in path_edges - color_edges[color]):
                     continue
                 new_sinks = path_sinks - color_sinks[color]
                 if not new_sinks:
                     continue
-                gain = marginal(new_sinks)
+                gain = sum(
+                    weights[t] * (levels[counts[t]] - levels[counts[t] + 1])
+                    for t in sorted(new_sinks)
+                )
                 if gain > best_gain + 1e-15:
                     best_gain = gain
                     best_index = index
             if best_index is None:
+                if not color_edges[color]:
+                    break  # an unused color: every later one sees this same state
                 continue
             path_edges, path_sinks = infos[best_index]
             for edge_id in path_edges - color_edges[color]:
                 residual[edge_id] -= 1
+            for t in path_sinks - color_sinks[color]:
+                counts[t] += 1
             color_edges[color] |= path_edges
-            sink_counts.update(path_sinks - color_sinks[color])
             color_sinks[color] |= path_sinks
             chosen.append((paths[best_index], color + 1))
             progress = True
 
-    return _result(net, cfg, chosen, score(sink_counts))
+    return _result(net, cfg, chosen, _cost(levels, weights, counts))
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,16 @@ class TestPet:
         assert code == 0
         assert recovered.read_bytes() == payload[:1536]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_encode_rejects_non_finite_layer_weights(self, capsys, tmp_path, bad):
+        source = tmp_path / "payload.bin"
+        source.write_bytes(bytes(64))
+        code, out, err = run(
+            capsys, "pet", "encode", "--y", f"{bad},1", "--rate", "1", "--n", "8192",
+            "--input", str(source), "--out-prefix", str(tmp_path / "block"),
+        )
+        assert (code, out, err) == (1, "", "error: layer weights must be finite\n")
+
     def test_decode_rejects_garbage(self, capsys, tmp_path):
         bad = tmp_path / "bad.d01"
         bad.write_bytes(b"not a description, but long enough to hold a header")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -139,6 +141,30 @@ class TestGreedySearch:
         assert result.objective == 0
         assert result.flow.paths == ()
 
+    def test_work_is_bounded_by_the_colors_in_use(self, monkeypatch):
+        # at rate 1/2 at most 6 colors carry a path on fig1; a round stops at
+        # the first unused color that places nothing, so K=10**5 visits the
+        # path list as often as K=8 and routes the same flow
+        visits = []
+        signatures = search._path_signatures
+
+        class CountingList(list):
+            def __iter__(self):
+                for info in super().__iter__():
+                    visits.append(1)
+                    yield info
+
+        monkeypatch.setattr(
+            search, "_path_signatures", lambda net, paths: CountingList(signatures(net, paths))
+        )
+        net = helpers.fig1_network()
+        small = greedy_search(net, _cfg(8, Fraction(1, 2)))
+        small_visits, visits[:] = len(visits), []
+        large = greedy_search(net, _cfg(10**5, Fraction(1, 2)))
+        assert len(visits) == small_visits
+        assert (large.flow.paths, large.flow.colors) == (small.flow.paths, small.flow.colors)
+        assert large.objective == small.objective
+
 
 class TestWeightedObjective:
     def test_exact_wd_prefers_covered_sinks(self):
@@ -220,21 +246,60 @@ class TestWeightedObjective:
             _cfg(2, 1, objective="wd", **kw)
 
 
+def _signature_keyed(unions, infos):
+    """The closure re-keyed by (edges, sinks), the sinks those of the rep paths."""
+    return {
+        (edges, frozenset().union(*(infos[i][1] for i in rep))): rep
+        for edges, rep in unions.items()
+    }
+
+
+def _cost_score(levels, weights):
+    """The search cost as a score on a {sink position: count} dict, minimized."""
+    positions = range(len(weights))
+    return lambda counts: search._cost(levels, weights, [counts.get(t, 0) for t in positions])
+
+
 class TestPruning:
     @staticmethod
     def _closures():
         rng = random.Random(23)
         for _ in range(30):
             net = helpers.random_network(rng, max_nodes=6)
-            yield _signature_closure(_path_signatures(net, enumerate_paths(net, 3)), 200_000)
+            infos = _path_signatures(net, enumerate_paths(net, 3))
+            yield _signature_closure(infos, 200_000), infos
         for width, depth in ((2, 3), (3, 2), (2, 4), (3, 3)):
             net = helpers.layered_network(rng, width, depth)
-            paths = enumerate_paths(net, depth + 1)
-            yield _signature_closure(_path_signatures(net, paths), 200_000)
+            infos = _path_signatures(net, enumerate_paths(net, depth + 1))
+            yield _signature_closure(infos, 200_000), infos
 
     def test_matches_the_all_pairs_prune(self):
-        for closure in self._closures():
-            assert _prune_dominated(closure) == oracles.all_pairs_prune(closure)
+        for unions, infos in self._closures():
+            closure = _signature_keyed(unions, infos)
+            assert _prune_dominated(unions, infos) == oracles.all_pairs_prune(closure)
+
+    def test_candidates_are_pinned(self):
+        # sorted edges, sorted sink names and rep of every pruned candidate on
+        # the layered scan family, fanout(6, 3, s) and fig1/fig2 at lengths 3-4;
+        # flows print reps, so this pins every flow the exact search can write
+        instances = [(net, max_len) for net, _, max_len in _scan_instances("layered")]
+        instances += [(net, max_len) for net, _, max_len in _scan_instances("fanout")]
+        instances += [
+            (net, max_len)
+            for net in (helpers.fig1_network(), helpers.fig2_network())
+            for max_len in (3, 4)
+        ]
+        rows = []
+        for net, max_len in instances:
+            infos = _path_signatures(net, enumerate_paths(net, max_len))
+            candidates = _prune_dominated(_signature_closure(infos, search.MAX_SIGNATURES), infos)
+            rows.append(
+                [[sorted(edges), sorted(net.sinks[t] for t in sinks), list(rep)]
+                 for (edges, sinks), rep in candidates]
+            )
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "1ac61d3456b870ecab64e21df8dd60708913c98e2d09a269d1f99592c18f6917"
+        )
 
 
 def _scan_instances(family):
@@ -263,7 +328,7 @@ class TestColoringScan:
         scans = 0
         for net, K, max_len in _scan_instances(family):
             infos = _path_signatures(net, enumerate_paths(net, max_len))
-            candidates = _prune_dominated(_signature_closure(infos, search.MAX_SIGNATURES))
+            candidates = _prune_dominated(_signature_closure(infos, search.MAX_SIGNATURES), infos)
             weights = tuple(1 / len(net.sinks) for _ in net.sinks)
             for objective in ("trf", "wd"):
                 for strict in (False, True):
@@ -273,48 +338,49 @@ class TestColoringScan:
                     )
                     if search._nothing_admissible(net, cfg):
                         continue
-                    score, _, _ = search._objective(cfg, net)
+                    levels, cost_weights = search._objective(cfg, net)
                     capacity_for = search._color_capacities(net, cfg)
-                    args = (candidates, capacity_for, K, score, objective == "wd")
+                    args = (candidates, capacity_for, K)
+                    score = _cost_score(levels, cost_weights)
                     # the same multiset (so the same tie-break) and objective
-                    assert search._scan_colorings(*args) == oracles.reference_coloring_scan(*args)
+                    assert search._scan_colorings(*args, levels, cost_weights) == (
+                        oracles.reference_coloring_scan(*args, score, True)
+                    )
                     scans += 1
         assert scans >= 20
 
     def test_scores_only_feasible_multisets(self, monkeypatch):
         # fanout(6, 3, 0) at K=3: 45,760 multisets of 64 candidates, 2,667 fit
         calls = []
-        objective = search._objective
+        cost = search._cost
 
-        def counting_objective(cfg, net):
-            score, levels, weights = objective(cfg, net)
+        def counted(levels, weights, counts):
+            calls.append(1)
+            return cost(levels, weights, counts)
 
-            def counted(counts):
-                calls.append(1)
-                return score(counts)
-
-            return counted, levels, weights
-
-        monkeypatch.setattr(search, "_objective", counting_objective)
+        monkeypatch.setattr(search, "_cost", counted)
         net = helpers.document_network(helpers.fanout_document(6, 3, 0))
         result = exact_search(net, _cfg(3, Fraction(1, 2)))
         assert len(calls) == 2667
         assert is_admissible(result.flow)
 
-    def test_never_extends_an_overloaded_prefix(self):
+    def test_never_extends_an_overloaded_prefix(self, monkeypatch):
         # the empty union and 200 single-edge unions, of which only e0 has
-        # room (for one color): of the ~1e53 multisets at K=50 two fit
+        # room (for one color): of the ~1e53 multisets at K=50 two fit;
+        # levels[c] = 2 - c costs a multiset 2 minus its description count
         candidates = [((frozenset(), frozenset()), ())] + [
-            ((frozenset({f"e{i}"}), frozenset({"t"})), (i,)) for i in range(200)
+            ((frozenset({f"e{i}"}), frozenset({0})), (i,)) for i in range(200)
         ]
         capacity_for = {f"e{i}": int(i == 0) for i in range(200)}
         scored = []
+        cost = search._cost
 
-        def score(counts):
-            scored.append(dict(counts))
-            return sum(counts.values())
+        def counted(levels, weights, counts):
+            scored.append(dict(enumerate(counts)))
+            return cost(levels, weights, counts)
 
-        best = search._scan_colorings(candidates, capacity_for, 50, score, False)
+        monkeypatch.setattr(search, "_cost", counted)
+        best = search._scan_colorings(candidates, capacity_for, 50, range(2, -49, -1), (1,))
         assert best == ((0,) * 49 + (1,), 1)
         assert [sum(counts.values()) for counts in scored] == [0, 1]
 
