@@ -141,6 +141,8 @@ def _parse_weights(text: str, net) -> tuple[float, ...]:
     if any(v < 0 for v in parts):
         raise ValueError("weights must be nonnegative")
     total = sum(parts)
+    if not math.isfinite(total):
+        raise ValueError("weights must have a finite sum")
     if total <= 0:
         raise ValueError("weights must not all be zero")
     return tuple(v / total for v in parts)
@@ -153,6 +155,8 @@ def _parse_profile(text: str) -> tuple[float, ...]:
     if any(v < 0 for v in values):
         raise ValueError("profile entries must be nonnegative")
     total = sum(values)
+    if not math.isfinite(total):
+        raise ValueError("profile entries must have a finite sum")
     if total <= 0:
         raise ValueError("profile must not be all zero")
     return tuple(v / total for v in values)

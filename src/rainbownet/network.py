@@ -277,7 +277,8 @@ def enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
     found: list[FlowPath] = []
     visited = 0
 
-    def walk(node: str, used: set[str], trail: list[str]):
+    def visit(node: str, trail: list[str]):
+        """Count `trail`, record it if `node` is a sink, and return the edges extending it."""
         nonlocal visited
         visited += 1
         if visited > MAX_PATHS:
@@ -287,18 +288,23 @@ def enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
             )
         if trail and node in sink_set:
             found.append(FlowPath(tuple(trail)))
-        if len(trail) == max_len:
-            return
-        for edge in net.out_edges(node):
-            if edge.id in used:
-                continue
-            used.add(edge.id)
-            trail.append(edge.id)
-            walk(edge.head, used, trail)
-            trail.pop()
-            used.remove(edge.id)
+        return iter(() if len(trail) == max_len else net.out_edges(node))
 
+    # depth first with an explicit stack of out-edge iterators, one per
+    # trail node, so path length is not bounded by the recursion limit
     for source in sorted(set(net.sources)):
-        walk(source, set(), [])
+        trail: list[str] = []
+        used: set[str] = set()
+        stack = [visit(source, trail)]
+        while stack:
+            edge = next(stack[-1], None)
+            if edge is None:
+                stack.pop()
+                if trail:
+                    used.remove(trail.pop())
+            elif edge.id not in used:
+                used.add(edge.id)
+                trail.append(edge.id)
+                stack.append(visit(edge.head, trail))
     found.sort(key=lambda p: p.edges)
     return found

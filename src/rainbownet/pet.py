@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -131,8 +132,11 @@ class PetProfile:
         weights = [Fraction(v) if isinstance(v, (int, Fraction)) else Fraction(repr(float(v))) for v in y]
         if any(w < 0 for w in weights):
             raise CodecError("layer weights must be nonnegative")
-        if abs(sum(weights) - 1) > Fraction(1, 10**6):
-            raise CodecError(f"layer weights must sum to 1, got {float(sum(weights))}")
+        weight_sum = sum(weights)
+        if abs(weight_sum - 1) > Fraction(1, 10**6):
+            # Decimal, not float: a sum of finite weights can exceed the float range
+            shown = Decimal(weight_sum.numerator) / weight_sum.denominator
+            raise CodecError(f"layer weights must sum to 1, got {shown:.6g}")
         segments = [int(round(w * total)) for w in weights]
         residual = total - sum(segments)
         if residual:

@@ -4,14 +4,14 @@ A color is keyed by its edge union; its sinks (the sinks among the edges'
 endpoints) follow from it and are kept as positions in `net.sinks`. A flow
 whose sink t holds c_t descriptions costs sum_t w_t * levels[c_t] (minus
 the description count for "trf", the weighted distortion for "wd"), and
-both searches minimize that one cost. The exact search enumerates the
-distinct edge unions of enumerated paths, prunes dominated ones
-(dominance compares unions with equal sink sets), and scans multisets of
-K unions depth first, skipping every extension of a prefix that already
-overloads an edge. Candidate order and tie-breaking are fixed, so results
-are reproducible regardless of scheduling; guards refuse instances whose
-path, union or coloring count would exceed its bound, and the coloring
-guard counts every multiset, skipped or not.
+both searches minimize that one cost. Both grow a color only by a path
+that reaches a sink the color lacks. The exact search builds the path
+unions that grow this way, keeps the minimal ones of each sink set, and
+scans multisets of K unions depth first, skipping every extension of a
+prefix that already overloads an edge. Candidate order and tie-breaking
+are fixed, so results are reproducible regardless of scheduling; guards
+refuse instances whose path, union or coloring count would exceed its
+bound, and the coloring guard counts every multiset, skipped or not.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .errors import SearchSizeError
 from .flows import DiscreteRnf, RainbowFlowVector, rainbow_flow_vector
 from .network import FlowPath, Network, enumerate_paths, max_flow
 
-# Guards of the exact search: distinct path unions in the closure, and
-# K-multisets of pruned candidates scanned.
+# Guards of the exact search: distinct path unions the closure builds, and
+# K-multisets of minimal candidates scanned.
 MAX_SIGNATURES = 200_000
 MAX_COLORINGS = 10_000_000
 
@@ -96,7 +96,7 @@ def _objective(cfg: SearchConfig, net: Network):
     if len(cfg.weights) != len(net.sinks):
         raise ValueError(f"expected {len(net.sinks)} weights, got {len(cfg.weights)}")
     profile = cfg.profile or tuple(1.0 / cfg.num_colors for _ in range(cfg.num_colors))
-    levels = [GAUSSIAN.distortion(rate) for rate in description_rates(profile, cfg.rate)]
+    levels = GAUSSIAN.distortion_array(description_rates(profile, cfg.rate)).tolist()
     return levels, cfg.weights
 
 
@@ -137,19 +137,28 @@ def _path_signatures(net: Network, paths: Sequence[FlowPath]):
     return out
 
 
-def _signature_closure(infos, limit: int):
-    """All distinct edge unions of path subsets, as union -> generating paths."""
-    unions: dict[frozenset, tuple[int, ...]] = {frozenset(): ()}
+def _candidates(infos, limit: int):
+    """Each minimal path union for the sinks it reaches, as ((edges, sinks), rep).
+
+    A breadth-first closure from the empty union that grows a union by a
+    path only when the path reaches a sink the union lacks; `rep` is the
+    first path tuple that builds the union, and its sinks travel with it.
+    A minimal generating set has no path whose sinks the others cover, so
+    every union with no strict subset of equal sinks is built, by the same
+    rep as in the closure over all path subsets. Of each sink set the
+    minimal unions are kept, sorted by their sorted edges.
+    """
+    unions: dict[frozenset, tuple[frozenset, tuple[int, ...]]] = {frozenset(): (frozenset(), ())}
     frontier = [frozenset()]
     while frontier:
         added = []
         for edges in frontier:
-            rep = unions[edges]
-            for index, (path_edges, _) in enumerate(infos):
+            sinks, rep = unions[edges]
+            for index, (path_edges, path_sinks) in enumerate(infos):
                 candidate = edges | path_edges
-                if candidate in unions:
+                if path_sinks <= sinks or candidate in unions:
                     continue
-                unions[candidate] = rep + (index,)
+                unions[candidate] = (sinks | path_sinks, rep + (index,))
                 added.append(candidate)
                 if len(unions) > limit:
                     raise SearchSizeError(
@@ -157,35 +166,13 @@ def _signature_closure(infos, limit: int):
                         "reduce max_path_len or use greedy mode"
                     )
         frontier = added
-    return unions
-
-
-def _prune_dominated(unions, infos):
-    """Drop unions that reach the same sinks as a strict subset of their edges.
-
-    A union's sinks are those of its rep paths. Fewer edges never reach more
-    sinks, so only unions with equal sink sets are compared. Kept
-    ((edges, sinks), rep) pairs are sorted by their sorted edges.
-    """
-    sinks_of = {
-        edges: frozenset().union(*(infos[i][1] for i in rep)) for edges, rep in unions.items()
-    }
-    groups: dict[frozenset, list[frozenset]] = {}
-    for edges, sinks in sinks_of.items():
-        groups.setdefault(sinks, []).append(edges)
-    dominated = set()
-    for group in groups.values():
-        minimal: list[frozenset] = []
-        for edges in sorted(group, key=len):
-            if any(other < edges for other in minimal):
-                dominated.add(edges)
-            else:
-                minimal.append(edges)
-    return [
-        ((edges, sinks_of[edges]), unions[edges])
-        for edges in sorted(unions, key=sorted)
-        if edges not in dominated
-    ]
+    minimal: dict[frozenset, list[frozenset]] = {}
+    for edges in sorted(unions, key=len):
+        group = minimal.setdefault(unions[edges][0], [])
+        if not any(other < edges for other in group):
+            group.append(edges)
+    kept = sorted((edges for group in minimal.values() for edges in group), key=sorted)
+    return [((edges, unions[edges][0]), unions[edges][1]) for edges in kept]
 
 
 def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
@@ -243,11 +230,12 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
 
     Minimizes the search cost (minus total rainbow flow, or the weighted
     distortion) over every assignment of path-set unions to the K colors;
-    the scan skips the extensions of a prefix that overloads an edge and
-    costs only feasible multisets. Returns an empty flow with objective 0
-    when nothing admissible exists. Raises SearchSizeError when the closure
-    exceeds `MAX_SIGNATURES` unions or the post-pruning coloring count,
-    every K-multiset of candidates whether feasible or not, exceeds
+    only the minimal union of each sink set can be optimal, and the scan
+    skips the extensions of a prefix that overloads an edge and costs only
+    feasible multisets. Returns an empty flow with objective 0 when nothing
+    admissible exists. Raises SearchSizeError when the sink-adding closure
+    builds more than `MAX_SIGNATURES` unions or the coloring count, every
+    K-multiset of candidates whether feasible or not, exceeds
     `MAX_COLORINGS`.
     """
     levels, weights = _objective(cfg, net)
@@ -255,7 +243,7 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
         return _result(net, cfg, [], _cost(levels, weights, [0] * len(weights)))
     paths = enumerate_paths(net, cfg.max_path_len)
     infos = _path_signatures(net, paths)
-    candidates = _prune_dominated(_signature_closure(infos, MAX_SIGNATURES), infos)
+    candidates = _candidates(infos, MAX_SIGNATURES)
 
     count = math.comb(len(candidates) + cfg.num_colors - 1, cfg.num_colors)
     if count > MAX_COLORINGS:

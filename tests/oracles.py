@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from rainbownet import DiscreteRnf, Network, enumerate_paths, is_admissible, total_rainbow_flow
+from rainbownet.errors import SearchSizeError
 from rainbownet.gf256 import EXP, LOG, gf_inv, gf_mul
 
 
@@ -56,6 +57,29 @@ def brute_best_total_flow(net: Network, num_colors: int, rate: Fraction, max_len
     return best
 
 
+def signature_closure(infos, limit: int):
+    """All distinct edge unions of path subsets, as union -> generating paths."""
+    unions: dict[frozenset, tuple[int, ...]] = {frozenset(): ()}
+    frontier = [frozenset()]
+    while frontier:
+        added = []
+        for edges in frontier:
+            rep = unions[edges]
+            for index, (path_edges, _) in enumerate(infos):
+                candidate = edges | path_edges
+                if candidate in unions:
+                    continue
+                unions[candidate] = rep + (index,)
+                added.append(candidate)
+                if len(unions) > limit:
+                    raise SearchSizeError(
+                        f"signature closure exceeded {limit} entries; "
+                        "reduce max_path_len or use greedy mode"
+                    )
+        frontier = added
+    return unions
+
+
 def all_pairs_prune(signatures):
     """Dominance pruning by comparing every pair of (edge-union, sink-set).
 
@@ -67,9 +91,9 @@ def all_pairs_prune(signatures):
     kept = []
     for (edges, sinks), rep in items:
         if not any(
-            (other_edges, other_sinks) != (edges, sinks)
-            and other_edges <= edges
+            other_edges <= edges
             and other_sinks >= sinks
+            and (other_edges, other_sinks) != (edges, sinks)
             for (other_edges, other_sinks), _ in items
         ):
             kept.append(((edges, sinks), rep))

@@ -139,6 +139,29 @@ class TestSearch:
         assert out == ""
         assert err.startswith("error: ") and "paths" in err
 
+    @pytest.mark.parametrize("command", ["search", "pipeline"])
+    def test_path_longer_than_the_recursion_limit(self, capsys, tmp_path, command):
+        # a chain of 1,500 edges holds one source-to-sink path
+        nodes = [f"v{i}" for i in range(1501)]
+        edges = [
+            {"id": f"e{i}", "tail": nodes[i], "head": nodes[i + 1], "capacity": "1"}
+            for i in range(1500)
+        ]
+        doc = {"nodes": nodes, "edges": edges, "sources": ["v0"], "sinks": ["v1500"]}
+        scenario = tmp_path / "chain.json"
+        scenario.write_text(json.dumps(doc))
+        flow = tmp_path / "flow.json"
+        extra = ["--out-flow", str(flow)] if command == "search" else ["--n", "256"]
+        code, out, err = run(
+            capsys, command, str(scenario), "--K", "1", "--rate", "1",
+            "--max-path-len", "2000", *extra,
+        )
+        assert (code, err) == (0, "")
+        if command == "search":
+            assert parse_blocks(out)[("objective", "K", "rate", "q_1")] == [["1", "1", "1", "1"]]
+            paths = json.loads(flow.read_text())["paths"]
+            assert [len(path["edges"]) for path in paths] == [1500]
+
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
 @pytest.mark.parametrize(
@@ -158,6 +181,23 @@ def test_non_finite_weights_and_profiles_exit_one(capsys, argv, value):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "fig1", "--K", "2", "--rate", "1", "--objective", "wd", "--y", "1e308,1e308"],
+        ["search", "fig1", "--K", "2", "--rate", "1", "--objective", "wd",
+         "--weights", "1e308,1e308,1e308,1e308"],
+        ["optimize", "fig1", "--flow", "fig1_flow", "--weights", "1e308,1e308,1e308,1e308"],
+    ],
+    ids=["search-wd-profile", "search-wd", "optimize"],
+)
+def test_vectors_whose_sum_overflows_exit_one(capsys, argv):
+    # finite entries whose sum is inf would normalize to all zeros
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "finite sum" in err
 
 
 class TestOptimize:
@@ -253,6 +293,16 @@ class TestPet:
             "--input", str(source), "--out-prefix", str(tmp_path / "block"),
         )
         assert (code, out, err) == (1, "", "error: layer weights must be finite\n")
+
+    def test_encode_reports_a_sum_beyond_the_float_range(self, capsys, tmp_path):
+        source = tmp_path / "payload.bin"
+        source.write_bytes(bytes(64))
+        code, out, err = run(
+            capsys, "pet", "encode", "--y", "1e308,1e308", "--rate", "1", "--n", "8192",
+            "--input", str(source), "--out-prefix", str(tmp_path / "block"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: layer weights must sum to 1, got 2.00000e+308\n"
 
     def test_decode_rejects_garbage(self, capsys, tmp_path):
         bad = tmp_path / "bad.d01"

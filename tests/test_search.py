@@ -26,7 +26,8 @@ from rainbownet import (
     weighted_distortion,
 )
 from rainbownet import search
-from rainbownet.search import _path_signatures, _prune_dominated, _signature_closure
+from rainbownet.distortion import GAUSSIAN, DistortionModel, description_rates
+from rainbownet.search import _candidates, _path_signatures
 
 
 def _cfg(num_colors, rate, **kw):
@@ -245,6 +246,35 @@ class TestWeightedObjective:
         with pytest.raises(ValueError, match=field.rstrip("s")):
             _cfg(2, 1, objective="wd", **kw)
 
+    def test_levels_equal_the_per_entry_distortions(self):
+        # bit for bit against one scalar model call per level, on seeded
+        # profiles (and the uniform default) of up to 64 layers
+        rng = random.Random(41)
+        net = helpers.fig1_network()
+        for trial in range(200):
+            colors = rng.randint(1, 64)
+            profile = None if trial % 4 == 0 else tuple(rng.random() for _ in range(colors))
+            rate = Fraction(rng.randint(1, 24), rng.randint(1, 8))
+            cfg = _cfg(colors, rate, objective="wd", weights=(0.25,) * 4, profile=profile)
+            levels, _ = search._objective(cfg, net)
+            layers = profile or tuple(1.0 / colors for _ in range(colors))
+            expected = [GAUSSIAN.distortion(r) for r in description_rates(layers, rate)]
+            assert [level.hex() for level in levels] == [level.hex() for level in expected]
+
+    def test_levels_take_one_model_call(self, monkeypatch):
+        calls = []
+        evaluate = DistortionModel.distortion_array
+
+        def counted(model, rates):
+            calls.append(len(rates))
+            return evaluate(model, rates)
+
+        monkeypatch.setattr(DistortionModel, "distortion_array", counted)
+        cfg = _cfg(1000, Fraction(1, 2), objective="wd", weights=(0.25,) * 4)
+        levels, _ = search._objective(cfg, helpers.fig1_network())
+        assert calls == [1001]
+        assert len(levels) == 1001
+
 
 def _signature_keyed(unions, infos):
     """The closure re-keyed by (edges, sinks), the sinks those of the rep paths."""
@@ -262,21 +292,35 @@ def _cost_score(levels, weights):
 
 class TestPruning:
     @staticmethod
-    def _closures():
+    def _path_universes():
         rng = random.Random(23)
         for _ in range(30):
             net = helpers.random_network(rng, max_nodes=6)
-            infos = _path_signatures(net, enumerate_paths(net, 3))
-            yield _signature_closure(infos, 200_000), infos
+            yield _path_signatures(net, enumerate_paths(net, 3))
         for width, depth in ((2, 3), (3, 2), (2, 4), (3, 3)):
             net = helpers.layered_network(rng, width, depth)
-            infos = _path_signatures(net, enumerate_paths(net, depth + 1))
-            yield _signature_closure(infos, 200_000), infos
+            yield _path_signatures(net, enumerate_paths(net, depth + 1))
+        for family in ("layered", "fanout", "figures", "random"):
+            for net, _, max_len in _scan_instances(family):
+                yield _path_signatures(net, enumerate_paths(net, max_len))
 
     def test_matches_the_all_pairs_prune(self):
-        for unions, infos in self._closures():
-            closure = _signature_keyed(unions, infos)
-            assert _prune_dominated(unions, infos) == oracles.all_pairs_prune(closure)
+        # the full closure builds every union of every path subset; growing
+        # a union only by a path that reaches a new sink keeps the same
+        # undominated unions, with the same reps
+        for infos in self._path_universes():
+            closure = _signature_keyed(oracles.signature_closure(infos, 200_000), infos)
+            assert _candidates(infos, 200_000) == oracles.all_pairs_prune(closure)
+
+    def test_guard_counts_only_the_unions_it_builds(self, monkeypatch):
+        # layered(3, 3, 0) at length 4: the full closure has 1,040 unions,
+        # the sink-adding pass builds 283, so a guard of 500 no longer trips
+        net = helpers.document_network(helpers.layered_document(3, 3, 0))
+        cfg = _cfg(2, Fraction(1, 2), max_path_len=4)
+        unpatched = exact_search(net, cfg)
+        monkeypatch.setattr(search, "MAX_SIGNATURES", 500)
+        patched = exact_search(net, cfg)
+        assert (patched.flow, patched.objective) == (unpatched.flow, unpatched.objective)
 
     def test_candidates_are_pinned(self):
         # sorted edges, sorted sink names and rep of every pruned candidate on
@@ -292,7 +336,7 @@ class TestPruning:
         rows = []
         for net, max_len in instances:
             infos = _path_signatures(net, enumerate_paths(net, max_len))
-            candidates = _prune_dominated(_signature_closure(infos, search.MAX_SIGNATURES), infos)
+            candidates = _candidates(infos, search.MAX_SIGNATURES)
             rows.append(
                 [[sorted(edges), sorted(net.sinks[t] for t in sinks), list(rep)]
                  for (edges, sinks), rep in candidates]
@@ -328,7 +372,7 @@ class TestColoringScan:
         scans = 0
         for net, K, max_len in _scan_instances(family):
             infos = _path_signatures(net, enumerate_paths(net, max_len))
-            candidates = _prune_dominated(_signature_closure(infos, search.MAX_SIGNATURES), infos)
+            candidates = _candidates(infos, search.MAX_SIGNATURES)
             weights = tuple(1 / len(net.sinks) for _ in net.sinks)
             for objective in ("trf", "wd"):
                 for strict in (False, True):
