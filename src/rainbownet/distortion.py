@@ -2,9 +2,10 @@
 
 Rates stay exact rationals right up to the distortion-rate function call;
 everything from there on is double precision. The two optimizers are a
-golden-section search for the balanced two-description design and a
-projected-gradient descent over the simplex of description-layer weights.
-Both are deterministic and safe to run on many instances in parallel.
+golden-section search for the balanced two-description design and a direct
+solve for the description-layer weights on the sinks' distinct flow values
+(pool adjacent violators, then water-filling). Both are deterministic and
+safe to run on many instances in parallel.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class DistortionModel:
 
     The default model is the unit-variance Gaussian under squared error,
     D(R) = 2**(-2R), with D(0) = 1. A tabulated model interpolates convex
-    decreasing knots piecewise-linearly and clamps outside the knot range,
-    which keeps the derivative bounded.
+    decreasing knots, the first at rate 0, piecewise-linearly and is flat
+    past the last knot, which keeps the derivative bounded.
     """
 
     def __init__(self, kind: str, knots=None):
@@ -43,6 +44,8 @@ class DistortionModel:
             ds = np.array([float(d) for _, d in knots], dtype=float)
             if np.any(xs < 0) or np.any(np.diff(xs) <= 0):
                 raise ValueError("knot rates must be nonnegative and strictly increasing")
+            if xs[0] > 0:
+                raise ValueError(f"the first knot must be at rate 0, not {xs[0]}")
             if np.any(ds <= 0) or np.any(np.diff(ds) >= 0):
                 raise ValueError("knot distortions must be positive and strictly decreasing")
             slopes = np.diff(ds) / np.diff(xs)
@@ -76,10 +79,7 @@ class DistortionModel:
             return -2.0 * _LN2 * np.exp2(-2.0 * rates)
         slopes = np.diff(self._ds) / np.diff(self._xs)
         idx = np.clip(np.searchsorted(self._xs, rates, side="right") - 1, 0, len(slopes) - 1)
-        out = slopes[idx]
-        out = np.where(rates < self._xs[0], 0.0, out)
-        out = np.where(rates >= self._xs[-1], 0.0, out)
-        return out
+        return np.where((rates < self._xs[0]) | (rates >= self._xs[-1]), 0.0, slopes[idx])
 
     def __repr__(self):
         return f"DistortionModel({self.kind!r})"
@@ -294,58 +294,31 @@ def _check_weights(weights: Sequence[float], size: int) -> np.ndarray:
     return p
 
 
-def _profile_functions(q: Sequence, weights: Sequence[float], num_descriptions: int, rate, model):
-    """Per-sink rates of a layer profile, and the weighted distortion and its
-    gradient as functions of those rates, for fixed q.
-
-    The optimizer takes the gradient at the point whose objective it last
-    accepted, so both read the rates computed once for that point.
-    """
-    counts = np.array(_description_counts(list(q), Fraction(rate), num_descriptions), dtype=int)
+def _profile_rates(y: np.ndarray, q: Sequence, weights: Sequence[float], rate):
+    """Description counts, weights and received rates of the sinks under profile y."""
+    counts = np.array(_description_counts(list(q), Fraction(rate), len(y)), dtype=int)
     p = _check_weights(weights, len(counts))
-    layers = np.arange(1, num_descriptions + 1)
-    rf = float(rate)
-
-    def rates(vec: np.ndarray) -> np.ndarray:
-        return description_rates(vec, rf)[counts]
-
-    def objective(sink_rates: np.ndarray) -> float:
-        return float(p @ model.distortion_array(sink_rates))
-
-    def gradient(sink_rates: np.ndarray) -> np.ndarray:
-        # layer i reaches every sink holding at least i descriptions
-        weighted = p * model.derivative_array(sink_rates)
-        per_count = np.bincount(counts, weights=weighted, minlength=num_descriptions + 1)
-        return rf * (layers * per_count[::-1].cumsum()[::-1][1:])
-
-    return rates, objective, gradient
+    return counts, p, description_rates(y, float(rate))[counts]
 
 
 def profile_objective(
     y: Sequence[float], q: Sequence, weights: Sequence[float], rate, model: DistortionModel = GAUSSIAN
 ) -> float:
     """Weighted distortion of a layer profile `y` for a fixed flow vector."""
-    rates, objective, _ = _profile_functions(q, weights, len(y), rate, model)
-    return objective(rates(np.asarray(y, dtype=float)))
+    _, p, sink_rates = _profile_rates(np.asarray(y, dtype=float), q, weights, rate)
+    return float(p @ model.distortion_array(sink_rates))
 
 
 def profile_gradient(
     y: Sequence[float], q: Sequence, weights: Sequence[float], rate, model: DistortionModel = GAUSSIAN
 ) -> np.ndarray:
     """Analytic gradient of `profile_objective` with respect to y."""
-    rates, _, gradient = _profile_functions(q, weights, len(y), rate, model)
-    return gradient(rates(np.asarray(y, dtype=float)))
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort method)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / ks > 0)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
+    y = np.asarray(y, dtype=float)
+    counts, p, sink_rates = _profile_rates(y, q, weights, rate)
+    # layer i reaches every sink holding at least i descriptions
+    weighted = p * model.derivative_array(sink_rates)
+    per_count = np.bincount(counts, weights=weighted, minlength=len(y) + 1)
+    return float(rate) * (np.arange(1, len(y) + 1) * per_count[::-1].cumsum()[::-1][1:])
 
 
 @dataclass(frozen=True)
@@ -355,6 +328,77 @@ class ProfileOptimum:
     iterations: int
 
 
+def _pooled_levels(counts: Sequence[int], p: np.ndarray, rate: Fraction) -> list[list]:
+    """Levels [count c_k, beta_k, W_k] over the weighted sinks' distinct positive counts.
+
+    Neighbours merge, keeping the lower count, while alpha = beta/W does not
+    drop upwards (pool adjacent violators), so the alphas strictly decrease.
+    """
+    weight_at: dict[int, float] = {}
+    for count, weight in zip(counts, p):
+        if count > 0 and weight > 0:
+            weight_at[count] = weight_at.get(count, 0.0) + float(weight)
+    held = sorted(weight_at)
+    inverse = [1 / (rate * count) for count in held] + [0]
+    levels: list[list] = []
+    for k, count in enumerate(held):
+        levels.append([count, inverse[k] - inverse[k + 1], weight_at[count]])
+        while len(levels) > 1 and levels[-2][1] * levels[-1][2] <= levels[-1][1] * levels[-2][2]:
+            _, beta, weight = levels.pop()
+            levels[-1][1] += beta
+            levels[-1][2] += weight
+    return levels
+
+
+def _gaussian_masses(levels, rate: Fraction) -> list[float]:
+    """Closed-form water-filling for D(R) = 2**(-2R): R_k = A - log2(alpha_k)/2.
+
+    Level k thus rises over level k-1 by log2(alpha_{k-1}/alpha_k)/2 whatever
+    A is. Leading levels get R = 0 while the rises above them need more than
+    the unit mass; the first kept level takes what is left.
+    """
+    alphas = [float(beta) / weight for _, beta, weight in levels]
+    masses = [0.0] + [
+        0.5 * math.log2(below / alpha) / float(rate * count)
+        for below, alpha, (count, _, _) in zip(alphas, alphas[1:], levels[1:])
+    ]
+    first, tail = len(levels) - 1, 0.0
+    while first > 0 and tail + masses[first] <= 1.0:
+        tail += masses[first]
+        first -= 1
+    return [0.0] * first + [1.0 - tail] + masses[first + 1 :]
+
+
+def _tabulated_masses(levels, rate: Fraction, model: DistortionModel) -> list[float]:
+    """Fractional knapsack for a piecewise-linear D over (level k, knot segment j).
+
+    A unit of rate costs beta_k and gains -slope_j * W_k, so pairs are bought
+    by -slope_j/alpha_k, best first; each level fills its segments in knot
+    order and never passes the level above. Budget left past the last knot,
+    where D is flat, goes to the top level.
+    """
+    xs = [Fraction(x) for x in model._xs]
+    # knots up to 1e-12 short of convex are accepted; keep segments in order
+    slopes = np.maximum.accumulate(np.diff(model._ds) / np.diff(model._xs))
+    pairs = sorted(
+        (slope * weight / float(beta), k, j)
+        for k, (_, beta, weight) in enumerate(levels)
+        for j, slope in enumerate(slopes)
+    )
+    # exact rationals from here to the masses, so a filled segment ends on its knot
+    reached, budget = [Fraction(0)] * len(levels), Fraction(1)
+    for _, k, j in pairs:
+        beta = levels[k][1]
+        if beta * (xs[j + 1] - xs[j]) >= budget:
+            reached[k] = xs[j] + budget / beta
+            break
+        reached[k], budget = xs[j + 1], budget - beta * (xs[j + 1] - xs[j])
+    else:
+        reached[-1] += budget / levels[-1][1]
+    below = [0] + reached[:-1]
+    return [float((r - b) / (rate * c)) for r, b, (c, _, _) in zip(reached, below, levels)]
+
+
 def optimize_pet_profile(
     q: Sequence,
     weights: Sequence[float],
@@ -362,80 +406,36 @@ def optimize_pet_profile(
     rate,
     model: DistortionModel = GAUSSIAN,
     *,
-    tol: float = 1e-12,
     max_iter: int = 10_000,
 ) -> ProfileOptimum:
     """Minimize the weighted distortion over layer profiles on the simplex.
 
-    The objective sum_t p_t * D(rate * sum_{i<=q_t/rate} i*y_i) is convex
-    (convex decreasing D composed with a linear map), so projected-gradient
-    descent from the uniform profile with a backtracking step converges to
-    the global optimum. Iteration stops when the improvement drops below
-    `tol` or after `max_iter` steps; the run is fully deterministic.
+    Only the distinct positive flow values q_1 < ... < q_m of the sinks with
+    positive weight matter: mass on another layer reaches the same sinks
+    with less rate than at the next count c_k = q_k/rate. With W_k the
+    weight at q_k and R_k the rate it receives, the problem is to minimize
+    sum W_k * D(R_k) over 0 <= R_1 <= ... <= R_m with sum beta_k * R_k = 1,
+    beta_k = 1/q_k - 1/q_{k+1} (beta_m = 1/q_m). It is solved directly:
+    pool adjacent violators (Ayer et al. 1955), then water-fill per model.
+    Layer c_k gets mass (R_k - R_{k-1})/q_k; with no weighted sink holding a
+    description the profile is uniform.
     """
     if num_descriptions < 1:
         raise ValueError("num_descriptions must be at least 1")
-    rates, objective, gradient = _profile_functions(q, weights, num_descriptions, rate, model)
-    y = np.full(num_descriptions, 1.0 / num_descriptions)
-    at_y = rates(y)
-    value = objective(at_y)
-    step = 1.0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        grad = gradient(at_y)
-        accepted = False
-        while step >= 1e-18:
-            candidate = project_to_simplex(y - step * grad)
-            at_candidate = rates(candidate)
-            cand_value = objective(at_candidate)
-            decrease = float(grad @ (y - candidate))
-            if cand_value <= value - 1e-4 * decrease + 1e-18:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        improvement = value - cand_value
-        y, value, at_y = candidate, cand_value, at_candidate
-        step = min(step * 2.0, 1e8)
-        if improvement < tol:
-            break
-    return ProfileOptimum(y=tuple(float(v) for v in y), objective=value, iterations=iterations)
-
-
-def _lift(y: Sequence[float], rate, count: int, new_rate) -> tuple[float, ...] | None:
-    """Layer i at `rate` moved to layer i*rate/new_rate of `count` layers, or None.
-
-    Every `description_rates` entry reappears at the matching count, so the
-    lifted profile realizes the same per-sink rates at `new_rate`.
-    """
-    factor = Fraction(rate) / Fraction(new_rate)
-    if factor.denominator != 1 or len(y) * factor > count:
-        return None
-    out = [0.0] * count
-    for i, value in enumerate(y, start=1):
-        out[factor.numerator * i - 1] = float(value)
-    return tuple(out)
-
-
-def _sweep(q, weights, shapes, model, warm=None) -> list[float]:
-    """Optimal weighted distortion at each (K, rate) shape in turn.
-
-    Each shape also tries the previous optimum (first `warm`, a (profile,
-    rate) pair) lifted onto it, and keeps it if it does strictly better.
-    """
-    values: list[float] = []
-    for count, rate in shapes:
-        optimum = optimize_pet_profile(q, weights, count, rate, model)
-        value, best = optimum.objective, optimum.y
-        lifted = _lift(*warm, count, rate) if warm is not None else None
-        if lifted is not None:
-            lifted_value = profile_objective(lifted, q, weights, rate, model)
-            if lifted_value < value:
-                value, best = lifted_value, lifted
-        values.append(value)
-        warm = (best, rate)
-    return values
+    rate = Fraction(rate)
+    counts = _description_counts(list(q), rate, num_descriptions)
+    levels = _pooled_levels(counts, _check_weights(weights, len(counts)), rate)
+    y = np.full(num_descriptions, 0.0 if levels else 1.0 / num_descriptions)
+    if levels:
+        if model.kind == "gaussian":
+            masses = _gaussian_masses(levels, rate)
+        else:
+            masses = _tabulated_masses(levels, rate, model)
+        for (count, _, _), mass in zip(levels, masses):
+            y[count - 1] = mass
+    objective = profile_objective(y, q, weights, rate, model)
+    # `max_iter` and `iterations` remain only for perfbench/tracing.py's hit_max_iter counter
+    return ProfileOptimum(y=tuple(float(v) for v in y), objective=objective, iterations=1)
 
 
 def more_descriptions_values(
@@ -447,11 +447,9 @@ def more_descriptions_values(
 ) -> list[float]:
     """Optimal weighted distortion for a fixed flow vector as K grows.
 
-    Each step also evaluates the previous optimum padded with zero layers,
-    which realizes the same distortion, so the returned sequence is
-    nonincreasing up to float noise.
+    Every K solves the same reduced problem, so the values agree up to float noise.
     """
-    return _sweep(q, weights, [(count, rate) for count in description_counts], model)
+    return [optimize_pet_profile(q, weights, k, rate, model).objective for k in description_counts]
 
 
 def rate_split_values(
@@ -465,13 +463,14 @@ def rate_split_values(
     """Optimal weighted distortion before and after splitting the rate.
 
     Splitting by `i` turns K descriptions of rate r into i*K of rate r/i;
-    the flow vector is unchanged. Returns (base value, per-factor values);
-    each factor's optimization also tries the base optimum mapped onto
-    every i-th layer, which achieves the base value exactly.
+    the flow vector is unchanged, and so is the reduced problem. Returns
+    (base value, per-factor values).
     """
-    base = optimize_pet_profile(q, weights, num_descriptions, rate, model)
-    shapes = [(num_descriptions * i, Fraction(rate) / i) for i in factors]
-    return base.objective, [_sweep(q, weights, [s], model, (base.y, rate))[0] for s in shapes]
+    base = optimize_pet_profile(q, weights, num_descriptions, rate, model).objective
+    return base, [
+        optimize_pet_profile(q, weights, num_descriptions * i, Fraction(rate) / i, model).objective
+        for i in factors
+    ]
 
 
 def refinement_sweep(
@@ -484,10 +483,10 @@ def refinement_sweep(
 ) -> list[float]:
     """Optimal weighted distortion along rate halvings r, r/2, r/4, ...
 
-    Step n optimizes the profile at (2**n * K, rate / 2**n); the previous
-    optimum split onto even layers achieves the same value, so the sweep is
-    nonincreasing up to float noise. The finest profile has
-    K * 2**(steps - 1) layers, at most `MAX_REFINEMENT_LAYERS`.
+    Step n optimizes the profile at (2**n * K, rate / 2**n), the same
+    reduced problem at every step, so the sweep is flat up to float noise.
+    The finest profile has K * 2**(steps - 1) layers, at most
+    `MAX_REFINEMENT_LAYERS`.
     """
     # the exponent is clamped so a huge `steps` is never materialized;
     # 2**63 already exceeds the limit
@@ -497,4 +496,4 @@ def refinement_sweep(
             f"K * 2**(steps - 1) layers, more than the limit of {MAX_REFINEMENT_LAYERS}"
         )
     shapes = [(num_descriptions * 2**n, Fraction(rate) / 2**n) for n in range(steps)]
-    return _sweep(q, weights, shapes, model)
+    return [optimize_pet_profile(q, weights, k, r, model).objective for k, r in shapes]

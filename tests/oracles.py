@@ -207,6 +207,48 @@ def matrix_profile_functions(q, weights, num_descriptions: int, rate, model):
     return objective, gradient
 
 
+def project_to_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex (sort method)."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, v.size + 1)
+    rho = np.nonzero(u + (1.0 - css) / ks > 0)[0][-1]
+    lam = (1.0 - css[rho]) / (rho + 1.0)
+    return np.maximum(v + lam, 0.0)
+
+
+def projected_gradient_profile(
+    q, weights, num_descriptions: int, rate, model, *, tol: float = 1e-12, max_iter: int = 10_000
+):
+    """Layer profile by projected-gradient descent on the full K-layer simplex.
+
+    Starts from the uniform profile and takes Armijo-backtracked steps
+    until one improves the objective by less than the absolute `tol`.
+    Returns (y, objective): a feasible profile, not always the optimum.
+    """
+    objective, gradient = matrix_profile_functions(q, weights, num_descriptions, rate, model)
+    y = np.full(num_descriptions, 1.0 / num_descriptions)
+    value = objective(y)
+    step = 1.0
+    for _ in range(max_iter):
+        grad = gradient(y)
+        while step >= 1e-18:
+            candidate = project_to_simplex(y - step * grad)
+            cand_value = objective(candidate)
+            if cand_value <= value - 1e-4 * float(grad @ (y - candidate)) + 1e-18:
+                break
+            step *= 0.5
+        else:
+            break
+        improvement = value - cand_value
+        y, value = candidate, cand_value
+        step = min(step * 2.0, 1e8)
+        if improvement < tol:
+            break
+    return y, value
+
+
 def central_difference_gradient(fn, y, h: float = 1e-6) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)

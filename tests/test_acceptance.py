@@ -226,7 +226,7 @@ def test_criterion_7_optimizer_oracle():
         checked += 1
     assert checked == 30
     _report(
-        "criterion 7: PASS - projected gradient matches the 1e-3 simplex grid "
+        "criterion 7: PASS - the profile solve matches the 1e-3 simplex grid "
         "within 1e-4 and finite differences within relative 1e-4 on 30 instances"
     )
 

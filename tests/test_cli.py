@@ -20,6 +20,13 @@ from rainbownet.flows import node_spectrum
 from rainbownet.search import SearchConfig, alternating_search
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+# One edge s->t of capacity 1.
+ONE_EDGE = os.path.join(DATA, "one_edge.json")
+# s->a (42), a->t1 (42), a->t2 (33): at rate 3 the sinks hold 14 and 11 descriptions.
+TWO_SINK_LINE = os.path.join(DATA, "two_sink_line.json")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -212,6 +219,26 @@ class TestOptimize:
         profile = blocks[("objective", "y_1", "y_2")][0]
         assert float(profile[0]) == pytest.approx(0.0625)
         assert float(profile[2]) == pytest.approx(1.0)
+
+    def test_two_sink_line_reaches_the_single_layer_optimum(self, capsys, tmp_path):
+        # sinks holding 14 and 11 descriptions of rate 3: all mass on layer 11
+        # gives both 33 bits, D = 2**-66
+        flow = tmp_path / "flow.json"
+        code, _, _ = run(
+            capsys, "search", TWO_SINK_LINE, "--K", "14", "--rate", "3", "--mode", "exact",
+            "--out-flow", str(flow),
+        )
+        assert code == 0
+        code, out, _ = run(
+            capsys, "optimize", TWO_SINK_LINE, "--flow", str(flow), "--K", "14", "--rate", "3",
+            "--weights", "0.77,0.23",
+        )
+        assert code == 0
+        blocks = parse_blocks(out)
+        assert [row[1] for row in blocks[("sink", "q", "d")]] == ["42", "33"]
+        profile = blocks[("objective",) + tuple(f"y_{i}" for i in range(1, 15))][0]
+        assert float(profile[0]) <= 1e-19
+        assert profile[11] == "1.0"
 
     def test_continuous_flow_needs_explicit_parameters(self, capsys):
         code, _, err = run(capsys, "optimize", "fig2", "--flow", "fig2_flow")
@@ -567,9 +594,6 @@ class TestOutputDiscipline:
 # sha256 of stdout (and of the written flow document) for each README
 # example that runs on bundled inputs, plus a multi-round pipeline: any
 # change to routing, profile optimization or the codec shows up here.
-# One edge s->t of capacity 1.
-ONE_EDGE = os.path.join(os.path.dirname(__file__), "data", "one_edge.json")
-
 GOLDEN = [
     (
         ["validate", "fig1", "fig1_flow"],

@@ -26,7 +26,6 @@ from rainbownet import (
     pet_encode,
     profile_gradient,
     profile_objective,
-    project_to_simplex,
     refinement_sweep,
     weighted_distortion,
     SearchConfig,
@@ -66,6 +65,13 @@ class TestModels:
             DistortionModel.tabulated([(0, 1.0), (1, 1.1)])
         with pytest.raises(ValueError, match="convex"):
             DistortionModel.tabulated([(0, 1.0), (1, 0.2), (2, 0.19), (3, 0.01)])
+        with pytest.raises(ValueError, match="increasing"):
+            DistortionModel.tabulated([(1, 1.0), (1, 0.5)])
+
+    def test_tabulated_rejects_a_first_knot_above_zero(self):
+        # D would be flat up to that knot and then fall: not convex
+        with pytest.raises(ValueError, match="first knot must be at rate 0, not 0.5"):
+            DistortionModel.tabulated([(0.5, 1.0), (1, 0.5)])
         with pytest.raises(ValueError, match="increasing"):
             DistortionModel.tabulated([(1, 1.0), (1, 0.5)])
 
@@ -268,11 +274,11 @@ class TestProfileOptimizer:
         rng = np.random.default_rng(17)
         for _ in range(50):
             vec = rng.normal(size=rng.integers(1, 6))
-            projected = project_to_simplex(vec)
+            projected = oracles.project_to_simplex(vec)
             assert projected.min() >= 0
             assert projected.sum() == pytest.approx(1.0)
             inside = rng.dirichlet(np.ones(vec.size))
-            assert np.allclose(project_to_simplex(inside), inside, atol=1e-12)
+            assert np.allclose(oracles.project_to_simplex(inside), inside, atol=1e-12)
 
     def test_weights_must_be_a_simplex_vector(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -291,9 +297,8 @@ class TestProfileOptimizer:
             optimize_pet_profile([Fraction(1), Fraction(1)], (0.5, 0.5), 2, rate)
 
     def test_seeded_optima_are_pinned(self):
-        # 80 optima (y, objective, iterations), Gaussian then tabulated; the
-        # gradient reuses the rate table of the accepted point, and every
-        # float stays as it was when each evaluation built its own
+        # 80 optima (y, objective, iterations), Gaussian then tabulated, of
+        # the direct solve on the sinks' distinct flow values
         tabulated = DistortionModel.tabulated([(0, 1.0), (0.5, 0.5), (1, 0.3), (3, 0.05)])
         rng = random.Random(23)
         optima = []
@@ -306,7 +311,7 @@ class TestProfileOptimizer:
                 weights = tuple(v / sum(raw) for v in raw)
                 optima.append(optimize_pet_profile(q, weights, num, rate, model))
         assert hashlib.sha256(repr(optima).encode()).hexdigest() == (
-            "94d59848c20286225c0b43e8f74635ffbcfeae4512935e777bb5ded21a53aa6a"
+            "3bd344ebc075aeb7749638fbafe8c6553f7c59c2842292b409e062437d92d10f"
         )
 
     @pytest.mark.parametrize(
@@ -331,6 +336,84 @@ class TestProfileOptimizer:
             np.testing.assert_allclose(
                 profile_gradient(y, q, weights, rate, model), gradient(y), rtol=1e-12, atol=0
             )
+
+
+def _random_convex_knots(rng):
+    """A tabulated model with 2-6 knots from rate 0, convex and decreasing."""
+    steps = [rng.choice([0.25, 0.5, 1.0, rng.random() + 0.05]) for _ in range(rng.randint(1, 5))]
+    drops = sorted((rng.random() + 0.01 for _ in steps), reverse=True)
+    knots = [(0.0, sum(d * s for d, s in zip(drops, steps)) + rng.random() / 2 + 0.01)]
+    for drop, step in zip(drops, steps):
+        knots.append((knots[-1][0] + step, knots[-1][1] - drop * step))
+    return DistortionModel.tabulated(knots)
+
+
+def _random_instance(rng, max_descriptions=10):
+    """(q, weights, K, rate): up to 8 sinks, some with zero weight or no description."""
+    num = rng.randint(1, max_descriptions)
+    rate = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3)])
+    q = [rate * rng.randint(0, num) for _ in range(rng.randint(1, 8))]
+    raw = [rng.random() if rng.random() < 0.85 else 0.0 for _ in q]
+    raw[0] = raw[0] or 1.0
+    return q, tuple(v / sum(raw) for v in raw), num, rate
+
+
+class TestProfileSolveOracles:
+    """The direct solve against the projected-gradient descent it replaced,
+    the simplex grid, and the Frank-Wolfe optimality gap."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+    def test_never_worse_than_projected_gradient(self, kind):
+        rng = random.Random({"gaussian": 1, "tabulated": 2}[kind])
+        better = 0
+        for _ in range(200):
+            model = GAUSSIAN if kind == "gaussian" else _random_convex_knots(rng)
+            q, weights, num, rate = _random_instance(rng)
+            optimum = optimize_pet_profile(q, weights, num, rate, model)
+            _, reference = oracles.projected_gradient_profile(q, weights, num, rate, model)
+            assert optimum.objective <= reference * (1 + 1e-12)
+            better += optimum.objective < reference * (1 - 1e-9)
+        assert better > 0  # the descent stops short somewhere on every seed
+
+    def test_no_worse_than_the_grid(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            q, weights, num, rate = _random_instance(rng, max_descriptions=3)
+            optimum = optimize_pet_profile(q, weights, num, rate)
+            grid = oracles.profile_grid_min(q, weights, num, rate, step=1e-2)
+            assert optimum.objective <= grid * (1 + 1e-12)
+
+    def test_frank_wolfe_gap_vanishes(self):
+        # D is smooth, so g.y - min_i g_i is zero exactly at the optimum
+        rng = random.Random(6)
+        for _ in range(200):
+            q, weights, num, rate = _random_instance(rng, max_descriptions=16)
+            optimum = optimize_pet_profile(q, weights, num, rate)
+            g = profile_gradient(optimum.y, q, weights, rate)
+            gap = float(g @ np.asarray(optimum.y)) - float(g.min())
+            assert gap <= 1e-12 * float(np.abs(g).max())
+
+    @pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+    def test_objective_is_the_profile_objective(self, kind):
+        rng = random.Random(7)
+        for _ in range(100):
+            model = GAUSSIAN if kind == "gaussian" else _random_convex_knots(rng)
+            q, weights, num, rate = _random_instance(rng)
+            optimum = optimize_pet_profile(q, weights, num, rate, model)
+            assert min(optimum.y) >= 0
+            assert sum(optimum.y) == pytest.approx(1.0, abs=1e-14)
+            assert optimum.objective == profile_objective(optimum.y, q, weights, rate, model)
+
+    def test_no_weighted_description_gives_the_uniform_profile(self):
+        optimum = optimize_pet_profile([Fraction(0), Fraction(2)], (1.0, 0.0), 4, Fraction(1))
+        assert optimum.y == (0.25,) * 4
+        assert optimum.objective == 1.0
+
+    def test_refinement_sweep_is_one_reduced_problem(self):
+        # 2**13 * K layers at the last step; the solve only sees the 4 sinks
+        q = [Fraction(1), Fraction(2), Fraction(2), Fraction(1)]
+        values = refinement_sweep(q, (0.1, 0.2, 0.3, 0.4), 2, Fraction(1), steps=14)
+        assert max(values) - min(values) <= 1e-15
 
 
 class TestLayeredCodeAgreement:
