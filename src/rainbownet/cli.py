@@ -133,32 +133,23 @@ def _parse_weights(text: str, net) -> tuple[float, ...]:
             raw.append(2.0 ** (2.0 * capped))
         total = sum(raw)
         return tuple(v / total for v in raw)
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != count:
-        raise ValueError(f"expected {count} weights, got {len(parts)}")
-    if not all(math.isfinite(v) for v in parts):
-        raise ValueError("weights must be finite")
-    if any(v < 0 for v in parts):
-        raise ValueError("weights must be nonnegative")
-    total = sum(parts)
-    if not math.isfinite(total):
-        raise ValueError("weights must have a finite sum")
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    return tuple(v / total for v in parts)
+    return _parse_vector(text, "weights", count)
 
 
-def _parse_profile(text: str) -> tuple[float, ...]:
+def _parse_vector(text: str, what: str, count: int | None = None) -> tuple[float, ...]:
+    """Parse CSV entries, finite and nonnegative with a positive finite sum, and normalize."""
     values = [float(x) for x in text.split(",")]
+    if count is not None and len(values) != count:
+        raise ValueError(f"expected {count} {what}, got {len(values)}")
     if not all(math.isfinite(v) for v in values):
-        raise ValueError("profile entries must be finite")
+        raise ValueError(f"{what} must be finite")
     if any(v < 0 for v in values):
-        raise ValueError("profile entries must be nonnegative")
+        raise ValueError(f"{what} must be nonnegative")
     total = sum(values)
     if not math.isfinite(total):
-        raise ValueError("profile entries must have a finite sum")
+        raise ValueError(f"{what} must have a finite sum")
     if total <= 0:
-        raise ValueError("profile must not be all zero")
+        raise ValueError(f"{what} must not all be zero")
     return tuple(v / total for v in values)
 
 
@@ -180,7 +171,7 @@ def _search_config(args, net) -> SearchConfig:
     weights = None
     if args.objective == "wd" or args.weights is not None:
         weights = _parse_weights(args.weights or "uniform", net)
-    profile = _parse_profile(args.y) if args.y else None
+    profile = _parse_vector(args.y, "profile entries") if args.y else None
     return SearchConfig(
         num_colors=args.K,
         rate=parse_rational(args.rate, what="rate"),

@@ -1,7 +1,7 @@
-"""Distortion-rate models, per-sink distortion evaluation, and optimizers.
+"""Distortion-rate models, per-sink distortion evaluation, and two solvers.
 
 Rates stay exact rationals right up to the distortion-rate function call;
-everything from there on is double precision. The two optimizers are a
+everything from there on is double precision. The solvers are a
 golden-section search for the balanced two-description design and a direct
 solve for the description-layer weights on the sinks' distinct flow values
 (pool adjacent violators, then water-filling). Both are deterministic and
@@ -18,9 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-_LN2 = math.log(2.0)
-# Largest layer count a refinement sweep may optimize (K=2 allows 14 steps).
-MAX_REFINEMENT_LAYERS = 2**14
+# Largest layer count a profile may have: the solve, the "wd" search's level
+# table and a refinement sweep's finest step (K=2 allows 20 steps).
+MAX_LAYERS = 2**20
+# Bracket width at which the balanced two-description search stops.
+_GOLDEN_TOL = 1e-10
 
 
 class DistortionModel:
@@ -29,7 +31,7 @@ class DistortionModel:
     The default model is the unit-variance Gaussian under squared error,
     D(R) = 2**(-2R), with D(0) = 1. A tabulated model interpolates convex
     decreasing knots, the first at rate 0, piecewise-linearly and is flat
-    past the last knot, which keeps the derivative bounded.
+    past the last knot.
     """
 
     def __init__(self, kind: str, knots=None):
@@ -64,22 +66,11 @@ class DistortionModel:
     def distortion(self, rate) -> float:
         return float(self.distortion_array(np.array([float(rate)]))[0])
 
-    def derivative(self, rate) -> float:
-        return float(self.derivative_array(np.array([float(rate)]))[0])
-
     def distortion_array(self, rates: np.ndarray) -> np.ndarray:
         rates = np.asarray(rates, dtype=float)
         if self.kind == "gaussian":
             return np.exp2(-2.0 * rates)
         return np.interp(rates, self._xs, self._ds)
-
-    def derivative_array(self, rates: np.ndarray) -> np.ndarray:
-        rates = np.asarray(rates, dtype=float)
-        if self.kind == "gaussian":
-            return -2.0 * _LN2 * np.exp2(-2.0 * rates)
-        slopes = np.diff(self._ds) / np.diff(self._xs)
-        idx = np.clip(np.searchsorted(self._xs, rates, side="right") - 1, 0, len(slopes) - 1)
-        return np.where((rates < self._xs[0]) | (rates >= self._xs[-1]), 0.0, slopes[idx])
 
     def __repr__(self):
         return f"DistortionModel({self.kind!r})"
@@ -168,11 +159,6 @@ def description_rates(y: Sequence, rate):
     return float(rate) * np.concatenate(([0.0], terms.cumsum()))
 
 
-def description_rate(y: Sequence, rate, count: int):
-    """Source rate delivered by the first `count` layers: one entry of `description_rates`."""
-    return description_rates(y[:count], rate)[count]
-
-
 def drnf_distortion(q: Sequence, y: Sequence, rate, model: DistortionModel = GAUSSIAN):
     """Per-sink distortion of a discrete flow under a balanced layered code.
 
@@ -236,13 +222,13 @@ class BalancedDesign:
     separate: float
 
 
-def minimize_balanced_average(rate: float, *, tol: float = 1e-10) -> BalancedDesign:
+def minimize_balanced_average(rate: float) -> BalancedDesign:
     """Minimize the four-sink average (side + joint)/2 over side distortion.
 
     Two sinks see one description and two see both, so with uniform weights
     the average is (2*side + 2*joint)/4. The objective is convex on
     [2**(-2*rate), 1]; a golden-section search shrinks the bracket below
-    `tol`. The optimal average is strictly below the separate-coding
+    1e-10. The optimal average is strictly below the separate-coding
     distortion 2**(-2*rate) for every positive rate.
     """
     rate = float(rate)
@@ -260,7 +246,7 @@ def minimize_balanced_average(rate: float, *, tol: float = 1e-10) -> BalancedDes
     c = lo + invphi2 * span
     d = lo + invphi * span
     fc, fd = average(c), average(d)
-    while span > tol:
+    while span > _GOLDEN_TOL:
         if fc < fd:
             hi, d, fd = d, c, fc
             span = hi - lo
@@ -281,44 +267,28 @@ def minimize_balanced_average(rate: float, *, tol: float = 1e-10) -> BalancedDes
     return BalancedDesign(side=side, joint=joint, average=value, separate=separate)
 
 
-def _check_weights(weights: Sequence[float], size: int) -> np.ndarray:
-    p = np.array([float(w) for w in weights], dtype=float)
+def _check_weights(values: Sequence[float], size: int, what: str) -> np.ndarray:
+    """`values` as floats: `size` finite, nonnegative entries that sum to 1."""
+    p = np.array([float(v) for v in values], dtype=float)
     if p.shape != (size,):
-        raise ValueError(f"weight vector length {p.size} does not match {size} sinks")
+        raise ValueError(f"{what} has {p.size} entries, expected {size}")
     if not np.all(np.isfinite(p)):
-        raise ValueError("weights must be finite")
+        raise ValueError(f"{what} must be finite")
     if np.any(p < 0):
-        raise ValueError("weights must be nonnegative")
+        raise ValueError(f"{what} must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {p.sum()!r}")
+        raise ValueError(f"{what} must sum to 1, got {float(p.sum())!r}")
     return p
-
-
-def _profile_rates(y: np.ndarray, q: Sequence, weights: Sequence[float], rate):
-    """Description counts, weights and received rates of the sinks under profile y."""
-    counts = np.array(_description_counts(list(q), Fraction(rate), len(y)), dtype=int)
-    p = _check_weights(weights, len(counts))
-    return counts, p, description_rates(y, float(rate))[counts]
 
 
 def profile_objective(
     y: Sequence[float], q: Sequence, weights: Sequence[float], rate, model: DistortionModel = GAUSSIAN
 ) -> float:
     """Weighted distortion of a layer profile `y` for a fixed flow vector."""
-    _, p, sink_rates = _profile_rates(np.asarray(y, dtype=float), q, weights, rate)
-    return float(p @ model.distortion_array(sink_rates))
-
-
-def profile_gradient(
-    y: Sequence[float], q: Sequence, weights: Sequence[float], rate, model: DistortionModel = GAUSSIAN
-) -> np.ndarray:
-    """Analytic gradient of `profile_objective` with respect to y."""
     y = np.asarray(y, dtype=float)
-    counts, p, sink_rates = _profile_rates(y, q, weights, rate)
-    # layer i reaches every sink holding at least i descriptions
-    weighted = p * model.derivative_array(sink_rates)
-    per_count = np.bincount(counts, weights=weighted, minlength=len(y) + 1)
-    return float(rate) * (np.arange(1, len(y) + 1) * per_count[::-1].cumsum()[::-1][1:])
+    counts = _description_counts(list(q), Fraction(rate), len(y))
+    p = _check_weights(weights, len(counts), "weights")
+    return float(p @ model.distortion_array(description_rates(y, float(rate))[counts]))
 
 
 @dataclass(frozen=True)
@@ -422,9 +392,13 @@ def optimize_pet_profile(
     """
     if num_descriptions < 1:
         raise ValueError("num_descriptions must be at least 1")
+    if num_descriptions > MAX_LAYERS:
+        raise ValueError(
+            f"{num_descriptions} description layers exceed the limit of {MAX_LAYERS}"
+        )
     rate = Fraction(rate)
     counts = _description_counts(list(q), rate, num_descriptions)
-    levels = _pooled_levels(counts, _check_weights(weights, len(counts)), rate)
+    levels = _pooled_levels(counts, _check_weights(weights, len(counts), "weights"), rate)
     y = np.full(num_descriptions, 0.0 if levels else 1.0 / num_descriptions)
     if levels:
         if model.kind == "gaussian":
@@ -486,14 +460,14 @@ def refinement_sweep(
     Step n optimizes the profile at (2**n * K, rate / 2**n), the same
     reduced problem at every step, so the sweep is flat up to float noise.
     The finest profile has K * 2**(steps - 1) layers, at most
-    `MAX_REFINEMENT_LAYERS`.
+    `MAX_LAYERS`.
     """
     # the exponent is clamped so a huge `steps` is never materialized;
     # 2**63 already exceeds the limit
-    if steps > 0 and num_descriptions * 2 ** (min(steps, 64) - 1) > MAX_REFINEMENT_LAYERS:
+    if steps > 0 and num_descriptions * 2 ** (min(steps, 64) - 1) > MAX_LAYERS:
         raise ValueError(
             f"a refinement sweep of {steps} steps at K={num_descriptions} needs "
-            f"K * 2**(steps - 1) layers, more than the limit of {MAX_REFINEMENT_LAYERS}"
+            f"K * 2**(steps - 1) layers, more than the limit of {MAX_LAYERS}"
         )
     shapes = [(num_descriptions * 2**n, Fraction(rate) / 2**n) for n in range(steps)]
     return [optimize_pet_profile(q, weights, k, r, model).objective for k, r in shapes]

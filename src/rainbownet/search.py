@@ -21,7 +21,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .distortion import GAUSSIAN, DistortionModel, description_rates, optimize_pet_profile
+from .distortion import (
+    GAUSSIAN,
+    MAX_LAYERS,
+    DistortionModel,
+    _check_weights,
+    description_rates,
+    optimize_pet_profile,
+)
 from .errors import SearchSizeError
 from .flows import DiscreteRnf, RainbowFlowVector, rainbow_flow_vector
 from .network import FlowPath, Network, enumerate_paths, max_flow
@@ -39,7 +46,8 @@ class SearchConfig:
     `objective` is "trf" (total rainbow flow, maximized) or "wd" (weighted
     distortion under a caller-fixed layer profile, minimized). "wd" needs
     `weights`, a finite simplex vector over the sinks, at construction, and
-    takes an optional nonnegative `profile` (uniform when omitted).
+    takes an optional simplex `profile` over the K layers (uniform when
+    omitted); K is then at most `MAX_LAYERS`.
     """
 
     num_colors: int
@@ -60,18 +68,19 @@ class SearchConfig:
             raise ValueError("max_path_len must be at least 1")
         if self.objective not in ("trf", "wd"):
             raise ValueError(f"unknown objective '{self.objective}'")
-        if self.objective == "wd" and self.weights is None:
-            raise ValueError("weighted-distortion search needs a weight vector")
+        if self.objective == "wd":
+            if self.weights is None:
+                raise ValueError("weighted-distortion search needs a weight vector")
+            if self.num_colors > MAX_LAYERS:
+                raise ValueError(
+                    f"a weighted-distortion search over {self.num_colors} descriptions "
+                    f"exceeds the limit of {MAX_LAYERS} layers"
+                )
         if self.profile is not None:
-            if len(self.profile) != self.num_colors:
-                raise ValueError("profile length must equal num_colors")
-            if not all(math.isfinite(v) and v >= 0 for v in self.profile):
-                raise ValueError("profile entries must be finite and nonnegative")
+            _check_weights(self.profile, self.num_colors, "profile")
         if self.weights is not None:
-            if not all(math.isfinite(w) and w >= 0 for w in self.weights):
-                raise ValueError("weights must be finite and nonnegative")
-            if abs(sum(self.weights) - 1.0) > 1e-9:
-                raise ValueError("weights must sum to 1")
+            # their count is checked against the network's sinks at search time
+            _check_weights(self.weights, len(self.weights), "weights")
 
 
 @dataclass(frozen=True)

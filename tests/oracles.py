@@ -183,12 +183,30 @@ def profile_grid_min(q, weights, num_descriptions: int, rate, step: float = 1e-3
     return float(values.min())
 
 
+def distortion_slopes(model, rates) -> np.ndarray:
+    """D'(R) at each rate, written out apart from the model's own code.
+
+    Gaussian: d/dR 2**(-2R) = -2 ln 2 * 2**(-2R). Tabulated: the slope of
+    the knot segment [x_j, x_j+1) holding R, and zero at or past the last
+    knot, where D is flat.
+    """
+    rates = np.asarray(rates, dtype=float)
+    if model.kind == "gaussian":
+        return -2.0 * math.log(2.0) * np.exp2(-2.0 * rates)
+    xs, ds = model._xs, model._ds
+    out = np.zeros_like(rates)
+    for j in range(len(xs) - 1):
+        inside = (xs[j] <= rates) & (rates < xs[j + 1])
+        out[inside] = (ds[j + 1] - ds[j]) / (xs[j + 1] - xs[j])
+    return out
+
+
 def matrix_profile_functions(q, weights, num_descriptions: int, rate, model):
     """Weighted distortion of a layer profile and its gradient, by a dense matrix.
 
     Row t of the matrix holds 1, 2, ..., c_t in its first c_t columns, so
     matrix @ y is each sink's sum of i * y_i; the gradient is its transpose
-    applied to the weighted slopes.
+    applied to the weighted slopes of `distortion_slopes`.
     """
     counts = [int(Fraction(v) / Fraction(rate)) for v in q]
     matrix = np.zeros((len(counts), num_descriptions))
@@ -201,7 +219,7 @@ def matrix_profile_functions(q, weights, num_descriptions: int, rate, model):
         return float(p @ model.distortion_array(rf * (matrix @ np.asarray(y, dtype=float))))
 
     def gradient(y) -> np.ndarray:
-        weighted = p * model.derivative_array(rf * (matrix @ np.asarray(y, dtype=float)))
+        weighted = p * distortion_slopes(model, rf * (matrix @ np.asarray(y, dtype=float)))
         return rf * (matrix.T @ weighted)
 
     return objective, gradient

@@ -20,7 +20,6 @@ from rainbownet import (
     IntervalSet,
     PetProfile,
     SearchConfig,
-    SearchSizeError,
     check_admissibility,
     drnf_distortion,
     exact_search,
@@ -30,11 +29,11 @@ from rainbownet import (
     optimize_pet_profile,
     pet_decode,
     pet_encode,
-    profile_gradient,
     profile_objective,
     rainbow_flow_vector,
     rate_split_values,
     refinement_sweep,
+    route,
     separate_coding_baseline,
 )
 
@@ -148,10 +147,7 @@ def test_criterion_5_lemma_suites():
     rate = Fraction(1, 2)
     for name, net in _lemma_instances():
         cfg = SearchConfig(num_colors=2, rate=rate, max_path_len=3)
-        try:
-            result = exact_search(net, cfg)
-        except SearchSizeError:
-            result = greedy_search(net, cfg)
+        result = route(net, cfg)
         q = list(result.rfv.values)
         weights = tuple(1.0 / len(q) for _ in q)
 
@@ -217,7 +213,8 @@ def test_criterion_7_optimizer_oracle():
         assert abs(optimum.objective - grid) <= 1e-4
 
         point = np.random.default_rng(rng.randint(0, 10**6)).dirichlet(np.ones(num))
-        analytic = profile_gradient(point, q, weights, Fraction(1))
+        _, gradient = oracles.matrix_profile_functions(q, weights, num, Fraction(1), GAUSSIAN)
+        analytic = gradient(point)
         numeric = oracles.central_difference_gradient(
             lambda y: profile_objective(y, q, weights, Fraction(1)), point
         )

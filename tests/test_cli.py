@@ -207,6 +207,36 @@ def test_vectors_whose_sum_overflows_exit_one(capsys, argv):
     assert err.startswith("error: ") and "finite sum" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "fig1", "--flow", "fig1_flow", "--K", "1000000000000"],
+        ["lemmas", "--K", "1000000000000"],
+        ["search", "fig1", "--K", "1000000000000", "--rate", "1/2", "--mode", "greedy",
+         "--objective", "wd"],
+        ["pipeline", "fig1", "--K", "1000000000000", "--rate", "1", "--n", "256"],
+    ],
+    ids=["optimize", "lemmas", "search-wd", "pipeline"],
+)
+def test_huge_layer_counts_exit_one_quickly(capsys, argv):
+    # a profile of 10**12 layers would be terabytes; the layer cap refuses it
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "limit of 1048576" in err
+    assert "Traceback" not in err
+
+
+def test_huge_layer_counts_stay_open_to_trf_search(capsys):
+    code, out, _ = run(
+        capsys, "search", "fig1", "--K", "1000000000000", "--rate", "1", "--mode", "greedy"
+    )
+    assert code == 0
+    header = ("objective", "K", "rate", "q_1", "q_2", "q_3", "q_4")
+    assert parse_blocks(out)[header] == [["6", "1000000000000", "1", "1", "1", "2", "2"]]
+
+
 class TestOptimize:
     def test_skewed_weights_pick_joint_layer(self, capsys):
         code, out, _ = run(
@@ -382,6 +412,14 @@ class TestLemmas:
         assert out == ""
         assert err.startswith("error: ") and "limit" in err
         assert "Traceback" not in err
+
+    def test_twenty_steps_at_two_descriptions_fit_the_cap(self, capsys):
+        code, out, err = run(capsys, "lemmas", "--steps", "20", "--scenario", "fig1")
+        assert (code, err) == (0, "")
+        rows = parse_blocks(out)[("property", "scenario", "passed", "detail")]
+        assert len(rows[-1][3].split()) == 20
+        code, out, err = run(capsys, "lemmas", "--steps", "21", "--scenario", "fig1")
+        assert (code, out) == (1, "") and "limit of 1048576" in err
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_steps_below_one_rejected(self, capsys, steps):

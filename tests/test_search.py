@@ -26,7 +26,7 @@ from rainbownet import (
     weighted_distortion,
 )
 from rainbownet import search
-from rainbownet.distortion import GAUSSIAN, DistortionModel, description_rates
+from rainbownet.distortion import MAX_LAYERS, GAUSSIAN, DistortionModel, description_rates
 from rainbownet.search import _candidates, _path_signatures
 
 
@@ -246,14 +246,28 @@ class TestWeightedObjective:
         with pytest.raises(ValueError, match=field.rstrip("s")):
             _cfg(2, 1, objective="wd", **kw)
 
+    @pytest.mark.parametrize("profile", [(1.0, 1.0), (0.0, 0.0), (0.5, 0.4)])
+    def test_config_rejects_a_profile_off_the_simplex(self, profile):
+        # a profile summing to 2 would price the flow below the reachable optimum
+        with pytest.raises(ValueError, match="profile must sum to 1"):
+            _cfg(2, 1, objective="wd", weights=(0.25,) * 4, profile=profile)
+
+    def test_config_rejects_a_wd_search_over_too_many_layers(self):
+        # the level table has K + 1 entries; a trf search has none and takes any K
+        with pytest.raises(ValueError, match="limit of"):
+            _cfg(MAX_LAYERS + 1, 1, objective="wd", weights=(0.25,) * 4)
+        _cfg(MAX_LAYERS, 1, objective="wd", weights=(0.25,) * 4)
+        _cfg(10**12, 1)
+
     def test_levels_equal_the_per_entry_distortions(self):
         # bit for bit against one scalar model call per level, on seeded
-        # profiles (and the uniform default) of up to 64 layers
+        # normalized profiles (and the uniform default) of up to 64 layers
         rng = random.Random(41)
         net = helpers.fig1_network()
         for trial in range(200):
             colors = rng.randint(1, 64)
-            profile = None if trial % 4 == 0 else tuple(rng.random() for _ in range(colors))
+            raw = [rng.random() for _ in range(colors)]
+            profile = None if trial % 4 == 0 else tuple(v / sum(raw) for v in raw)
             rate = Fraction(rng.randint(1, 24), rng.randint(1, 8))
             cfg = _cfg(colors, rate, objective="wd", weights=(0.25,) * 4, profile=profile)
             levels, _ = search._objective(cfg, net)
