@@ -21,8 +21,16 @@ import numpy as np
 # Largest layer count a profile may have: the solve, the "wd" search's level
 # table and a refinement sweep's finest step (K=2 allows 20 steps).
 MAX_LAYERS = 2**20
-# Bracket width at which the balanced two-description search stops.
+# Bracket width at which the balanced two-description search stops, and
+# the same bound relative to the bracket's low end (side distortions shrink
+# like 2**(-2*rate), so at high rates the absolute width alone is too coarse).
 _GOLDEN_TOL = 1e-10
+_GOLDEN_RTOL = 1e-7
+# Highest rate whose joint floor 2**(-4*rate) is a normal double.
+_MAX_BALANCED_RATE = 255.5
+# Relative slack below the single-description floor that still counts as
+# on it (rounding of the floor itself).
+_FLOOR_RTOL = 1e-12
 
 
 class DistortionModel:
@@ -193,7 +201,9 @@ def ozarow_joint_bound(side: float, rate: float) -> float:
     """Smallest joint distortion compatible with balanced side distortion.
 
     Valid for 2**(-2*rate) <= side <= 1; below that the discriminant is
-    negative and the point lies outside the balanced region.
+    negative and the point lies outside the balanced region. The floor is
+    compared relatively, since it shrinks like 2**(-2*rate): a side below it
+    by more than rounding raises ValueError.
     """
     side = float(side)
     rate = float(rate)
@@ -201,14 +211,9 @@ def ozarow_joint_bound(side: float, rate: float) -> float:
     joint_floor = single * single
     if side > 1.0 + 1e-12:
         raise ValueError(f"side distortion {side} exceeds the unit-variance bound")
-    discriminant = side * side - joint_floor
-    if discriminant < 0:
-        if discriminant < -1e-12:
-            raise ValueError(
-                f"side distortion {side} is below the single-description floor {single}"
-            )
-        discriminant = 0.0
-    root = math.sqrt(discriminant)
+    if not side >= single * (1.0 - _FLOOR_RTOL) or side <= 0.0:
+        raise ValueError(f"side distortion {side} is below the single-description floor {single}")
+    root = math.sqrt(max(side * side - joint_floor, 0.0))
     return joint_floor / ((side + root) * (2.0 - side - root))
 
 
@@ -228,12 +233,19 @@ def minimize_balanced_average(rate: float) -> BalancedDesign:
     Two sinks see one description and two see both, so with uniform weights
     the average is (2*side + 2*joint)/4. The objective is convex on
     [2**(-2*rate), 1]; a golden-section search shrinks the bracket below
-    1e-10. The optimal average is strictly below the separate-coding
-    distortion 2**(-2*rate) for every positive rate.
+    1e-10 and below 1e-7 of its low end. The optimal average is strictly
+    below the separate-coding distortion 2**(-2*rate) for every rate in
+    (0, 255.5]; above that the joint floor 2**(-4*rate) is not a normal
+    double, and such rates are rejected.
     """
     rate = float(rate)
     if rate <= 0:
         raise ValueError("rate must be positive")
+    if not rate <= _MAX_BALANCED_RATE:
+        raise ValueError(
+            f"rate must be a number no larger than {_MAX_BALANCED_RATE} (above it the joint"
+            f" floor 2**(-4*rate) leaves double precision), got {rate}"
+        )
     separate = 2.0 ** (-2.0 * rate)
 
     def average(side: float) -> float:
@@ -246,7 +258,7 @@ def minimize_balanced_average(rate: float) -> BalancedDesign:
     c = lo + invphi2 * span
     d = lo + invphi * span
     fc, fd = average(c), average(d)
-    while span > _GOLDEN_TOL:
+    while span > min(_GOLDEN_TOL, _GOLDEN_RTOL * lo):
         if fc < fd:
             hi, d, fd = d, c, fc
             span = hi - lo

@@ -87,9 +87,6 @@ class RainbowFlowVector:
     sinks: tuple[str, ...]
     values: tuple[Fraction, ...]
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.sinks, self.values))
-
     def __iter__(self):
         return iter(self.values)
 
@@ -270,11 +267,6 @@ def load_flow(text_or_doc, net: Network) -> RainbowFlow:
         return ContinuousRnf(net, tuple(paths), tuple(spectra))
     except (ValueError, TypeError) as exc:
         raise FlowDocumentError(str(exc)) from exc
-
-
-def load_flow_path(path, net: Network) -> RainbowFlow:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_flow(handle.read(), net)
 
 
 def flow_to_document(rnf: RainbowFlow) -> dict:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ScenarioError, SearchSizeError
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 
 @dataclass(frozen=True)
@@ -172,24 +172,6 @@ def load_scenario(text: str) -> Network:
         sources=tuple(str(s) for s in doc["sources"]),
         sinks=tuple(str(t) for t in doc["sinks"]),
     )
-
-
-def load_scenario_path(path) -> Network:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_scenario(handle.read())
-
-
-def scenario_to_document(net: Network) -> dict:
-    """Inverse of `load_scenario` (capacities rendered exactly)."""
-    return {
-        "nodes": list(net.nodes),
-        "edges": [
-            {"id": e.id, "tail": e.tail, "head": e.head, "capacity": format_rational(e.capacity)}
-            for e in net.edges
-        ],
-        "sources": list(net.sources),
-        "sinks": list(net.sinks),
-    }
 
 
 def max_flow(net: Network, sink: str):

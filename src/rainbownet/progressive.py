@@ -8,8 +8,8 @@ significant sample. All decisions go through one binary arithmetic coder,
 so every byte prefix of the stream is decodable: decoding simply stops
 when the prefix is exhausted. One plane scan, `_scan`, drives both
 directions: it hands each decision to the encoder, which writes the known
-bit, or to the decoder, which reads it, and stops when the bit writer's
-budget or the bit reader's prefix runs out. Reconstruction uses the
+bit, or to the decoder, which reads it, and stops when the encoder's bit
+budget or the decoder's prefix runs out. Reconstruction uses the
 conditional mean of the standard normal on each sample's surviving
 uncertainty interval.
 
@@ -33,55 +33,6 @@ _THREE_QUARTERS = 3 << 30
 _COUNT_CAP = 1024
 
 
-class _BitWriter:
-    """Collects bits; flags overrun once `limit_bits` of them are written."""
-
-    def __init__(self, limit_bits: int | None = None):
-        self._buffer = bytearray()
-        self._acc = 0
-        self._filled = 0
-        self._limit = limit_bits
-        self.bit_count = 0
-        self.overrun = limit_bits is not None and limit_bits <= 0
-
-    def write(self, bit: int):
-        self._acc = (self._acc << 1) | bit
-        self._filled += 1
-        self.bit_count += 1
-        if self.bit_count == self._limit:
-            self.overrun = True
-        if self._filled == 8:
-            self._buffer.append(self._acc)
-            self._acc = 0
-            self._filled = 0
-
-    def getvalue(self) -> bytes:
-        out = bytearray(self._buffer)
-        if self._filled:
-            out.append(self._acc << (8 - self._filled))
-        return bytes(out)
-
-
-class _BitReader:
-    """Reads a bit prefix; past the limit it pads zeros and flags overrun."""
-
-    def __init__(self, data: bytes, limit_bits: int | None = None):
-        self._data = data
-        self._position = 0
-        available = len(data) * 8
-        self._limit = available if limit_bits is None else min(limit_bits, available)
-        self.overrun = False
-
-    def read(self) -> int:
-        if self._position >= self._limit:
-            self.overrun = True
-            return 0
-        byte = self._data[self._position >> 3]
-        bit = (byte >> (7 - (self._position & 7))) & 1
-        self._position += 1
-        return bit
-
-
 class _Model:
     """Adaptive binary model: counts with halving to track nonstationarity."""
 
@@ -102,20 +53,26 @@ class _Model:
 
 
 class _Encoder:
-    def __init__(self, writer: _BitWriter):
-        self._writer = writer
+    """Binary arithmetic encoder; flags overrun once `limit_bits` bits are out."""
+
+    def __init__(self, limit_bits: int):
+        self._bits: list[int] = []
+        self._limit = limit_bits
         self._low = 0
         self._high = _MASK
         self._pending = 0
+        self.overrun = limit_bits <= 0
 
     def _emit(self, bit: int):
-        self._writer.write(bit)
-        opposite = 1 - bit
-        while self._pending:
-            self._writer.write(opposite)
-            self._pending -= 1
+        bits = self._bits
+        bits.append(bit)
+        if self._pending:
+            bits.extend([1 - bit] * self._pending)
+            self._pending = 0
+        if len(bits) >= self._limit:
+            self.overrun = True
 
-    def encode(self, bit: int, model: _Model | None) -> int:
+    def code(self, bit: int, model: _Model | None) -> int:
         zero = model.zero if model else 1
         one = model.one if model else 1
         span = self._high - self._low + 1
@@ -143,24 +100,40 @@ class _Encoder:
             model.update(bit)
         return bit
 
-    def finish(self):
+    def finish(self) -> bytes:
+        """Flush the interval and return the bits, zero-padded to whole bytes."""
         self._pending += 1
-        if self._low < _QUARTER:
-            self._emit(0)
-        else:
-            self._emit(1)
+        self._emit(0 if self._low < _QUARTER else 1)
+        return np.packbits(np.array(self._bits, dtype=np.uint8)).tobytes()
 
 
 class _Decoder:
-    def __init__(self, reader: _BitReader):
-        self._reader = reader
+    """Binary arithmetic decoder over the first `limit_bits` bits of `data`.
+
+    Past that prefix it reads zeros and flags overrun.
+    """
+
+    def __init__(self, data: bytes, limit_bits: int):
+        prefix = np.frombuffer(data[: (limit_bits + 7) // 8], dtype=np.uint8)
+        self._bits = np.unpackbits(prefix)[:limit_bits].tolist()
+        self._limit = len(self._bits)
+        self._position = 0
+        self.overrun = False
         self._low = 0
         self._high = _MASK
         self._value = 0
         for _ in range(32):
-            self._value = (self._value << 1) | reader.read()
+            self._value = (self._value << 1) | self._read()
 
-    def decode(self, _bit: int, model: _Model | None) -> int:
+    def _read(self) -> int:
+        position = self._position
+        if position >= self._limit:
+            self.overrun = True
+            return 0
+        self._position = position + 1
+        return self._bits[position]
+
+    def code(self, _bit: int, model: _Model | None) -> int:
         """Read one decision; the bit argument keeps the encoder's call shape."""
         zero = model.zero if model else 1
         one = model.one if model else 1
@@ -186,36 +159,37 @@ class _Decoder:
                 break
             self._low = (self._low << 1) & _MASK
             self._high = ((self._high << 1) | 1) & _MASK
-            self._value = ((self._value << 1) | self._reader.read()) & _MASK
+            self._value = ((self._value << 1) | self._read()) & _MASK
         if model:
             model.update(bit)
         return bit
 
 
-def _scan(code, stream, magnitudes, signs):
+def _scan(coder, magnitudes, signs):
     """The plane scan shared by the encoder and the decoder.
 
-    Every decision is `code(bit, model) -> bit`: the encoder writes the bit
-    computed from `magnitudes`/`signs` and returns it, the decoder ignores
-    it and returns the bit it read (decoding passes zero magnitudes and
-    signs). The scan stops before the first decision made once
-    `stream.overrun` is set. Returns per-sample (significant, sign, lower,
+    Every decision is `coder.code(bit, model) -> bit`: the encoder writes
+    the bit computed from `magnitudes`/`signs` and returns it, the decoder
+    ignores it and returns the bit it read (decoding passes zero magnitudes
+    and signs). The scan stops before the first decision made once
+    `coder.overrun` is set. Returns per-sample (significant, sign, lower,
     width) state from which reconstructions are formed.
     """
+    code = coder.code
     n = len(magnitudes)
     significant = bytearray(n)
     sign = bytearray(n)
     lower = [0.0] * n
     width = [0.0] * n
     threshold = _FIRST_THRESHOLD
-    while not stream.overrun and threshold > 1e-12:
+    while not coder.overrun and threshold > 1e-12:
         significance_model = _Model()
         refinement_model = _Model()
         newly = bytearray(n)
         for i in range(n):
             if significant[i]:
                 continue
-            if stream.overrun:
+            if coder.overrun:
                 break
             if code(1 if magnitudes[i] >= threshold else 0, significance_model):
                 sign[i] = code(signs[i], None)
@@ -226,7 +200,7 @@ def _scan(code, stream, magnitudes, signs):
         for i in range(n):
             if not significant[i] or newly[i]:
                 continue
-            if stream.overrun:
+            if coder.overrun:
                 break
             midpoint = lower[i] + threshold
             if code(1 if magnitudes[i] >= midpoint else 0, refinement_model):
@@ -265,9 +239,8 @@ class ProgressiveGaussianSource:
             raise ValueError("prefix_bits must be nonnegative")
         stream = self.bitstream if data is None else data
         n = len(self.samples)
-        reader = _BitReader(stream, prefix_bits)
         significant, sign, lower, width = _scan(
-            _Decoder(reader).decode, reader, [0.0] * n, bytes(n)
+            _Decoder(stream, prefix_bits), [0.0] * n, bytes(n)
         )
         reconstruction = np.zeros(n, dtype=float)
         cache: dict[tuple[float, float], float] = {}
@@ -309,11 +282,9 @@ def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGauss
     clipped = np.clip(samples, -(_TOP - 1e-9), _TOP - 1e-9)
     magnitudes = np.abs(clipped).tolist()
     signs = [0 if v >= 0 else 1 for v in clipped]
-    writer = _BitWriter(budget_bits)
-    encoder = _Encoder(writer)
-    _scan(encoder.encode, writer, magnitudes, signs)
-    encoder.finish()
-    stream = writer.getvalue()[: (budget_bits + 7) // 8]
+    encoder = _Encoder(budget_bits)
+    _scan(encoder, magnitudes, signs)
+    stream = encoder.finish()[: (budget_bits + 7) // 8]
     return ProgressiveGaussianSource(
         seed=seed, samples=samples, bitstream=stream, max_rate_bits=budget_bits
     )

@@ -392,6 +392,23 @@ class TestFig1Command:
         assert all(row[5] == "true" for row in rows)
         assert all(float(r[2]) < float(r[1]) for r in rows)
 
+    @pytest.mark.parametrize("rate", ["16", "20", "50", "255"])
+    def test_high_rates_reach_the_inverse_sqrt2_ratio(self, capsys, rate):
+        # at high rate the balanced optimum is d_S/sqrt(2) + O(2**(-2*rate))
+        code, out, err = run(capsys, "fig1", "--C", rate)
+        assert (code, err) == (0, "")
+        header = ("C", "d_S", "d_M_star", "D_star", "D12_star", "improved")
+        [row] = parse_blocks(out)[header]
+        assert float(row[2]) / float(row[1]) == pytest.approx(2**-0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("rate", ["255.6", "256", "1000", "inf", "nan"])
+    def test_rates_past_double_precision_exit_one(self, capsys, rate):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fig1", "--C", rate)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: rate must be a number no larger than 255.5")
+
 
 class TestLemmas:
     def test_bundled_scenarios_pass(self, capsys):
@@ -482,10 +499,10 @@ def _record_codec_work(monkeypatch):
     work = {"encode_bits": [], "decode_bits": [], "profiles": []}
     scan = progressive._scan
 
-    def recording_scan(code, stream, magnitudes, signs):
-        kind = "encode_bits" if isinstance(stream, progressive._BitWriter) else "decode_bits"
-        work[kind].append(stream._limit)
-        return scan(code, stream, magnitudes, signs)
+    def recording_scan(coder, magnitudes, signs):
+        kind = "encode_bits" if isinstance(coder, progressive._Encoder) else "decode_bits"
+        work[kind].append(coder._limit)
+        return scan(coder, magnitudes, signs)
 
     encode = cli.pet_encode
 

@@ -187,6 +187,17 @@ class TestBalancedPair:
         with pytest.raises(ValueError, match="below"):
             ozarow_joint_bound(0.2, 1.0)
 
+    def test_floor_is_compared_relatively(self):
+        # at rate 20 the floor is 2**-40, far below any fixed absolute slack
+        floor = 2.0**-40
+        assert ozarow_joint_bound(floor, 20.0) == floor / (2.0 - floor)
+        for side in (floor / 9, 0.0):
+            with pytest.raises(ValueError, match="below"):
+                ozarow_joint_bound(side, 20.0)
+        # at rate 1000 the floor underflows to zero
+        with pytest.raises(ValueError, match="below"):
+            ozarow_joint_bound(0.0, 1000.0)
+
     def test_joint_strictly_below_side_at_floor(self):
         for rate in (0.25, 0.5, 1.0, 2.0, 4.0):
             floor = 2.0 ** (-2 * rate)
@@ -209,6 +220,11 @@ class TestBalancedPair:
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError):
             minimize_balanced_average(0.0)
+
+    @pytest.mark.parametrize("rate", [12.0, 16.0, 20.0, 50.0, 128.0, 255.0, 255.5])
+    def test_high_rate_average_is_separate_over_sqrt2(self, rate):
+        design = minimize_balanced_average(rate)
+        assert design.average / design.separate == pytest.approx(2**-0.5, abs=1e-8)
 
     def test_near_zero_rate_degenerates_to_unit_distortion(self):
         design = minimize_balanced_average(1e-6)

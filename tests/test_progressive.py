@@ -5,23 +5,39 @@ import numpy as np
 import pytest
 
 from rainbownet import PetProfile, pet_encode, progressive_gaussian_source
-from rainbownet.progressive import _BitReader, _BitWriter, _Decoder, _Encoder, _Model
+from rainbownet.progressive import _Decoder, _Encoder, _Model
+
+
+def _encode(bits, models, limit_bits=10**9) -> bytes:
+    encoder = _Encoder(limit_bits)
+    for bit, model in zip(bits, models):
+        encoder.code(bit, model)
+    return encoder.finish()
 
 
 class TestBits:
     def test_writer_reader_round_trip(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 77).tolist()
-        writer = _BitWriter()
-        for bit in bits:
-            writer.write(bit)
-        reader = _BitReader(writer.getvalue())
-        assert [reader.read() for _ in range(77)] == bits
+        data = _encode(bits, [None] * len(bits))
+        decoder = _Decoder(data, 8 * len(data))
+        assert [decoder.code(0, None) for _ in bits] == bits
 
     def test_reader_limit_pads_zeros_and_flags(self):
-        reader = _BitReader(b"\xff\xff", limit_bits=4)
-        assert [reader.read() for _ in range(6)] == [1, 1, 1, 1, 0, 0]
-        assert reader.overrun
+        decoder = _Decoder(b"\xff\xff", 4)
+        assert decoder._value == 0xF0000000
+        assert decoder.overrun
+
+    def test_encoder_flags_overrun_at_its_limit(self):
+        encoder = _Encoder(8)
+        written = 0
+        while not encoder.overrun:
+            encoder.code(1, None)
+            written += 1
+        # each raw decision emits one bit once the interval settles
+        assert len(encoder._bits) == 8
+        assert written == 8
+        assert _Encoder(0).overrun
 
 
 class TestArithmeticCoder:
@@ -31,29 +47,20 @@ class TestArithmeticCoder:
             length = int(rng.integers(1, 1500))
             bits = rng.integers(0, 2, length).tolist()
             adaptive = rng.integers(0, 2, length).tolist()
-            writer = _BitWriter()
-            encoder = _Encoder(writer)
             model = _Model()
-            for bit, use_model in zip(bits, adaptive):
-                encoder.encode(bit, model if use_model else None)
-            encoder.finish()
-            reader = _BitReader(writer.getvalue())
-            decoder = _Decoder(reader)
+            data = _encode(bits, [model if use_model else None for use_model in adaptive])
+            decoder = _Decoder(data, 8 * len(data))
             model = _Model()
-            decoded = [decoder.decode(0, model if use_model else None) for use_model in adaptive]
+            decoded = [decoder.code(0, model if use_model else None) for use_model in adaptive]
             assert decoded == bits
 
     def test_skewed_source_compresses(self):
         rng = np.random.default_rng(4)
         bits = (rng.random(4000) < 0.03).astype(int).tolist()
-        writer = _BitWriter()
-        encoder = _Encoder(writer)
         model = _Model()
-        for bit in bits:
-            encoder.encode(bit, model)
-        encoder.finish()
+        data = _encode(bits, [model] * len(bits))
         # ~0.19 bits of entropy per symbol; allow generous modeling overhead
-        assert len(writer.getvalue()) * 8 < 0.35 * len(bits)
+        assert len(data) * 8 < 0.35 * len(bits)
 
 
 class TestGaussianSource:
