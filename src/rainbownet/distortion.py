@@ -214,7 +214,12 @@ def ozarow_joint_bound(side: float, rate: float) -> float:
     if not side >= single * (1.0 - _FLOOR_RTOL) or side <= 0.0:
         raise ValueError(f"side distortion {side} is below the single-description floor {single}")
     root = math.sqrt(max(side * side - joint_floor, 0.0))
-    return joint_floor / ((side + root) * (2.0 - side - root))
+    gap = 2.0 - side - root
+    if gap < 0.5:
+        # near side = 1 the subtraction cancels (to 0 once root rounds to 1);
+        # 1 - root = (1 - root**2) / (1 + root) keeps its low-order bits
+        gap = (1.0 - side) + (1.0 - side * side + joint_floor) / (1.0 + root)
+    return joint_floor / ((side + root) * gap)
 
 
 @dataclass(frozen=True)

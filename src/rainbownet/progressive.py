@@ -6,10 +6,11 @@ bit-planes from coarse to fine; per plane it first codes significance
 significant sample) and then one refinement bit for every previously
 significant sample. All decisions go through one binary arithmetic coder,
 so every byte prefix of the stream is decodable: decoding simply stops
-when the prefix is exhausted. One plane scan, `_scan`, drives both
-directions: it hands each decision to the encoder, which writes the known
-bit, or to the decoder, which reads it, and stops when the encoder's bit
-budget or the decoder's prefix runs out. Reconstruction uses the
+when the prefix is exhausted. Each direction is one scan with the coder
+inlined: `_encode_scan` codes the known decisions until its bit budget
+runs out, `_decode_scan` reads them until its prefix runs out. Both keep
+the interval, the model counts and the renormalization in locals and walk
+index lists of the samples each pass visits. Reconstruction uses the
 conditional mean of the standard normal on each sample's surviving
 uncertainty interval.
 
@@ -31,181 +32,273 @@ _HALF = 1 << 31
 _QUARTER = 1 << 30
 _THREE_QUARTERS = 3 << 30
 _COUNT_CAP = 1024
+# Largest block `progressive_gaussian_source` codes: 64 times the CLI's
+# default n. The scans keep Python lists over the samples and the coded
+# bits, so memory and time grow linearly with n: at this cap `pipeline fig1
+# --K 2 --rate 1` peaks near 170 MB and takes about 6 s on a 2-vCPU machine.
+MAX_BLOCK_SYMBOLS = 1 << 20
 
 
-class _Model:
-    """Adaptive binary model: counts with halving to track nonstationarity."""
+def _encode_scan(magnitudes, signs, limit_bits: int) -> bytes:
+    """Encode the plane scan until `limit_bits` bits are out or the planes end.
 
-    __slots__ = ("zero", "one")
-
-    def __init__(self):
-        self.zero = 1
-        self.one = 1
-
-    def update(self, bit: int):
-        if bit:
-            self.one += 1
-        else:
-            self.zero += 1
-        if self.zero + self.one > _COUNT_CAP:
-            self.zero = (self.zero + 1) >> 1
-            self.one = (self.one + 1) >> 1
-
-
-class _Encoder:
-    """Binary arithmetic encoder; flags overrun once `limit_bits` bits are out."""
-
-    def __init__(self, limit_bits: int):
-        self._bits: list[int] = []
-        self._limit = limit_bits
-        self._low = 0
-        self._high = _MASK
-        self._pending = 0
-        self.overrun = limit_bits <= 0
-
-    def _emit(self, bit: int):
-        bits = self._bits
-        bits.append(bit)
-        if self._pending:
-            bits.extend([1 - bit] * self._pending)
-            self._pending = 0
-        if len(bits) >= self._limit:
-            self.overrun = True
-
-    def code(self, bit: int, model: _Model | None) -> int:
-        zero = model.zero if model else 1
-        one = model.one if model else 1
-        span = self._high - self._low + 1
-        split = self._low + span * zero // (zero + one) - 1
-        if bit:
-            self._low = split + 1
-        else:
-            self._high = split
-        while True:
-            if self._high < _HALF:
-                self._emit(0)
-            elif self._low >= _HALF:
-                self._emit(1)
-                self._low -= _HALF
-                self._high -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
-                self._pending += 1
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-            else:
-                break
-            self._low = (self._low << 1) & _MASK
-            self._high = ((self._high << 1) | 1) & _MASK
-        if model:
-            model.update(bit)
-        return bit
-
-    def finish(self) -> bytes:
-        """Flush the interval and return the bits, zero-padded to whole bytes."""
-        self._pending += 1
-        self._emit(0 if self._low < _QUARTER else 1)
-        return np.packbits(np.array(self._bits, dtype=np.uint8)).tobytes()
-
-
-class _Decoder:
-    """Binary arithmetic decoder over the first `limit_bits` bits of `data`.
-
-    Past that prefix it reads zeros and flags overrun.
+    Returns the flushed stream, zero-padded to whole bytes; it may run past
+    the limit by the bits of the last decision, its sign and the flush.
     """
-
-    def __init__(self, data: bytes, limit_bits: int):
-        prefix = np.frombuffer(data[: (limit_bits + 7) // 8], dtype=np.uint8)
-        self._bits = np.unpackbits(prefix)[:limit_bits].tolist()
-        self._limit = len(self._bits)
-        self._position = 0
-        self.overrun = False
-        self._low = 0
-        self._high = _MASK
-        self._value = 0
-        for _ in range(32):
-            self._value = (self._value << 1) | self._read()
-
-    def _read(self) -> int:
-        position = self._position
-        if position >= self._limit:
-            self.overrun = True
-            return 0
-        self._position = position + 1
-        return self._bits[position]
-
-    def code(self, _bit: int, model: _Model | None) -> int:
-        """Read one decision; the bit argument keeps the encoder's call shape."""
-        zero = model.zero if model else 1
-        one = model.one if model else 1
-        span = self._high - self._low + 1
-        split = self._low + span * zero // (zero + one) - 1
-        bit = 0 if self._value <= split else 1
-        if bit:
-            self._low = split + 1
-        else:
-            self._high = split
-        while True:
-            if self._high < _HALF:
-                pass
-            elif self._low >= _HALF:
-                self._low -= _HALF
-                self._high -= _HALF
-                self._value -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-                self._value -= _QUARTER
-            else:
-                break
-            self._low = (self._low << 1) & _MASK
-            self._high = ((self._high << 1) | 1) & _MASK
-            self._value = ((self._value << 1) | self._read()) & _MASK
-        if model:
-            model.update(bit)
-        return bit
-
-
-def _scan(coder, magnitudes, signs):
-    """The plane scan shared by the encoder and the decoder.
-
-    Every decision is `coder.code(bit, model) -> bit`: the encoder writes
-    the bit computed from `magnitudes`/`signs` and returns it, the decoder
-    ignores it and returns the bit it read (decoding passes zero magnitudes
-    and signs). The scan stops before the first decision made once
-    `coder.overrun` is set. Returns per-sample (significant, sign, lower,
-    width) state from which reconstructions are formed.
-    """
-    code = coder.code
     n = len(magnitudes)
+    bits: list[int] = []
+    append = bits.append
+    low, high, pending = 0, _MASK, 0
+    lower = [0.0] * n
+    insignificant = list(range(n))
+    earlier: list[int] = []
+    threshold = _FIRST_THRESHOLD
+    while len(bits) < limit_bits and threshold > 1e-12:
+        zero = one = 1
+        newly: list[int] = []
+        still: list[int] = []
+        for i in insignificant:
+            if len(bits) >= limit_bits:
+                break
+            split = low + (high - low + 1) * zero // (zero + one) - 1
+            bit = magnitudes[i] >= threshold
+            if bit:
+                low = split + 1
+                one += 1
+            else:
+                high = split
+                zero += 1
+            if zero + one > _COUNT_CAP:
+                zero = (zero + 1) >> 1
+                one = (one + 1) >> 1
+            while True:
+                if high < _HALF:
+                    append(0)
+                    if pending:
+                        bits += [1] * pending
+                        pending = 0
+                elif low >= _HALF:
+                    append(1)
+                    if pending:
+                        bits += [0] * pending
+                        pending = 0
+                    low -= _HALF
+                    high -= _HALF
+                elif low >= _QUARTER and high < _THREE_QUARTERS:
+                    pending += 1
+                    low -= _QUARTER
+                    high -= _QUARTER
+                else:
+                    break
+                low <<= 1
+                high = high << 1 | 1
+            if not bit:
+                still.append(i)
+                continue
+            newly.append(i)
+            # the sign: one raw decision, with no overrun check before it
+            split = low + ((high - low + 1) >> 1) - 1
+            if signs[i]:
+                low = split + 1
+            else:
+                high = split
+            lower[i] = threshold
+            while True:
+                if high < _HALF:
+                    append(0)
+                    if pending:
+                        bits += [1] * pending
+                        pending = 0
+                elif low >= _HALF:
+                    append(1)
+                    if pending:
+                        bits += [0] * pending
+                        pending = 0
+                    low -= _HALF
+                    high -= _HALF
+                elif low >= _QUARTER and high < _THREE_QUARTERS:
+                    pending += 1
+                    low -= _QUARTER
+                    high -= _QUARTER
+                else:
+                    break
+                low <<= 1
+                high = high << 1 | 1
+        zero = one = 1
+        for i in earlier:
+            if len(bits) >= limit_bits:
+                break
+            split = low + (high - low + 1) * zero // (zero + one) - 1
+            midpoint = lower[i] + threshold
+            if magnitudes[i] >= midpoint:
+                lower[i] = midpoint
+                low = split + 1
+                one += 1
+            else:
+                high = split
+                zero += 1
+            if zero + one > _COUNT_CAP:
+                zero = (zero + 1) >> 1
+                one = (one + 1) >> 1
+            while True:
+                if high < _HALF:
+                    append(0)
+                    if pending:
+                        bits += [1] * pending
+                        pending = 0
+                elif low >= _HALF:
+                    append(1)
+                    if pending:
+                        bits += [0] * pending
+                        pending = 0
+                    low -= _HALF
+                    high -= _HALF
+                elif low >= _QUARTER and high < _THREE_QUARTERS:
+                    pending += 1
+                    low -= _QUARTER
+                    high -= _QUARTER
+                else:
+                    break
+                low <<= 1
+                high = high << 1 | 1
+        insignificant = still
+        earlier = sorted(earlier + newly)
+        threshold /= 2.0
+    # flush: one bit that selects a point inside the interval, plus pending
+    append(0 if low < _QUARTER else 1)
+    bits += [bits[-1] ^ 1] * (pending + 1)
+    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+
+
+def _decode_scan(data: bytes, limit_bits: int, n: int):
+    """Decode the plane scan from the first `limit_bits` bits of `data`.
+
+    Past that prefix the decoder reads zeros; the scan stops before the
+    first significance or refinement decision made once it has read past
+    the prefix. Returns per-sample (significant, sign, lower, width) state
+    from which reconstructions are formed.
+    """
+    prefix = np.frombuffer(data[: (limit_bits + 7) // 8], dtype=np.uint8)
+    bits = np.unpackbits(prefix)[:limit_bits].tolist()
+    limit = len(bits)
+    # One decision renormalizes at most 12 times (its interval keeps at
+    # least 1/1024 of a span above 2**30), its sign at most 3, and the scan
+    # stops after the decision that reads past the prefix: 32 zeros cover
+    # every read past it, including the 32-bit start-up read.
+    bits += [0] * 32
+    value = 0
+    for position in range(32):
+        value = value << 1 | bits[position]
+    position = 32
+    low, high = 0, _MASK
     significant = bytearray(n)
     sign = bytearray(n)
     lower = [0.0] * n
     width = [0.0] * n
+    insignificant = list(range(n))
+    earlier: list[int] = []
     threshold = _FIRST_THRESHOLD
-    while not coder.overrun and threshold > 1e-12:
-        significance_model = _Model()
-        refinement_model = _Model()
-        newly = bytearray(n)
-        for i in range(n):
-            if significant[i]:
-                continue
-            if coder.overrun:
+    while position <= limit and threshold > 1e-12:
+        zero = one = 1
+        newly: list[int] = []
+        still: list[int] = []
+        for i in insignificant:
+            if position > limit:
                 break
-            if code(1 if magnitudes[i] >= threshold else 0, significance_model):
-                sign[i] = code(signs[i], None)
-                significant[i] = 1
-                newly[i] = 1
-                lower[i] = threshold
-                width[i] = threshold
-        for i in range(n):
-            if not significant[i] or newly[i]:
+            split = low + (high - low + 1) * zero // (zero + one) - 1
+            bit = value > split
+            if bit:
+                low = split + 1
+                one += 1
+            else:
+                high = split
+                zero += 1
+            if zero + one > _COUNT_CAP:
+                zero = (zero + 1) >> 1
+                one = (one + 1) >> 1
+            while True:
+                if high < _HALF:
+                    pass
+                elif low >= _HALF:
+                    low -= _HALF
+                    high -= _HALF
+                    value -= _HALF
+                elif low >= _QUARTER and high < _THREE_QUARTERS:
+                    low -= _QUARTER
+                    high -= _QUARTER
+                    value -= _QUARTER
+                else:
+                    break
+                low <<= 1
+                high = high << 1 | 1
+                value = value << 1 | bits[position]
+                position += 1
+            if not bit:
+                still.append(i)
                 continue
-            if coder.overrun:
-                break
-            midpoint = lower[i] + threshold
-            if code(1 if magnitudes[i] >= midpoint else 0, refinement_model):
-                lower[i] = midpoint
+            newly.append(i)
+            # the sign: one raw decision, with no overrun check before it
+            split = low + ((high - low + 1) >> 1) - 1
+            if value > split:
+                low = split + 1
+                sign[i] = 1
+            else:
+                high = split
+            significant[i] = 1
+            lower[i] = threshold
             width[i] = threshold
+            while True:
+                if high < _HALF:
+                    pass
+                elif low >= _HALF:
+                    low -= _HALF
+                    high -= _HALF
+                    value -= _HALF
+                elif low >= _QUARTER and high < _THREE_QUARTERS:
+                    low -= _QUARTER
+                    high -= _QUARTER
+                    value -= _QUARTER
+                else:
+                    break
+                low <<= 1
+                high = high << 1 | 1
+                value = value << 1 | bits[position]
+                position += 1
+        zero = one = 1
+        for i in earlier:
+            if position > limit:
+                break
+            split = low + (high - low + 1) * zero // (zero + one) - 1
+            if value > split:
+                lower[i] += threshold
+                low = split + 1
+                one += 1
+            else:
+                high = split
+                zero += 1
+            width[i] = threshold
+            if zero + one > _COUNT_CAP:
+                zero = (zero + 1) >> 1
+                one = (one + 1) >> 1
+            while True:
+                if high < _HALF:
+                    pass
+                elif low >= _HALF:
+                    low -= _HALF
+                    high -= _HALF
+                    value -= _HALF
+                elif low >= _QUARTER and high < _THREE_QUARTERS:
+                    low -= _QUARTER
+                    high -= _QUARTER
+                    value -= _QUARTER
+                else:
+                    break
+                low <<= 1
+                high = high << 1 | 1
+                value = value << 1 | bits[position]
+                position += 1
+        insignificant = still
+        earlier = sorted(earlier + newly)
         threshold /= 2.0
     return significant, sign, lower, width
 
@@ -239,22 +332,19 @@ class ProgressiveGaussianSource:
             raise ValueError("prefix_bits must be nonnegative")
         stream = self.bitstream if data is None else data
         n = len(self.samples)
-        significant, sign, lower, width = _scan(
-            _Decoder(stream, prefix_bits), [0.0] * n, bytes(n)
-        )
+        significant, sign, lower, width = _decode_scan(stream, prefix_bits, n)
+        held = np.frombuffer(significant, dtype=np.uint8) == 1
+        a = np.array(lower)[held]
+        # (a, b) pairs as complex keys, so one sort finds the distinct ones
+        keys = np.empty(len(a), dtype=np.complex128)
+        keys.real = a
+        keys.imag = np.minimum(a + np.array(width)[held], _TOP)
+        pairs, inverse = np.unique(keys, return_inverse=True)
+        means = np.array([_normal_interval_mean(p.real, p.imag) for p in pairs.tolist()])
+        values = means[inverse]
+        negative = np.frombuffer(sign, dtype=np.uint8)[held] == 1
         reconstruction = np.zeros(n, dtype=float)
-        cache: dict[tuple[float, float], float] = {}
-        for i in range(n):
-            if not significant[i]:
-                continue
-            a = lower[i]
-            b = min(a + width[i], _TOP)
-            key = (a, b)
-            value = cache.get(key)
-            if value is None:
-                value = _normal_interval_mean(a, b)
-                cache[key] = value
-            reconstruction[i] = value if sign[i] == 0 else -value
+        reconstruction[held] = np.where(negative, -values, values)
         return reconstruction
 
     def empirical_mse(self, prefix_bits: int, data: bytes | None = None) -> float:
@@ -274,17 +364,20 @@ def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGauss
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_BLOCK_SYMBOLS:
+        raise ValueError(f"n must be at most {MAX_BLOCK_SYMBOLS}, got {n}")
     budget_bits = math.ceil(n * max_rate)
     if budget_bits < 1:
         raise ValueError("max_rate must be positive")
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(n)
     clipped = np.clip(samples, -(_TOP - 1e-9), _TOP - 1e-9)
-    magnitudes = np.abs(clipped).tolist()
-    signs = [0 if v >= 0 else 1 for v in clipped]
-    encoder = _Encoder(budget_bits)
-    _scan(encoder, magnitudes, signs)
-    stream = encoder.finish()[: (budget_bits + 7) // 8]
+    signs = (clipped < 0).tolist()
+    stream = _encode_scan(np.abs(clipped).tolist(), signs, budget_bits)
+    # Above about 41 bit/sample the planes end before the budget; the
+    # decoder reads zeros past a stream's end, so padding changes no prefix.
+    size = (budget_bits + 7) // 8
+    stream = stream[:size].ljust(size, b"\0")
     return ProgressiveGaussianSource(
         seed=seed, samples=samples, bitstream=stream, max_rate_bits=budget_bits
     )

@@ -15,6 +15,16 @@ import numpy as np
 from rainbownet import DiscreteRnf, Network, enumerate_paths, is_admissible, total_rainbow_flow
 from rainbownet.errors import SearchSizeError
 from rainbownet.gf256 import EXP, LOG, gf_inv, gf_mul
+from rainbownet.progressive import (
+    _COUNT_CAP,
+    _FIRST_THRESHOLD,
+    _HALF,
+    _MASK,
+    _QUARTER,
+    _THREE_QUARTERS,
+    _TOP,
+    _normal_interval_mean,
+)
 
 
 def brute_min_cut(net: Network, sink: str) -> Fraction:
@@ -322,3 +332,202 @@ def reference_recover_block(shares: dict, k: int) -> np.ndarray:
         ):
             raise ValueError(f"parity row {point} is inconsistent with the recovered data")
     return data
+
+
+# The generic progressive coder `rainbownet.progressive` inlines: an
+# adaptive model, one arithmetic coder object per direction, and one plane
+# scan that drives either.
+class _Model:
+    """Adaptive binary model: counts with halving to track nonstationarity."""
+
+    __slots__ = ("zero", "one")
+
+    def __init__(self):
+        self.zero = 1
+        self.one = 1
+
+    def update(self, bit: int):
+        if bit:
+            self.one += 1
+        else:
+            self.zero += 1
+        if self.zero + self.one > _COUNT_CAP:
+            self.zero = (self.zero + 1) >> 1
+            self.one = (self.one + 1) >> 1
+
+
+class _Encoder:
+    """Binary arithmetic encoder; flags overrun once `limit_bits` bits are out."""
+
+    def __init__(self, limit_bits: int):
+        self._bits: list[int] = []
+        self._limit = limit_bits
+        self._low = 0
+        self._high = _MASK
+        self._pending = 0
+        self.overrun = limit_bits <= 0
+
+    def _emit(self, bit: int):
+        bits = self._bits
+        bits.append(bit)
+        if self._pending:
+            bits.extend([1 - bit] * self._pending)
+            self._pending = 0
+        if len(bits) >= self._limit:
+            self.overrun = True
+
+    def code(self, bit: int, model: _Model | None) -> int:
+        zero = model.zero if model else 1
+        one = model.one if model else 1
+        span = self._high - self._low + 1
+        split = self._low + span * zero // (zero + one) - 1
+        if bit:
+            self._low = split + 1
+        else:
+            self._high = split
+        while True:
+            if self._high < _HALF:
+                self._emit(0)
+            elif self._low >= _HALF:
+                self._emit(1)
+                self._low -= _HALF
+                self._high -= _HALF
+            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
+                self._pending += 1
+                self._low -= _QUARTER
+                self._high -= _QUARTER
+            else:
+                break
+            self._low = (self._low << 1) & _MASK
+            self._high = ((self._high << 1) | 1) & _MASK
+        if model:
+            model.update(bit)
+        return bit
+
+    def finish(self) -> bytes:
+        """Flush the interval and return the bits, zero-padded to whole bytes."""
+        self._pending += 1
+        self._emit(0 if self._low < _QUARTER else 1)
+        return np.packbits(np.array(self._bits, dtype=np.uint8)).tobytes()
+
+
+class _Decoder:
+    """Binary arithmetic decoder over the first `limit_bits` bits of `data`.
+
+    Past that prefix it reads zeros and flags overrun.
+    """
+
+    def __init__(self, data: bytes, limit_bits: int):
+        prefix = np.frombuffer(data[: (limit_bits + 7) // 8], dtype=np.uint8)
+        self._bits = np.unpackbits(prefix)[:limit_bits].tolist()
+        self._limit = len(self._bits)
+        self._position = 0
+        self.overrun = False
+        self._low = 0
+        self._high = _MASK
+        self._value = 0
+        for _ in range(32):
+            self._value = (self._value << 1) | self._read()
+
+    def _read(self) -> int:
+        position = self._position
+        if position >= self._limit:
+            self.overrun = True
+            return 0
+        self._position = position + 1
+        return self._bits[position]
+
+    def code(self, _bit: int, model: _Model | None) -> int:
+        """Read one decision; the bit argument keeps the encoder's call shape."""
+        zero = model.zero if model else 1
+        one = model.one if model else 1
+        span = self._high - self._low + 1
+        split = self._low + span * zero // (zero + one) - 1
+        bit = 0 if self._value <= split else 1
+        if bit:
+            self._low = split + 1
+        else:
+            self._high = split
+        while True:
+            if self._high < _HALF:
+                pass
+            elif self._low >= _HALF:
+                self._low -= _HALF
+                self._high -= _HALF
+                self._value -= _HALF
+            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
+                self._low -= _QUARTER
+                self._high -= _QUARTER
+                self._value -= _QUARTER
+            else:
+                break
+            self._low = (self._low << 1) & _MASK
+            self._high = ((self._high << 1) | 1) & _MASK
+            self._value = ((self._value << 1) | self._read()) & _MASK
+        if model:
+            model.update(bit)
+        return bit
+
+
+def _scan(coder, magnitudes, signs):
+    """The plane scan shared by the encoder and the decoder.
+
+    Every decision is `coder.code(bit, model) -> bit`: the encoder writes
+    the bit computed from `magnitudes`/`signs` and returns it, the decoder
+    ignores it and returns the bit it read (decoding passes zero magnitudes
+    and signs). The scan stops before the first decision made once
+    `coder.overrun` is set. Returns per-sample (significant, sign, lower,
+    width) state from which reconstructions are formed.
+    """
+    code = coder.code
+    n = len(magnitudes)
+    significant = bytearray(n)
+    sign = bytearray(n)
+    lower = [0.0] * n
+    width = [0.0] * n
+    threshold = _FIRST_THRESHOLD
+    while not coder.overrun and threshold > 1e-12:
+        significance_model = _Model()
+        refinement_model = _Model()
+        newly = bytearray(n)
+        for i in range(n):
+            if significant[i]:
+                continue
+            if coder.overrun:
+                break
+            if code(1 if magnitudes[i] >= threshold else 0, significance_model):
+                sign[i] = code(signs[i], None)
+                significant[i] = 1
+                newly[i] = 1
+                lower[i] = threshold
+                width[i] = threshold
+        for i in range(n):
+            if not significant[i] or newly[i]:
+                continue
+            if coder.overrun:
+                break
+            midpoint = lower[i] + threshold
+            if code(1 if magnitudes[i] >= midpoint else 0, refinement_model):
+                lower[i] = midpoint
+            width[i] = threshold
+        threshold /= 2.0
+    return significant, sign, lower, width
+
+
+def reference_reconstruction(significant, sign, lower, width) -> np.ndarray:
+    """Reconstruction from a decoded scan state, one sample at a time."""
+    n = len(significant)
+    reconstruction = np.zeros(n, dtype=float)
+    cache: dict[tuple[float, float], float] = {}
+    for i in range(n):
+        if not significant[i]:
+            continue
+        a = lower[i]
+        b = min(a + width[i], _TOP)
+        key = (a, b)
+        value = cache.get(key)
+        if value is None:
+            value = _normal_interval_mean(a, b)
+            cache[key] = value
+        reconstruction[i] = value if sign[i] == 0 else -value
+    return reconstruction

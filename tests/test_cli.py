@@ -484,6 +484,25 @@ class TestPipeline:
         assert code == 1
         assert "sinks" in err
 
+    def test_rate_past_the_last_plane(self, capsys):
+        # 60 bit/sample outlasts the coder's bit-planes; the stream is padded
+        # to the length PET needs instead of coming up short
+        code, out, err = run(
+            capsys, "pipeline", "fig1", "--K", "2", "--rate", "30", "--n", "1000"
+        )
+        assert (code, err) == (0, "")
+        rows = parse_blocks(out)[("sink", "q", "analytic_d", "empirical_mse")]
+        assert len(rows) == 4
+
+    def test_block_size_over_the_cap_rejected(self, capsys):
+        n = progressive.MAX_BLOCK_SYMBOLS + 8
+        code, out, err = run(
+            capsys, "pipeline", "fig1", "--K", "2", "--rate", "1", "--n", str(n)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: n must be at most {progressive.MAX_BLOCK_SYMBOLS}, got {n}\n"
+
     @pytest.mark.parametrize("rounds", ["0", "-1"])
     def test_rounds_below_one_rejected(self, capsys, rounds):
         code, out, err = run(
@@ -497,12 +516,16 @@ class TestPipeline:
 def _record_codec_work(monkeypatch):
     """Log the bit limit of every progressive scan and the profile PET encodes with."""
     work = {"encode_bits": [], "decode_bits": [], "profiles": []}
-    scan = progressive._scan
+    encode_scan = progressive._encode_scan
+    decode_scan = progressive._decode_scan
 
-    def recording_scan(coder, magnitudes, signs):
-        kind = "encode_bits" if isinstance(coder, progressive._Encoder) else "decode_bits"
-        work[kind].append(coder._limit)
-        return scan(coder, magnitudes, signs)
+    def recording_encode_scan(magnitudes, signs, limit_bits):
+        work["encode_bits"].append(limit_bits)
+        return encode_scan(magnitudes, signs, limit_bits)
+
+    def recording_decode_scan(data, limit_bits, n):
+        work["decode_bits"].append(limit_bits)
+        return decode_scan(data, limit_bits, n)
 
     encode = cli.pet_encode
 
@@ -510,7 +533,8 @@ def _record_codec_work(monkeypatch):
         work["profiles"].append(profile)
         return encode(bitstream, profile)
 
-    monkeypatch.setattr(progressive, "_scan", recording_scan)
+    monkeypatch.setattr(progressive, "_encode_scan", recording_encode_scan)
+    monkeypatch.setattr(progressive, "_decode_scan", recording_decode_scan)
     monkeypatch.setattr(cli, "pet_encode", recording_encode)
     return work
 

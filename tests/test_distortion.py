@@ -183,6 +183,11 @@ class TestBalancedPair:
         for rate in (0.5, 1.0, 3.0):
             assert ozarow_joint_bound(1.0, rate) == pytest.approx(1.0, abs=1e-9)
 
+    def test_unit_side_at_high_rates(self):
+        # root rounds to 1 here, so 2 - side - root cancels to zero
+        for rate in (14.0, 20.0, 27.0, 255.0):
+            assert ozarow_joint_bound(1.0, rate) == 1.0
+
     def test_below_floor_rejected(self):
         with pytest.raises(ValueError, match="below"):
             ozarow_joint_bound(0.2, 1.0)

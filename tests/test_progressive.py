@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import _Decoder, _Encoder, _Model, _scan, reference_reconstruction
 from rainbownet import PetProfile, pet_encode, progressive_gaussian_source
-from rainbownet.progressive import _Decoder, _Encoder, _Model
+from rainbownet.progressive import MAX_BLOCK_SYMBOLS, _decode_scan, _encode_scan
 
 
 def _encode(bits, models, limit_bits=10**9) -> bytes:
@@ -15,6 +16,8 @@ def _encode(bits, models, limit_bits=10**9) -> bytes:
     return encoder.finish()
 
 
+# TestBits and TestArithmeticCoder check the reference coder in oracles.py,
+# which the inlined scans are differentially tested against below.
 class TestBits:
     def test_writer_reader_round_trip(self):
         rng = np.random.default_rng(0)
@@ -91,6 +94,16 @@ class TestGaussianSource:
         source = progressive_gaussian_source(1, 1000, 1.5)
         assert len(source.bitstream) == (1500 + 7) // 8
 
+    def test_stream_length_matches_budget_past_the_last_plane(self):
+        # the planes end near 41 bit/sample, before these budgets: the
+        # stream is zero-padded to its documented length
+        source = progressive_gaussian_source(0, 1000, 60)
+        assert len(source.bitstream) == 7500
+        shorter = progressive_gaussian_source(0, 1000, 45).bitstream
+        assert len(shorter) == 5625
+        assert source.bitstream[:5625] == shorter
+        assert source.bitstream[5625:] == bytes(7500 - 5625)
+
     def test_fraction_budget_is_exact(self):
         # float(56/3000) * 3000 rounds up past 56, which cost a whole extra byte
         source = progressive_gaussian_source(0, 3000, Fraction(56, 3000))
@@ -115,6 +128,8 @@ class TestGaussianSource:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             progressive_gaussian_source(0, 0, 1.0)
+        with pytest.raises(ValueError, match="at most"):
+            progressive_gaussian_source(0, MAX_BLOCK_SYMBOLS + 1, 1.0)
         source = progressive_gaussian_source(0, 100, 1.0)
         with pytest.raises(ValueError):
             source.decode_prefix(-1)
@@ -174,3 +189,51 @@ def test_byte_budget_stream_is_a_prefix_of_the_full_stream(seed, n):
     exact = progressive_gaussian_source(seed, n, Fraction(profile.prefix_bits(K), n))
     assert len(exact.bitstream) == profile.source_bytes_required < length
     assert pet_encode(exact.bitstream, profile) == pet_encode(full, profile)
+
+
+class _SignLookaheadCounter(_Decoder):
+    """The reference decoder, counting sign decisions made after an overrun.
+
+    The scan checks for overrun before every significance and refinement
+    decision but not before the sign that follows a significance decision
+    of 1, so such a sign is read with zeros past the prefix in its register.
+    """
+
+    def __init__(self, data: bytes, limit_bits: int):
+        super().__init__(data, limit_bits)
+        self.lookahead_signs = 0
+
+    def code(self, bit: int, model):
+        if model is None and self.overrun:
+            self.lookahead_signs += 1
+        return super().code(bit, model)
+
+
+# (n, budget bits): n=1, budgets under the 32-bit start-up read, and
+# budgets that are not whole bytes
+DIFFERENTIAL_SHAPES = [(1, 3), (1, 40), (7, 21), (50, 333), (300, 1201), (1000, 4000), (2000, 13001)]
+
+
+def test_inlined_scans_match_the_reference_coder():
+    lookahead_signs = 0
+    for seed in range(4):
+        for n, budget in DIFFERENTIAL_SHAPES:
+            source = progressive_gaussian_source(seed, n, Fraction(budget, n))
+            clipped = np.clip(source.samples, -(8 - 1e-9), 8 - 1e-9)
+            magnitudes = np.abs(clipped).tolist()
+            signs = (clipped < 0).astype(int).tolist()
+            encoder = _Encoder(budget)
+            _scan(encoder, magnitudes, signs)
+            stream = _encode_scan(magnitudes, signs, budget)
+            assert stream == encoder.finish(), (seed, n, budget)
+            full = 8 * len(stream)
+            # full // 3 | 1: an odd length that ends inside a decision
+            for prefix in sorted({0, 1, 5, 31, 32, 33, full // 3 | 1, full - 1, full, full + 100}):
+                decoder = _SignLookaheadCounter(stream, prefix)
+                expected = _scan(decoder, [0.0] * n, bytes(n))
+                assert _decode_scan(stream, prefix, n) == expected, (seed, n, budget, prefix)
+                reconstruction = source.decode_prefix(prefix, data=stream)
+                assert reconstruction.tobytes() == reference_reconstruction(*expected).tobytes()
+                lookahead_signs += decoder.lookahead_signs
+    # the grid must reach the unchecked sign decision, not only agree
+    assert lookahead_signs > 0
