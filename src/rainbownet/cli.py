@@ -45,7 +45,7 @@ from .flows import (
 )
 from .network import load_scenario, max_flow
 from .pet import PetProfile, description_from_bytes, description_to_bytes, pet_decode, pet_encode
-from .progressive import progressive_gaussian_source
+from .progressive import _check_block_size, progressive_gaussian_source
 from .rationals import format_rational, parse_rational
 from .search import SearchConfig, alternating_search, exact_search, greedy_search, route
 
@@ -339,6 +339,7 @@ def cmd_lemmas(args) -> CliOutput:
 def cmd_pipeline(args) -> CliOutput:
     if args.rounds < 1:
         raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
+    _check_block_size(args.n)  # before routing, which can take most of the job
     net = _load_net(args.scenario)
     weights = _parse_weights(args.weights, net)
     rate = parse_rational(args.rate, what="rate")

@@ -353,6 +353,14 @@ class ProgressiveGaussianSource:
         return float(np.mean((self.samples - reconstruction) ** 2))
 
 
+def _check_block_size(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_BLOCK_SYMBOLS."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > MAX_BLOCK_SYMBOLS:
+        raise ValueError(f"n must be at most {MAX_BLOCK_SYMBOLS}, got {n}")
+
+
 def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGaussianSource:
     """Draw n unit-variance Gaussian samples and encode them progressively.
 
@@ -362,10 +370,7 @@ def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGauss
     reconstruction whose MSE shrinks as the prefix grows. A stream with a
     budget of B whole bytes is the first B bytes of any longer one.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > MAX_BLOCK_SYMBOLS:
-        raise ValueError(f"n must be at most {MAX_BLOCK_SYMBOLS}, got {n}")
+    _check_block_size(n)
     budget_bits = math.ceil(n * max_rate)
     if budget_bits < 1:
         raise ValueError("max_rate must be positive")

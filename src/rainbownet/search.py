@@ -5,17 +5,22 @@ endpoints) follow from it and are kept as positions in `net.sinks`. A flow
 whose sink t holds c_t descriptions costs sum_t w_t * levels[c_t] (minus
 the description count for "trf", the weighted distortion for "wd"), and
 both searches minimize that one cost. Both grow a color only by a path
-that reaches a sink the color lacks. The exact search builds the path
-unions that grow this way, keeps the minimal ones of each sink set, and
-scans multisets of K unions depth first, skipping every extension of a
-prefix that already overloads an edge. Candidate order and tie-breaking
-are fixed, so results are reproducible regardless of scheduling; guards
+that reaches a sink the color lacks, and both test an edge's room on bit
+masks over the edges. The exact search builds the path unions that grow
+this way, keeps the minimal ones of each sink set, and scans multisets of
+K unions depth first (branch and bound). It skips every extension of a
+prefix that already overloads an edge, and every extension whose lower
+bound is no less than the best cost found: each sink that a later
+candidate reaches is costed as if it gained all the colors left, every
+other sink at its current count. Candidate order and tie-breaking are
+fixed, so results are reproducible regardless of scheduling; guards
 refuse instances whose path, union or coloring count would exceed its
 bound, and the coloring guard counts every multiset, skipped or not.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -136,14 +141,28 @@ def _result(net: Network, cfg: SearchConfig, chosen, cost) -> SearchResult:
     return SearchResult(flow=flow, objective=objective, rfv=rainbow_flow_vector(flow))
 
 
-def _path_signatures(net: Network, paths: Sequence[FlowPath]):
-    """(edge set, positions in net.sinks of the sinks it visits) per path."""
+def _path_sinks(net: Network, paths: Sequence[FlowPath]) -> list[list[int]]:
+    """The positions in net.sinks of the sinks each path visits, ascending.
+
+    A path visits the tail of its first edge and the head of every edge.
+    """
     position = {sink: t for t, sink in enumerate(net.sinks)}
+    at_head = {edge.id: position.get(edge.head) for edge in net.edges}
     out = []
     for path in paths:
-        nodes = net.path_nodes(path)
-        out.append((frozenset(path.edges), frozenset(position[n] for n in nodes if n in position)))
+        sinks = {at_head[edge_id] for edge_id in path.edges}
+        sinks.add(position.get(net.edge(path.edges[0]).tail))
+        sinks.discard(None)
+        out.append(sorted(sinks))
     return out
+
+
+def _path_signatures(net: Network, paths: Sequence[FlowPath]):
+    """(edge set, positions in net.sinks of the sinks it visits) per path."""
+    return [
+        (frozenset(path.edges), frozenset(sinks))
+        for path, sinks in zip(paths, _path_sinks(net, paths))
+    ]
 
 
 def _candidates(infos, limit: int):
@@ -184,6 +203,30 @@ def _candidates(infos, limit: int):
     return [((edges, unions[edges][0]), unions[edges][1]) for edges in kept]
 
 
+def _edge_bits(capacity_for):
+    """Each edge as one bit of an int: (bit by edge id, room by bit, full).
+
+    `room` holds each edge's color capacity, and the mask `full` has the
+    bits of the edges with no room left.
+    """
+    bits = {edge_id: 1 << position for position, edge_id in enumerate(capacity_for)}
+    room = {bits[edge_id]: capacity for edge_id, capacity in capacity_for.items()}
+    return bits, room, sum(bit for bit, left in room.items() if left <= 0)
+
+
+def _completion_bound(floor, weights, counts, reach, left):
+    """A lower bound on the cost of any completion of a prefix.
+
+    `counts` are the prefix's per-sink description counts and `left` the
+    colors still to place; `reach` flags (0 or 1, per sink) the sinks that
+    some candidate still to come reaches, and only those can gain up to
+    `left` descriptions. `floor` is the running minimum of the levels, so
+    each term is at most the completion's, and the terms add in `_cost`'s
+    sink order, so the float sum is at most the completion's cost too.
+    """
+    return sum(w * floor[c + left * r] for w, c, r in zip(weights, counts, reach))
+
+
 def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
     """The first least-cost feasible K-multiset of candidates: (indices, cost).
 
@@ -191,17 +234,32 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
     keeps the edges at their color capacity and the per-sink description
     counts as it pushes and pops a candidate, drops a prefix as soon as a
     candidate would overload an edge (loads only grow, so no extension
-    fits), and costs complete multisets only. Feasible multisets come in
-    the lexicographic order of `combinations_with_replacement`, so a tie
-    keeps the first. The empty union is always a candidate, so at least
-    one multiset is feasible.
+    fits), and costs complete multisets only. It also drops a candidate,
+    and every later one at its depth, once the completion bound of the
+    prefix over the sinks that candidates from there on reach is no less
+    than the best cost so far: later candidates reach no more sinks, and
+    no multiset in a dropped subtree is strictly cheaper. Feasible
+    multisets come in the lexicographic order of
+    `combinations_with_replacement`, so a tie keeps the first. The empty
+    union is always a candidate, so at least one multiset is feasible.
     """
-    bits = {edge_id: 1 << position for position, edge_id in enumerate(capacity_for)}
-    room = {bits[edge_id]: capacity for edge_id, capacity in capacity_for.items()}
+    bits, room, full = _edge_bits(capacity_for)
     edge_bits = [tuple(bits[edge_id] for edge_id in edges) for (edges, _), _ in candidates]
     masks = [sum(members) for members in edge_bits]
     reached = [tuple(sinks) for (_, sinks), _ in candidates]
-    full = sum(bit for bit, left in room.items() if left <= 0)
+    floor = list(itertools.accumulate(levels, min))
+    # suffix[i] flags the sinks candidates i.. reach, one shared tuple per set
+    suffix = [None] * len(candidates)
+    reach = frozenset()
+    flags = (0,) * len(weights)
+    for index in range(len(candidates) - 1, -1, -1):
+        if not reach.issuperset(reached[index]):
+            reach = reach.union(reached[index])
+            flags = tuple(int(t in reach) for t in range(len(weights)))
+        suffix[index] = flags
+    # per depth: the suffix flags its bound was taken over, and the bound
+    bound_flags = [None] * (num_colors + 1)
+    bound = [None] * (num_colors + 1)
     counts = [0] * len(weights)
     combo: list[int] = []
     best_key = best_cost = None
@@ -211,6 +269,16 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
             if masks[index] & full:
                 index += 1
                 continue
+            depth = len(combo)
+            if best_cost is not None:
+                if bound_flags[depth] is not suffix[index]:
+                    bound_flags[depth] = suffix[index]
+                    bound[depth] = _completion_bound(
+                        floor, weights, counts, suffix[index], num_colors - depth
+                    )
+                if bound[depth] >= best_cost:
+                    index = size
+                    continue
             for bit in edge_bits[index]:
                 room[bit] -= 1
                 if not room[bit]:
@@ -218,6 +286,7 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
             for sink in reached[index]:
                 counts[sink] += 1
             combo.append(index)
+            bound_flags[depth + 1] = None  # a new prefix for the next depth
             if len(combo) < num_colors:
                 continue  # the next color may take the same candidate
             cost = _cost(levels, weights, counts)
@@ -240,8 +309,9 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     Minimizes the search cost (minus total rainbow flow, or the weighted
     distortion) over every assignment of path-set unions to the K colors;
     only the minimal union of each sink set can be optimal, and the scan
-    skips the extensions of a prefix that overloads an edge and costs only
-    feasible multisets. Returns an empty flow with objective 0 when nothing
+    skips the extensions of a prefix that overloads an edge or whose
+    completion bound cannot beat the best cost so far, so it costs only
+    feasible multisets that might. Returns an empty flow with objective 0 when nothing
     admissible exists. Raises SearchSizeError when the sink-adding closure
     builds more than `MAX_SIGNATURES` unions or the coloring count, every
     K-multiset of candidates whether feasible or not, exceeds
@@ -269,6 +339,36 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     return _result(net, cfg, chosen, best_cost)
 
 
+def _best_path(table, color_mask, sink_mask, full, counts, levels, weights):
+    """The path in `table` whose addition to a color lowers the cost most.
+
+    Rows are (edge mask, sink mask, ascending sinks). A path fits when none
+    of the edges it adds to the color is full, and it must reach a sink the
+    color lacks; its gain adds the marginal cost decreases of those sinks
+    in ascending order, once per distinct set of them. A later path wins
+    only by more than 1e-15, so ties keep the first. Returns its index, or
+    None when no path gains.
+    """
+    lacking, blocked = ~sink_mask, full & ~color_mask
+    gains: dict[int, float] = {}
+    best_index, best_gain = None, 0.0
+    for index, (mask, path_sink_mask, sinks) in enumerate(table):
+        new = path_sink_mask & lacking
+        if not new or mask & blocked:
+            continue
+        gain = gains.get(new)
+        if gain is None:
+            gain = gains[new] = sum(
+                weights[t] * (levels[counts[t]] - levels[counts[t] + 1])
+                for t in sinks
+                if new >> t & 1
+            )
+        if gain > best_gain + 1e-15:
+            best_gain = gain
+            best_index = index
+    return best_index
+
+
 def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     """Deterministic greedy flow: grow each color's forwarding tree in turn.
 
@@ -283,44 +383,40 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, counts))
     paths = enumerate_paths(net, cfg.max_path_len)
-    infos = _path_signatures(net, paths)
-    residual = _color_capacities(net, cfg)
-    color_edges: list[frozenset] = []
-    color_sinks: list[frozenset] = []
+    bits, room, full = _edge_bits(_color_capacities(net, cfg))
+    # per path: its edge mask, its sink mask and its sinks in ascending order
+    table = [
+        (sum(map(bits.__getitem__, path.edges)), sum(1 << t for t in sinks), sinks)
+        for path, sinks in zip(paths, _path_sinks(net, paths))
+    ]
+    color_masks: list[int] = []
+    color_sinks: list[int] = []
     chosen: list[tuple[FlowPath, int]] = []
 
     progress = True
     while progress:
         progress = False
         for color in range(cfg.num_colors):
-            if color == len(color_edges):
-                color_edges.append(frozenset())
-                color_sinks.append(frozenset())
-            best_index, best_gain = None, 0.0
-            for index, (path_edges, path_sinks) in enumerate(infos):
-                if any(residual[e] < 1 for e in path_edges - color_edges[color]):
-                    continue
-                new_sinks = path_sinks - color_sinks[color]
-                if not new_sinks:
-                    continue
-                gain = sum(
-                    weights[t] * (levels[counts[t]] - levels[counts[t] + 1])
-                    for t in sorted(new_sinks)
-                )
-                if gain > best_gain + 1e-15:
-                    best_gain = gain
-                    best_index = index
+            if color == len(color_masks):
+                color_masks.append(0)
+                color_sinks.append(0)
+            color_mask, sink_mask = color_masks[color], color_sinks[color]
+            best_index = _best_path(table, color_mask, sink_mask, full, counts, levels, weights)
             if best_index is None:
-                if not color_edges[color]:
+                if not color_mask:
                     break  # an unused color: every later one sees this same state
                 continue
-            path_edges, path_sinks = infos[best_index]
-            for edge_id in path_edges - color_edges[color]:
-                residual[edge_id] -= 1
-            for t in path_sinks - color_sinks[color]:
-                counts[t] += 1
-            color_edges[color] |= path_edges
-            color_sinks[color] |= path_sinks
+            for bit in map(bits.__getitem__, paths[best_index].edges):
+                if not bit & color_mask:
+                    room[bit] -= 1
+                    if not room[bit]:
+                        full |= bit
+            mask, path_sink_mask, sinks = table[best_index]
+            for t in sinks:
+                if not sink_mask >> t & 1:
+                    counts[t] += 1
+            color_masks[color] = color_mask | mask
+            color_sinks[color] = sink_mask | path_sink_mask
             chosen.append((paths[best_index], color + 1))
             progress = True
 

@@ -12,7 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from rainbownet import DiscreteRnf, Network, enumerate_paths, is_admissible, total_rainbow_flow
+from rainbownet import (
+    DiscreteRnf,
+    FlowPath,
+    Network,
+    SearchConfig,
+    SearchResult,
+    enumerate_paths,
+    is_admissible,
+    total_rainbow_flow,
+)
 from rainbownet.errors import SearchSizeError
 from rainbownet.gf256 import EXP, LOG, gf_inv, gf_mul
 from rainbownet.progressive import (
@@ -24,6 +33,14 @@ from rainbownet.progressive import (
     _THREE_QUARTERS,
     _TOP,
     _normal_interval_mean,
+)
+from rainbownet.search import (
+    _color_capacities,
+    _cost,
+    _nothing_admissible,
+    _objective,
+    _path_signatures,
+    _result,
 )
 
 
@@ -140,6 +157,62 @@ def reference_coloring_scan(candidates, capacity_for, K, score, minimize):
         if best_score is None or (value < best_score if minimize else value > best_score):
             best_score, best_key = value, combo
     return best_key, best_score
+
+
+def reference_greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
+    """The greedy search on frozensets, as `search.greedy_search` was.
+
+    Tests each path's edge room with `any(residual[e] < 1 ...)` over the
+    edges the color lacks and sums the gains over `sorted(new_sinks)`; the
+    search keeps the same additions and tie rule on bit masks.
+    """
+    levels, weights = _objective(cfg, net)
+    counts = [0] * len(weights)
+    if _nothing_admissible(net, cfg):
+        return _result(net, cfg, [], _cost(levels, weights, counts))
+    paths = enumerate_paths(net, cfg.max_path_len)
+    infos = _path_signatures(net, paths)
+    residual = _color_capacities(net, cfg)
+    color_edges: list[frozenset] = []
+    color_sinks: list[frozenset] = []
+    chosen: list[tuple[FlowPath, int]] = []
+
+    progress = True
+    while progress:
+        progress = False
+        for color in range(cfg.num_colors):
+            if color == len(color_edges):
+                color_edges.append(frozenset())
+                color_sinks.append(frozenset())
+            best_index, best_gain = None, 0.0
+            for index, (path_edges, path_sinks) in enumerate(infos):
+                if any(residual[e] < 1 for e in path_edges - color_edges[color]):
+                    continue
+                new_sinks = path_sinks - color_sinks[color]
+                if not new_sinks:
+                    continue
+                gain = sum(
+                    weights[t] * (levels[counts[t]] - levels[counts[t] + 1])
+                    for t in sorted(new_sinks)
+                )
+                if gain > best_gain + 1e-15:
+                    best_gain = gain
+                    best_index = index
+            if best_index is None:
+                if not color_edges[color]:
+                    break  # an unused color: every later one sees this same state
+                continue
+            path_edges, path_sinks = infos[best_index]
+            for edge_id in path_edges - color_edges[color]:
+                residual[edge_id] -= 1
+            for t in path_sinks - color_sinks[color]:
+                counts[t] += 1
+            color_edges[color] |= path_edges
+            color_sinks[color] |= path_sinks
+            chosen.append((paths[best_index], color + 1))
+            progress = True
+
+    return _result(net, cfg, chosen, _cost(levels, weights, counts))
 
 
 def balanced_pair_bound(side: float, rate: float) -> float:

@@ -503,6 +503,17 @@ class TestPipeline:
         assert out == ""
         assert err == f"error: n must be at most {progressive.MAX_BLOCK_SYMBOLS}, got {n}\n"
 
+    def test_block_size_is_checked_before_routing(self, capsys, monkeypatch):
+        routed = []
+        monkeypatch.setattr(
+            "rainbownet.cli.alternating_search", lambda *args, **kw: routed.append(1)
+        )
+        code, out, err = run(
+            capsys, "pipeline", "fig1", "--K", "2", "--rate", "1", "--n", "2000000"
+        )
+        assert (code, out, routed) == (1, "", [])
+        assert err == f"error: n must be at most {progressive.MAX_BLOCK_SYMBOLS}, got 2000000\n"
+
     @pytest.mark.parametrize("rounds", ["0", "-1"])
     def test_rounds_below_one_rejected(self, capsys, rounds):
         code, out, err = run(

@@ -131,6 +131,38 @@ class TestGreedySearch:
             cfg = _cfg(2, Fraction(1, 2), max_path_len=3)
             assert greedy_search(net, cfg).objective <= exact_search(net, cfg).objective
 
+    @pytest.mark.parametrize("family", ["layered", "fanout", "figures", "random"])
+    def test_matches_the_reference_greedy(self, family):
+        rng = random.Random(43)
+        runs = 0
+        for net, K, max_len in _scan_instances(family):
+            raw = [rng.choice((0, 1, 3)) for _ in net.sinks]
+            raw[rng.randrange(len(raw))] += 1
+            weights = tuple(w / sum(raw) for w in raw)
+            for objective in ("trf", "wd"):
+                for strict in (False, True):
+                    cfg = _cfg(
+                        K, Fraction(1, 2), max_path_len=max_len, objective=objective,
+                        weights=weights, strict=strict,
+                    )
+                    result = greedy_search(net, cfg)
+                    reference = oracles.reference_greedy_search(net, cfg)
+                    assert (result.flow, result.objective) == (reference.flow, reference.objective)
+                    runs += 1
+        assert runs >= 24
+
+    @pytest.mark.parametrize("objective", ["trf", "wd"])
+    def test_idle_colors_stop_like_the_reference_greedy(self, objective):
+        # K=10**6 runs through the stop at the first unused color that places
+        # nothing; test_work_is_bounded_by_the_colors_in_use counts its work
+        for net in (helpers.fig1_network(), helpers.fig2_network()):
+            weights = tuple(1 / len(net.sinks) for _ in net.sinks)
+            for strict in (False, True):
+                cfg = _cfg(10**6, Fraction(1, 2), objective=objective, weights=weights, strict=strict)
+                result = greedy_search(net, cfg)
+                reference = oracles.reference_greedy_search(net, cfg)
+                assert (result.flow, result.objective) == (reference.flow, reference.objective)
+
     def test_empty_universe(self):
         net = Network(
             nodes=("a", "b", "c"),
@@ -147,17 +179,13 @@ class TestGreedySearch:
         # the first unused color that places nothing, so K=10**5 visits the
         # path list as often as K=8 and routes the same flow
         visits = []
-        signatures = search._path_signatures
+        best_path = search._best_path
 
-        class CountingList(list):
-            def __iter__(self):
-                for info in super().__iter__():
-                    visits.append(1)
-                    yield info
+        def counted(table, *args):
+            visits.extend(table)  # one visit per path the color scans
+            return best_path(table, *args)
 
-        monkeypatch.setattr(
-            search, "_path_signatures", lambda net, paths: CountingList(signatures(net, paths))
-        )
+        monkeypatch.setattr(search, "_best_path", counted)
         net = helpers.fig1_network()
         small = greedy_search(net, _cfg(8, Fraction(1, 2)))
         small_visits, visits[:] = len(visits), []
@@ -318,6 +346,28 @@ class TestPruning:
             for net, _, max_len in _scan_instances(family):
                 yield _path_signatures(net, enumerate_paths(net, max_len))
 
+    def test_path_sinks_are_the_sinks_on_each_path(self):
+        # the sinks among the nodes each path visits, as positions in net.sinks
+        rng = random.Random(29)
+        nets = [helpers.random_network(rng) for _ in range(30)]
+        for family in ("layered", "fanout", "figures"):
+            nets += [net for net, _, _ in _scan_instances(family)]
+        # a source that is also a sink is visited by every path leaving it
+        source_sink = Network(
+            nodes=("s", "u", "t"),
+            edges=(Edge("e1", "s", "u", Fraction(1)), Edge("e2", "u", "t", Fraction(1))),
+            sources=("s",),
+            sinks=("t", "s"),
+        )
+        nets.append(source_sink)
+        for net in nets:
+            paths = enumerate_paths(net, 4)
+            expected = [
+                sorted({net.sinks.index(node) for node in net.path_nodes(path) if node in net.sinks})
+                for path in paths
+            ]
+            assert search._path_sinks(net, paths) == expected
+
     def test_matches_the_all_pairs_prune(self):
         # the full closure builds every union of every path subset; growing
         # a union only by a path that reaches a new sink keeps the same
@@ -408,7 +458,8 @@ class TestColoringScan:
         assert scans >= 20
 
     def test_scores_only_feasible_multisets(self, monkeypatch):
-        # fanout(6, 3, 0) at K=3: 45,760 multisets of 64 candidates, 2,667 fit
+        # fanout(6, 3, 0) at K=3: 45,760 multisets of 64 candidates, 2,667
+        # fit, and the completion bound leaves 327 of those to cost
         calls = []
         cost = search._cost
 
@@ -419,8 +470,90 @@ class TestColoringScan:
         monkeypatch.setattr(search, "_cost", counted)
         net = helpers.document_network(helpers.fanout_document(6, 3, 0))
         result = exact_search(net, _cfg(3, Fraction(1, 2)))
-        assert len(calls) == 2667
+        assert len(calls) == 327
         assert is_admissible(result.flow)
+
+    def test_bound_prunes_the_layered_boundary_instance(self, monkeypatch):
+        # layered(4, 4, 1) at K=2, length 5: the unbounded scan costed
+        # 2,242,564 feasible pairs (about 18 s); the first costed pair is
+        # already optimal, and the bound then drops every other prefix
+        calls = []
+        cost = search._cost
+
+        def counted(levels, weights, counts):
+            calls.append(1)
+            return cost(levels, weights, counts)
+
+        monkeypatch.setattr(search, "_cost", counted)
+        net = helpers.document_network(helpers.layered_document(4, 4, 1))
+        result = exact_search(net, _cfg(2, Fraction(1, 2), max_path_len=5))
+        assert len(calls) == 3
+        assert result.objective == 5
+        assert [path.edges for path in result.flow.paths] == [
+            ("e0", "e4", "e12", "e20"),
+            ("e0", "e4", "e13", "e26"),
+            ("e1", "e7", "e17", "e25"),
+            ("e3", "e10"),
+            ("e3", "e11", "e18", "e23"),
+            ("e0", "e5", "e17", "e25"),
+            ("e2", "e9", "e18", "e23"),
+            ("e3", "e10", "e14", "e20"),
+            ("e3", "e10", "e15", "e26"),
+        ]
+        assert result.flow.colors == (1, 1, 1, 1, 1, 2, 2, 2, 2)
+
+    @pytest.mark.parametrize("family", ["layered", "fanout", "figures", "random"])
+    def test_ties_match_the_reference_scan(self, family, monkeypatch):
+        # "wd" profiles with zero-mass layers give `levels` flat runs, and
+        # uneven (sometimes zero) weights make more multisets cost the same,
+        # so the bound often equals the best cost; a prune must then keep
+        # the first of the tied multisets, as the full scan does
+        rng = random.Random(41)
+        cost, bound = search._cost, search._completion_bound
+        best = [None]
+        equal_prunes = []
+
+        def counted_cost(levels, weights, counts):
+            value = cost(levels, weights, counts)
+            if best[0] is None or value < best[0]:
+                best[0] = value
+            return value
+
+        def counted_bound(*args):
+            value = bound(*args)
+            if value == best[0]:
+                equal_prunes.append(1)  # the scan drops the prefix: value >= best
+            return value
+
+        monkeypatch.setattr(search, "_cost", counted_cost)
+        monkeypatch.setattr(search, "_completion_bound", counted_bound)
+        scans = 0
+        for net, K, max_len in _scan_instances(family):
+            infos = _path_signatures(net, enumerate_paths(net, max_len))
+            candidates = _candidates(infos, search.MAX_SIGNATURES)
+            raw = [rng.choice((0, 1, 2, 5)) for _ in net.sinks]
+            raw[rng.randrange(len(raw))] += 1
+            weights = tuple(w / sum(raw) for w in raw)
+            for zeros in (rng.sample(range(K), K // 2), list(range(K - 1))):
+                mass = [0.0 if layer in zeros else rng.uniform(0.5, 2) for layer in range(K)]
+                cfg = _cfg(
+                    K, Fraction(1, 2), max_path_len=max_len, objective="wd",
+                    weights=weights, profile=tuple(m / sum(mass) for m in mass),
+                    strict=scans % 2 == 1,
+                )
+                levels, cost_weights = search._objective(cfg, net)
+                args = (candidates, search._color_capacities(net, cfg), K)
+                positions = range(len(cost_weights))
+                reference = oracles.reference_coloring_scan(
+                    *args,
+                    lambda counts: cost(levels, cost_weights, [counts.get(t, 0) for t in positions]),
+                    True,
+                )
+                best[0] = None
+                assert search._scan_colorings(*args, levels, cost_weights) == reference
+                scans += 1
+        assert scans >= 12
+        assert equal_prunes
 
     def test_never_extends_an_overloaded_prefix(self, monkeypatch):
         # the empty union and 200 single-edge unions, of which only e0 has
