@@ -253,40 +253,67 @@ def enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
     edge-id sequence and duplicate-free. Raises SearchSizeError once the
     walk has visited more than MAX_PATHS source-rooted partial paths.
     """
+    return [FlowPath(edges) for edges, _, _ in enumerate_path_masks(net, max_len)]
+
+
+def enumerate_path_masks(net: Network, max_len: int) -> list[tuple[tuple[str, ...], int, int]]:
+    """The paths of `enumerate_paths`, in its order, as (edge ids, edge mask, sink mask).
+
+    Bit i of an edge mask stands for net.edges[i] and bit t of a sink mask
+    for net.sinks[t]; a path's sinks are the sinks among its nodes (the
+    tail of its first edge and the head of every edge). The walk keeps
+    both masks per trail node, so it tests edge-simplicity on the edge mask
+    and builds no path object.
+    """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    sink_set = set(net.sinks)
-    found: list[FlowPath] = []
+    edge_bit = {edge.id: 1 << i for i, edge in enumerate(net.edges)}
+    sink_bit = {sink: 1 << t for t, sink in enumerate(net.sinks)}
+    # per node, its out-edges in id order as (id, head, edge bit, head's sink bit)
+    arcs = {
+        node: tuple((e.id, e.head, edge_bit[e.id], sink_bit.get(e.head, 0)) for e in edges)
+        for node, edges in net._out.items()
+    }
+    sources = sorted(set(net.sources))
+    found: list[tuple[tuple[str, ...], int, int]] = []
     visited = 0
 
-    def visit(node: str, trail: list[str]):
-        """Count `trail`, record it if `node` is a sink, and return the edges extending it."""
-        nonlocal visited
-        visited += 1
-        if visited > MAX_PATHS:
-            raise SearchSizeError(
-                f"path enumeration exceeded {MAX_PATHS} partial paths of length <= {max_len}; "
-                "reduce max_path_len"
-            )
-        if trail and node in sink_set:
-            found.append(FlowPath(tuple(trail)))
-        return iter(() if len(trail) == max_len else net.out_edges(node))
-
     # depth first with an explicit stack of out-edge iterators, one per
-    # trail node, so path length is not bounded by the recursion limit
-    for source in sorted(set(net.sources)):
+    # trail node that may still grow, so path length is not bounded by the
+    # recursion limit; a full-length path is counted but never pushed
+    for source in sources:
         trail: list[str] = []
-        used: set[str] = set()
-        stack = [visit(source, trail)]
+        masks = [(0, sink_bit.get(source, 0))]
+        stack = [iter(arcs[source])]
+        visited += 1
         while stack:
-            edge = next(stack[-1], None)
-            if edge is None:
+            if visited > MAX_PATHS:
+                raise SearchSizeError(
+                    f"path enumeration exceeded {MAX_PATHS} partial paths of length <= {max_len}; "
+                    "reduce max_path_len"
+                )
+            arc = next(stack[-1], None)
+            if arc is None:
                 stack.pop()
+                masks.pop()
                 if trail:
-                    used.remove(trail.pop())
-            elif edge.id not in used:
-                used.add(edge.id)
-                trail.append(edge.id)
-                stack.append(visit(edge.head, trail))
-    found.sort(key=lambda p: p.edges)
+                    trail.pop()
+                continue
+            edge_id, head, bit, sink = arc
+            edge_mask, sink_mask = masks[-1]
+            if edge_mask & bit:
+                continue
+            visited += 1
+            edge_mask |= bit
+            sink_mask |= sink
+            if sink:
+                found.append(((*trail, edge_id), edge_mask, sink_mask))
+            if len(stack) < max_len:
+                trail.append(edge_id)
+                masks.append((edge_mask, sink_mask))
+                stack.append(iter(arcs[head]))
+    if len(sources) > 1:
+        # one source's walk is already in order: out-edges go in id order
+        # and a trail is recorded before its extensions
+        found.sort(key=lambda row: row[0])
     return found

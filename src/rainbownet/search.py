@@ -36,7 +36,7 @@ from .distortion import (
 )
 from .errors import SearchSizeError
 from .flows import DiscreteRnf, RainbowFlowVector, rainbow_flow_vector
-from .network import FlowPath, Network, enumerate_paths, max_flow
+from .network import FlowPath, Network, enumerate_path_masks, enumerate_paths, max_flow
 
 # Guards of the exact search: distinct path unions the closure builds, and
 # K-multisets of minimal candidates scanned.
@@ -342,31 +342,40 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
 def _best_path(table, color_mask, sink_mask, full, counts, levels, weights):
     """The path in `table` whose addition to a color lowers the cost most.
 
-    Rows are (edge mask, sink mask, ascending sinks). A path fits when none
-    of the edges it adds to the color is full, and it must reach a sink the
-    color lacks; its gain adds the marginal cost decreases of those sinks
-    in ascending order, once per distinct set of them. A later path wins
-    only by more than 1e-15, so ties keep the first. Returns its index, or
-    None when no path gains.
+    Rows are (edge ids, edge mask, sink mask). A path fits when none of the
+    edges it adds to the color is full, and it must reach a sink the color
+    lacks; its gain adds the marginal cost decreases of those sinks in
+    ascending order, once per distinct set of them. A later path wins only
+    by more than 1e-15, so ties keep the first. Returns its index, or None
+    when no path gains.
     """
     lacking, blocked = ~sink_mask, full & ~color_mask
+    # a sink that every color reaches is never new, and has no next level
+    drops = [
+        w * (levels[c] - levels[c + 1]) if c + 1 < len(levels) else None
+        for w, c in zip(weights, counts)
+    ]
     gains: dict[int, float] = {}
     best_index, best_gain = None, 0.0
-    for index, (mask, path_sink_mask, sinks) in enumerate(table):
+    for index, (_, mask, path_sink_mask) in enumerate(table):
         new = path_sink_mask & lacking
         if not new or mask & blocked:
             continue
         gain = gains.get(new)
         if gain is None:
-            gain = gains[new] = sum(
-                weights[t] * (levels[counts[t]] - levels[counts[t] + 1])
-                for t in sinks
-                if new >> t & 1
-            )
+            gain = gains[new] = sum(drops[t] for t in range(new.bit_length()) if new >> t & 1)
         if gain > best_gain + 1e-15:
             best_gain = gain
             best_index = index
     return best_index
+
+
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first, each as an int with that one bit."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
 
 
 def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
@@ -382,13 +391,9 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     counts = [0] * len(weights)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, counts))
-    paths = enumerate_paths(net, cfg.max_path_len)
-    bits, room, full = _edge_bits(_color_capacities(net, cfg))
-    # per path: its edge mask, its sink mask and its sinks in ascending order
-    table = [
-        (sum(map(bits.__getitem__, path.edges)), sum(1 << t for t in sinks), sinks)
-        for path, sinks in zip(paths, _path_sinks(net, paths))
-    ]
+    # the walk and _edge_bits both give bit i to net.edges[i]
+    table = enumerate_path_masks(net, cfg.max_path_len)
+    _, room, full = _edge_bits(_color_capacities(net, cfg))
     color_masks: list[int] = []
     color_sinks: list[int] = []
     chosen: list[tuple[FlowPath, int]] = []
@@ -406,18 +411,16 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
                 if not color_mask:
                     break  # an unused color: every later one sees this same state
                 continue
-            for bit in map(bits.__getitem__, paths[best_index].edges):
-                if not bit & color_mask:
-                    room[bit] -= 1
-                    if not room[bit]:
-                        full |= bit
-            mask, path_sink_mask, sinks = table[best_index]
-            for t in sinks:
-                if not sink_mask >> t & 1:
-                    counts[t] += 1
+            edges, mask, path_sink_mask = table[best_index]
+            for bit in _bits(mask & ~color_mask):
+                room[bit] -= 1
+                if not room[bit]:
+                    full |= bit
+            for bit in _bits(path_sink_mask & ~sink_mask):
+                counts[bit.bit_length() - 1] += 1
             color_masks[color] = color_mask | mask
             color_sinks[color] = sink_mask | path_sink_mask
-            chosen.append((paths[best_index], color + 1))
+            chosen.append((FlowPath(edges), color + 1))
             progress = True
 
     return _result(net, cfg, chosen, _cost(levels, weights, counts))

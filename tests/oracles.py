@@ -22,6 +22,7 @@ from rainbownet import (
     is_admissible,
     total_rainbow_flow,
 )
+from rainbownet import network
 from rainbownet.errors import SearchSizeError
 from rainbownet.gf256 import EXP, LOG, gf_inv, gf_mul
 from rainbownet.progressive import (
@@ -157,6 +158,46 @@ def reference_coloring_scan(candidates, capacity_for, K, score, minimize):
         if best_score is None or (value < best_score if minimize else value > best_score):
             best_score, best_key = value, combo
     return best_key, best_score
+
+
+def reference_enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
+    """The path walk as `network.enumerate_paths` was: a set of used edge
+    ids, a FlowPath per sink visit, and one sort at the end.
+
+    Reads `network.MAX_PATHS` at call time, so a test that lowers it moves
+    this guard and the walk's together.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    sink_set = set(net.sinks)
+    found: list[FlowPath] = []
+    visited = 0
+
+    def visit(node: str, trail: list[str]):
+        nonlocal visited
+        visited += 1
+        if visited > network.MAX_PATHS:
+            raise SearchSizeError(f"path enumeration exceeded {network.MAX_PATHS} partial paths")
+        if trail and node in sink_set:
+            found.append(FlowPath(tuple(trail)))
+        return iter(() if len(trail) == max_len else net.out_edges(node))
+
+    for source in sorted(set(net.sources)):
+        trail: list[str] = []
+        used: set[str] = set()
+        stack = [visit(source, trail)]
+        while stack:
+            edge = next(stack[-1], None)
+            if edge is None:
+                stack.pop()
+                if trail:
+                    used.remove(trail.pop())
+            elif edge.id not in used:
+                used.add(edge.id)
+                trail.append(edge.id)
+                stack.append(visit(edge.head, trail))
+    found.sort(key=lambda p: p.edges)
+    return found
 
 
 def reference_greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
