@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -26,6 +27,7 @@ from fractions import Fraction
 from . import __version__
 from .data import BUNDLED, bundled_text
 from .distortion import (
+    _check_layer_count,
     drnf_distortion,
     minimize_balanced_average,
     more_descriptions_values,
@@ -44,7 +46,14 @@ from .flows import (
     refine,
 )
 from .network import load_scenario, max_flow
-from .pet import PetProfile, description_from_bytes, description_to_bytes, pet_decode, pet_encode
+from .pet import (
+    PetProfile,
+    _description_byte_count,
+    description_from_bytes,
+    description_to_bytes,
+    pet_decode,
+    pet_encode,
+)
 from .progressive import _check_block_size, progressive_gaussian_source
 from .rationals import format_rational, parse_rational
 from .search import SearchConfig, alternating_search, exact_search, greedy_search, route
@@ -351,6 +360,9 @@ def cmd_pipeline(args) -> CliOutput:
         weights=weights,
         strict=args.strict,
     )
+    # refuse before routing what the profile optimizer and PET refuse after it
+    _check_layer_count(args.K)
+    _description_byte_count(args.K, rate, args.n)
     result, profile_vec, _ = alternating_search(net, cfg, rounds=args.rounds)
     q = list(result.rfv.values)
     profile = PetProfile.quantize(profile_vec, rate, args.K, args.n)
@@ -382,6 +394,8 @@ def cmd_pipeline(args) -> CliOutput:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """A new rainbow-net parser. Each subcommand's ``handler`` default is
+    the name of its ``cmd_*`` function, which `main` looks up at call time."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     common.add_argument("--manifest", help="write a reproducibility manifest to this path")
@@ -401,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("scenario")
     p.add_argument("flow")
-    p.set_defaults(handler=cmd_validate)
+    p.set_defaults(handler="validate")
 
     p = sub.add_parser("search", parents=[common, strict], help="find a good admissible flow")
     p.add_argument("scenario")
@@ -413,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="fixed layer profile CSV for the wd objective")
     p.add_argument("--max-path-len", type=int, default=4)
     p.add_argument("--out-flow", help="write the found flow document here")
-    p.set_defaults(handler=cmd_search)
+    p.set_defaults(handler="search")
 
     p = sub.add_parser("optimize", parents=[common], help="optimize the layer profile for a flow")
     p.add_argument("scenario")
@@ -421,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default="uniform")
     p.add_argument("--K", type=int)
     p.add_argument("--rate")
-    p.set_defaults(handler=cmd_optimize)
+    p.set_defaults(handler="optimize")
 
     p = sub.add_parser("pet", help="encode/decode balanced descriptions")
     petsub = p.add_subparsers(dest="pet_command")
@@ -431,16 +445,16 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--n", type=int, required=True, help="source symbols per block")
     enc.add_argument("--input", required=True, help="payload file")
     enc.add_argument("--out-prefix", required=True)
-    enc.set_defaults(handler=cmd_pet_encode)
+    enc.set_defaults(handler="pet_encode")
     dec = petsub.add_parser("decode", parents=[common])
     dec.add_argument("files", nargs="+")
     dec.add_argument("--out", required=True)
-    dec.set_defaults(handler=cmd_pet_decode)
+    dec.set_defaults(handler="pet_decode")
 
     p = sub.add_parser("fig1", parents=[common], help="balanced two-description sweep")
     p.add_argument("--C", type=float, help="single per-description rate")
     p.add_argument("--grid", default="0.25,0.5,1,2,4", help="rate grid CSV")
-    p.set_defaults(handler=cmd_fig1)
+    p.set_defaults(handler="fig1")
 
     p = sub.add_parser("lemmas", parents=[common, strict], help="monotonicity property suites")
     p.add_argument("--scenario", action="append", help="scenario path (repeatable)")
@@ -448,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", default="1/2")
     p.add_argument("--max-path-len", type=int, default=3)
     p.add_argument("--steps", type=int, default=7)
-    p.set_defaults(handler=cmd_lemmas)
+    p.set_defaults(handler="lemmas")
 
     p = sub.add_parser(
         "pipeline", parents=[common, strict], help="search, optimize, encode, decode"
@@ -461,9 +475,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--seed", type=int, default=0, help="seed of the Gaussian source block")
     p.add_argument("--max-path-len", type=int, default=4)
-    p.set_defaults(handler=cmd_pipeline)
+    p.set_defaults(handler="pipeline")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and never mutated.
+
+    argparse reads the terminal width, sys.stdout and sys.stderr only when
+    it formats or prints, so reusing the parser changes no output.
+    """
+    return _build_parser()
 
 
 def _write_manifest(path: str, args, argv, stdout_text: str, files: dict[str, bytes]):
@@ -490,7 +514,7 @@ def _write_manifest(path: str, args, argv, stdout_text: str, files: dict[str, by
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -500,7 +524,8 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        output = args.handler(args)
+        # looked up per call, so a cmd_* patched after the first call runs
+        output = globals()[f"cmd_{args.handler}"](args)
     except (RainbowNetError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -386,6 +386,16 @@ def _tabulated_masses(levels, rate: Fraction, model: DistortionModel) -> list[fl
     return [float((r - b) / (rate * c)) for r, b, (c, _, _) in zip(reached, below, levels)]
 
 
+def _check_layer_count(num_descriptions: int) -> None:
+    """Raise ValueError unless 1 <= num_descriptions <= MAX_LAYERS."""
+    if num_descriptions < 1:
+        raise ValueError("num_descriptions must be at least 1")
+    if num_descriptions > MAX_LAYERS:
+        raise ValueError(
+            f"{num_descriptions} description layers exceed the limit of {MAX_LAYERS}"
+        )
+
+
 def optimize_pet_profile(
     q: Sequence,
     weights: Sequence[float],
@@ -407,12 +417,7 @@ def optimize_pet_profile(
     Layer c_k gets mass (R_k - R_{k-1})/q_k; with no weighted sink holding a
     description the profile is uniform.
     """
-    if num_descriptions < 1:
-        raise ValueError("num_descriptions must be at least 1")
-    if num_descriptions > MAX_LAYERS:
-        raise ValueError(
-            f"{num_descriptions} description layers exceed the limit of {MAX_LAYERS}"
-        )
+    _check_layer_count(num_descriptions)
     rate = Fraction(rate)
     counts = _description_counts(list(q), rate, num_descriptions)
     levels = _pooled_levels(counts, _check_weights(weights, len(counts), "weights"), rate)

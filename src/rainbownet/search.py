@@ -447,11 +447,20 @@ def route(net: Network, cfg: SearchConfig) -> SearchResult:
 
     Returns ``exact_search(net, cfg)``, or ``greedy_search(net, cfg)`` when
     the instance overflows the exact search's guard (SearchSizeError). The
-    fallback is silent: the result does not say which search produced it.
+    result does not say which search produced it; the fallback is logged as
+    a DEBUG record of the "rainbownet" logger that carries the guard's
+    message.
     """
     try:
         return exact_search(net, cfg)
-    except SearchSizeError:
+    except SearchSizeError as exc:
+        # imported here: nothing else in the package logs, and the import
+        # would add about 5 ms to every one-shot run
+        import logging
+
+        logging.getLogger("rainbownet").debug(
+            "exact search overflowed its guard, routing greedily: %s", exc
+        )
         return greedy_search(net, cfg)
 
 

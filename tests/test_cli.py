@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from rainbownet import (
     pet_encode,
     progressive,
     progressive_gaussian_source,
+    search,
 )
 from rainbownet.cli import main
 from rainbownet.flows import node_spectrum
@@ -514,6 +517,23 @@ class TestPipeline:
         assert (code, out, routed) == (1, "", [])
         assert err == f"error: n must be at most {progressive.MAX_BLOCK_SYMBOLS}, got 2000000\n"
 
+    @pytest.mark.parametrize(
+        "K, rate, message",
+        [
+            ("300", "1/2", "num_descriptions must be in 1..255, got 300"),
+            ("3", "1/3", "block_symbols * rate must be a whole number of bytes, got 16/3 bits"),
+        ],
+        ids=["description-count", "whole-bytes"],
+    )
+    def test_pet_shape_is_checked_before_routing(self, capsys, monkeypatch, K, rate, message):
+        routed = []
+        monkeypatch.setattr(
+            "rainbownet.cli.alternating_search", lambda *args, **kw: routed.append(1)
+        )
+        code, out, err = run(capsys, "pipeline", "fig2", "--K", K, "--rate", rate, "--n", "16")
+        assert (code, out, routed) == (1, "", [])
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("rounds", ["0", "-1"])
     def test_rounds_below_one_rejected(self, capsys, rounds):
         code, out, err = run(
@@ -679,6 +699,134 @@ class TestOutputDiscipline:
         data_line = out.splitlines()[1]
         values = data_line.split(",")
         assert all("." in v or v in ("true", "false") for v in values[1:5])
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_interpreter(*args):
+    """Exit code, stdout and stderr of a new interpreter that can import rainbownet."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        encoding="utf-8",
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return completed.returncode, completed.stdout, completed.stderr
+
+
+def run_fresh_parser(capsys, *argv):
+    """Exit code, stdout and stderr of a newly built parser on argv, which must exit."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli._build_parser().parse_args(list(argv))
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+# the top level and every subcommand
+COMMANDS = [
+    [], ["validate"], ["search"], ["optimize"], ["pet"], ["pet", "encode"], ["pet", "decode"],
+    ["fig1"], ["lemmas"], ["pipeline"],
+]
+# one usage error that each of them reports itself
+USAGE_ERRORS = [
+    ["no-such-command"],
+    ["validate", "fig1"],
+    ["search", "fig1"],
+    ["optimize", "fig1"],
+    ["pet", "no-such-command"],
+    ["pet", "encode", "--n", "many"],
+    ["pet", "decode"],
+    ["fig1", "--C", "x"],
+    ["lemmas", "--K", "x"],
+    ["pipeline", "fig1", "--K", "2"],
+]
+
+
+class TestParserReuse:
+    """main builds its parser once per process and reuses it on every call."""
+
+    def test_calls_leak_no_state(self, capsys):
+        sequence = [
+            ["lemmas", "--scenario", "fig1", "--scenario", "fig2"],
+            ["lemmas"],
+            ["lemmas", "--scenario", "fig2"],
+            ["search", "fig1", "--K", "2", "--rate", "1/2", "--json", "--strict"],
+            ["search", "fig1", "--K", "2", "--rate", "1/2"],
+            ["search", "fig1", "--K", "x", "--rate", "1/2"],
+            ["search", "fig1", "--K", "2", "--rate", "1/2", "--mode", "greedy"],
+            ["--version"],
+            ["fig1", "--C", "1"],
+            [],
+            ["validate", "fig1", "fig1_flow"],
+        ]
+        in_process = []
+        for argv in sequence:
+            code, out, _ = run(capsys, *argv)
+            in_process.append((code, out))
+        assert [code for code, _ in in_process] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0]
+        fresh = [run_interpreter("-m", "rainbownet.cli", *argv)[:2] for argv in sequence]
+        assert in_process == fresh
+        assert cli._parser().parse_args(["lemmas"]).scenario is None
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(c) or "top")
+    def test_help_matches_a_fresh_parser(self, capsys, command):
+        fresh = run_fresh_parser(capsys, *command, "--help")
+        assert fresh[0] == 0
+        for _ in range(2):
+            assert run(capsys, *command, "--help") == fresh
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_errors_match_a_fresh_parser(self, capsys, argv):
+        fresh = run_fresh_parser(capsys, *argv)
+        assert fresh[0] == 2 and fresh[1] == "" and "error:" in fresh[2]
+        for _ in range(2):
+            assert run(capsys, *argv) == fresh
+
+    def test_help_rewraps_when_the_width_changes(self, capsys, monkeypatch):
+        outputs = []
+        for columns in ("50", "150"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run(capsys, "search", "--help")
+            assert (code, out) == run_fresh_parser(capsys, "search", "--help")[:2]
+            outputs.append(out)
+        assert len(outputs[0].splitlines()) > len(outputs[1].splitlines())
+
+    def test_handlers_are_looked_up_when_called(self, capsys, monkeypatch):
+        argv = ["search", "fig1", "--K", "1", "--rate", "1"]
+        assert run(capsys, *argv)[0] == 0
+        seen = []
+
+        def fake(args):
+            seen.append(args.scenario)
+            return cli.CliOutput([cli.Table("fake", ["scenario"], [[args.scenario]])])
+
+        monkeypatch.setattr(cli, "cmd_search", fake)
+        assert run(capsys, *argv) == (0, "scenario\nfig1\n", "")
+        assert seen == ["fig1"]
+
+
+def test_route_fallback_leaves_the_output_streams_alone(capsys, monkeypatch):
+    # a new interpreter configures no logging handler, so route's DEBUG
+    # record for the fallback is dropped
+    argv = ["lemmas", "--scenario", "fig1", "--K", "2", "--rate", "1", "--max-path-len", "2"]
+    script = (
+        "import sys; from rainbownet import cli, search; search.MAX_COLORINGS = 5; "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    fresh = run_interpreter("-c", script, *argv)
+    monkeypatch.setattr(search, "MAX_COLORINGS", 5)
+    greedy_search, routed = search.greedy_search, []
+
+    def greedy(*args):
+        routed.append(1)
+        return greedy_search(*args)
+
+    monkeypatch.setattr(search, "greedy_search", greedy)
+    assert (cli.main(argv), routed) == (0, [1])
+    assert fresh == (0, capsys.readouterr().out, "")
 
 
 # sha256 of stdout (and of the written flow document) for each README

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import random
 from fractions import Fraction
@@ -627,6 +628,26 @@ class TestRoute:
         greedy = greedy_search(net, cfg)
         assert routed.flow == greedy.flow
         assert routed.objective == greedy.objective
+
+    def test_guard_overflow_is_logged_before_greedy_runs(self, monkeypatch, caplog):
+        monkeypatch.setattr(search, "MAX_COLORINGS", 5)
+        net = helpers.fig1_network()
+        cfg = _cfg(2, 1, max_path_len=2)
+        with pytest.raises(SearchSizeError) as guard:
+            exact_search(net, cfg)
+        logged_before_greedy = []
+
+        def greedy(*args):
+            logged_before_greedy.append([record.getMessage() for record in caplog.records])
+            return greedy_search(*args)
+
+        monkeypatch.setattr(search, "greedy_search", greedy)
+        with caplog.at_level(logging.DEBUG, logger="rainbownet"):
+            route(net, cfg)
+        assert len(logged_before_greedy) == 1
+        assert [(r.name, r.levelno) for r in caplog.records] == [("rainbownet", logging.DEBUG)]
+        assert logged_before_greedy[0] == [caplog.records[0].getMessage()]
+        assert str(guard.value) in caplog.records[0].getMessage()
 
     @pytest.mark.parametrize("objective", ["trf", "wd"])
     def test_strict_zero_capacity_edge_gives_every_search_the_empty_flow(self, objective):
