@@ -1,21 +1,24 @@
 """Routing search: exact on small instances, greedy at scale, baselines.
 
-A color is keyed by its edge union; its sinks (the sinks among the edges'
-endpoints) follow from it and are kept as positions in `net.sinks`. A flow
-whose sink t holds c_t descriptions costs sum_t w_t * levels[c_t] (minus
-the description count for "trf", the weighted distortion for "wd"), and
-both searches minimize that one cost. Both grow a color only by a path
-that reaches a sink the color lacks, and both test an edge's room on bit
-masks over the edges. The exact search builds the path unions that grow
-this way, keeps the minimal ones of each sink set, and scans multisets of
-K unions depth first (branch and bound). It skips every extension of a
-prefix that already overloads an edge, and every extension whose lower
-bound is no less than the best cost found: each sink that a later
-candidate reaches is costed as if it gained all the colors left, every
-other sink at its current count. Candidate order and tie-breaking are
-fixed, so results are reproducible regardless of scheduling; guards
-refuse instances whose path, union or coloring count would exceed its
-bound, and the coloring guard counts every multiset, skipped or not.
+Both searches read the path walk's rows (`enumerate_path_masks`): each
+path as its edge ids, a bit mask over `net.edges` and a bit mask over
+`net.sinks`. A color is keyed by its edge union; its sinks (the sinks
+among the edges' endpoints) follow from it. A flow whose sink t holds c_t
+descriptions costs sum_t w_t * levels[c_t] (minus the description count
+for "trf", the weighted distortion for "wd"), and both searches minimize
+that one cost. Both grow a color only by a path that reaches a sink the
+color lacks, and both test an edge's room on the edge masks. The exact
+search builds the path unions that grow this way as OR-ed masks, keeps the
+minimal ones of each sink set, and scans multisets of K unions depth first
+(branch and bound). It skips every extension of a prefix that already
+overloads an edge, and every extension whose lower bound is no less than
+the best cost found: each sink that a later candidate reaches is costed as
+if it gained all the colors left, every other sink at its current count.
+Candidate order and tie-breaking are fixed, so results are reproducible
+regardless of scheduling; guards refuse instances whose path, union or
+coloring count would exceed its bound, and the coloring guard counts every
+multiset, skipped or not. Both build a `FlowPath` only for the paths of
+the flow they return.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 from .distortion import (
     GAUSSIAN,
@@ -36,7 +38,7 @@ from .distortion import (
 )
 from .errors import SearchSizeError
 from .flows import DiscreteRnf, RainbowFlowVector, rainbow_flow_vector
-from .network import FlowPath, Network, enumerate_path_masks, enumerate_paths, max_flow
+from .network import FlowPath, Network, enumerate_path_masks, max_flow
 
 # Guards of the exact search: distinct path unions the closure builds, and
 # K-multisets of minimal candidates scanned.
@@ -141,50 +143,28 @@ def _result(net: Network, cfg: SearchConfig, chosen, cost) -> SearchResult:
     return SearchResult(flow=flow, objective=objective, rfv=rainbow_flow_vector(flow))
 
 
-def _path_sinks(net: Network, paths: Sequence[FlowPath]) -> list[list[int]]:
-    """The positions in net.sinks of the sinks each path visits, ascending.
+def _candidates(rows, limit: int):
+    """Each minimal path union for the sinks it reaches, as (edges, sinks, rep).
 
-    A path visits the tail of its first edge and the head of every edge.
+    `rows` are the walk's (edge ids, edge mask, sink mask) paths; a union's
+    edges and sinks are the ORs of its paths' masks. A breadth-first
+    closure from the empty union grows a union by a path only when the path
+    reaches a sink the union lacks; `rep` is the first path tuple that
+    builds the union, and its sinks travel with it. A minimal generating
+    set has no path whose sinks the others cover, so every union with no
+    strict subset of equal sinks is built, by the same rep as in the
+    closure over all path subsets. Of each sink set the minimal unions are
+    kept, sorted by their sorted edge ids (as strings, not by bit order).
     """
-    position = {sink: t for t, sink in enumerate(net.sinks)}
-    at_head = {edge.id: position.get(edge.head) for edge in net.edges}
-    out = []
-    for path in paths:
-        sinks = {at_head[edge_id] for edge_id in path.edges}
-        sinks.add(position.get(net.edge(path.edges[0]).tail))
-        sinks.discard(None)
-        out.append(sorted(sinks))
-    return out
-
-
-def _path_signatures(net: Network, paths: Sequence[FlowPath]):
-    """(edge set, positions in net.sinks of the sinks it visits) per path."""
-    return [
-        (frozenset(path.edges), frozenset(sinks))
-        for path, sinks in zip(paths, _path_sinks(net, paths))
-    ]
-
-
-def _candidates(infos, limit: int):
-    """Each minimal path union for the sinks it reaches, as ((edges, sinks), rep).
-
-    A breadth-first closure from the empty union that grows a union by a
-    path only when the path reaches a sink the union lacks; `rep` is the
-    first path tuple that builds the union, and its sinks travel with it.
-    A minimal generating set has no path whose sinks the others cover, so
-    every union with no strict subset of equal sinks is built, by the same
-    rep as in the closure over all path subsets. Of each sink set the
-    minimal unions are kept, sorted by their sorted edges.
-    """
-    unions: dict[frozenset, tuple[frozenset, tuple[int, ...]]] = {frozenset(): (frozenset(), ())}
-    frontier = [frozenset()]
+    unions: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+    frontier = [0]
     while frontier:
         added = []
         for edges in frontier:
             sinks, rep = unions[edges]
-            for index, (path_edges, path_sinks) in enumerate(infos):
+            for index, (_, path_edges, path_sinks) in enumerate(rows):
                 candidate = edges | path_edges
-                if path_sinks <= sinks or candidate in unions:
+                if not path_sinks & ~sinks or candidate in unions:
                     continue
                 unions[candidate] = (sinks | path_sinks, rep + (index,))
                 added.append(candidate)
@@ -194,24 +174,25 @@ def _candidates(infos, limit: int):
                         "reduce max_path_len or use greedy mode"
                     )
         frontier = added
-    minimal: dict[frozenset, list[frozenset]] = {}
-    for edges in sorted(unions, key=len):
+    minimal: dict[int, list[int]] = {}
+    for edges in sorted(unions, key=int.bit_count):
         group = minimal.setdefault(unions[edges][0], [])
-        if not any(other < edges for other in group):
+        if all(other & ~edges for other in group):
             group.append(edges)
-    kept = sorted((edges for group in minimal.values() for edges in group), key=sorted)
-    return [((edges, unions[edges][0]), unions[edges][1]) for edges in kept]
+    kept = [edges for group in minimal.values() for edges in group]
+    # a union's edges are those of its rep's paths
+    kept.sort(key=lambda edges: sorted({e for i in unions[edges][1] for e in rows[i][0]}))
+    return [(edges, *unions[edges]) for edges in kept]
 
 
 def _edge_bits(capacity_for):
-    """Each edge as one bit of an int: (bit by edge id, room by bit, full).
+    """Each edge as one bit of an int, in `capacity_for` order: (room by bit, full).
 
     `room` holds each edge's color capacity, and the mask `full` has the
     bits of the edges with no room left.
     """
-    bits = {edge_id: 1 << position for position, edge_id in enumerate(capacity_for)}
-    room = {bits[edge_id]: capacity for edge_id, capacity in capacity_for.items()}
-    return bits, room, sum(bit for bit, left in room.items() if left <= 0)
+    room = {1 << position: capacity for position, capacity in enumerate(capacity_for.values())}
+    return room, sum(bit for bit, left in room.items() if left <= 0)
 
 
 def _completion_bound(floor, weights, counts, reach, left):
@@ -230,6 +211,9 @@ def _completion_bound(floor, weights, counts, reach, left):
 def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
     """The first least-cost feasible K-multiset of candidates: (indices, cost).
 
+    Candidates are `_candidates`' (edge mask, sink mask, rep) triples, with
+    bit i of an edge mask for the i-th edge of `capacity_for`.
+
     An iterative depth-first walk over nondecreasing candidate indices. It
     keeps the edges at their color capacity and the per-sink description
     counts as it pushes and pops a candidate, drops a prefix as soon as a
@@ -243,19 +227,19 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
     `combinations_with_replacement`, so a tie keeps the first. The empty
     union is always a candidate, so at least one multiset is feasible.
     """
-    bits, room, full = _edge_bits(capacity_for)
-    edge_bits = [tuple(bits[edge_id] for edge_id in edges) for (edges, _), _ in candidates]
-    masks = [sum(members) for members in edge_bits]
-    reached = [tuple(sinks) for (_, sinks), _ in candidates]
+    room, full = _edge_bits(capacity_for)
+    masks = [edges for edges, _, _ in candidates]
+    edge_bits = [tuple(_bits(edges)) for edges in masks]
+    reached = [tuple(bit.bit_length() - 1 for bit in _bits(sinks)) for _, sinks, _ in candidates]
     floor = list(itertools.accumulate(levels, min))
     # suffix[i] flags the sinks candidates i.. reach, one shared tuple per set
     suffix = [None] * len(candidates)
-    reach = frozenset()
-    flags = (0,) * len(weights)
+    reach, flags = 0, (0,) * len(weights)
     for index in range(len(candidates) - 1, -1, -1):
-        if not reach.issuperset(reached[index]):
-            reach = reach.union(reached[index])
-            flags = tuple(int(t in reach) for t in range(len(weights)))
+        sinks = candidates[index][1]
+        if sinks & ~reach:
+            reach |= sinks
+            flags = tuple(reach >> t & 1 for t in range(len(weights)))
         suffix[index] = flags
     # per depth: the suffix flags its bound was taken over, and the bound
     bound_flags = [None] * (num_colors + 1)
@@ -320,9 +304,8 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     levels, weights = _objective(cfg, net)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, [0] * len(weights)))
-    paths = enumerate_paths(net, cfg.max_path_len)
-    infos = _path_signatures(net, paths)
-    candidates = _candidates(infos, MAX_SIGNATURES)
+    rows = enumerate_path_masks(net, cfg.max_path_len)
+    candidates = _candidates(rows, MAX_SIGNATURES)
 
     count = math.comb(len(candidates) + cfg.num_colors - 1, cfg.num_colors)
     if count > MAX_COLORINGS:
@@ -332,9 +315,9 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
         candidates, _color_capacities(net, cfg), cfg.num_colors, levels, weights
     )
     chosen = [
-        (paths[path_index], color)
+        (FlowPath(rows[path_index][0]), color)
         for color, index in enumerate(best_key, start=1)
-        for path_index in candidates[index][1]
+        for path_index in candidates[index][2]
     ]
     return _result(net, cfg, chosen, best_cost)
 
@@ -393,7 +376,7 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
         return _result(net, cfg, [], _cost(levels, weights, counts))
     # the walk and _edge_bits both give bit i to net.edges[i]
     table = enumerate_path_masks(net, cfg.max_path_len)
-    _, room, full = _edge_bits(_color_capacities(net, cfg))
+    room, full = _edge_bits(_color_capacities(net, cfg))
     color_masks: list[int] = []
     color_sinks: list[int] = []
     chosen: list[tuple[FlowPath, int]] = []

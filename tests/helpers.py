@@ -71,6 +71,29 @@ def random_network(rng: random.Random, max_nodes: int = 7) -> Network:
     )
 
 
+def walk_networks():
+    """Random networks with cycles and shuffled edge ids, some with a
+    second source and some with a source that is also a sink.
+
+    The `x??` ids are shuffled against the edge order, so the string order
+    of a path's edge ids is not the order of their bits in an edge mask.
+    """
+    rng = random.Random(41)
+    for index in range(36):
+        net = random_network(rng)
+        labels = rng.sample(range(100), len(net.edges))
+        edges = tuple(
+            Edge(f"x{i:02d}", e.tail, e.head, e.capacity) for i, e in zip(labels, net.edges)
+        )
+        net = Network(net.nodes, edges, net.sources, net.sinks)
+        if index % 3 == 1:
+            extra = rng.choice([n for n in net.nodes if n not in net.sources])
+            net = Network(net.nodes, net.edges, (extra, *net.sources), net.sinks)
+        elif index % 3 == 2:
+            net = Network(net.nodes, net.edges, net.sources, (*net.sinks, net.sources[0]))
+        yield net
+
+
 def layered_network(rng: random.Random, width: int, depth: int) -> Network:
     """A layered DAG: the source feeds layer 0, each relay two nodes below.
 

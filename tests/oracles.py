@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from rainbownet.search import (
     _cost,
     _nothing_admissible,
     _objective,
-    _path_signatures,
     _result,
 )
 
@@ -83,6 +83,75 @@ def brute_best_total_flow(net: Network, num_colors: int, rate: Fraction, max_len
                 if is_admissible(flow):
                     best = max(best, total_rainbow_flow(flow))
     return best
+
+
+def _path_sinks(net: Network, paths: Sequence[FlowPath]) -> list[list[int]]:
+    """The positions in net.sinks of the sinks each path visits, ascending.
+
+    A path visits the tail of its first edge and the head of every edge.
+    """
+    position = {sink: t for t, sink in enumerate(net.sinks)}
+    at_head = {edge.id: position.get(edge.head) for edge in net.edges}
+    out = []
+    for path in paths:
+        sinks = {at_head[edge_id] for edge_id in path.edges}
+        sinks.add(position.get(net.edge(path.edges[0]).tail))
+        sinks.discard(None)
+        out.append(sorted(sinks))
+    return out
+
+
+def reference_path_signatures(net: Network, paths: Sequence[FlowPath]):
+    """(edge set, positions in net.sinks of the sinks it visits) per path.
+
+    The frozenset path representation `search.exact_search` read before
+    both searches moved to the walk's bit-mask rows.
+    """
+    return [
+        (frozenset(path.edges), frozenset(sinks))
+        for path, sinks in zip(paths, _path_sinks(net, paths))
+    ]
+
+
+def reference_candidates(infos, limit: int):
+    """Each minimal path union for the sinks it reaches, as ((edges, sinks), rep).
+
+    `search._candidates` on frozensets, as it was before it grew int masks:
+    `infos` are `reference_path_signatures` of the walk's paths.
+
+    A breadth-first closure from the empty union that grows a union by a
+    path only when the path reaches a sink the union lacks; `rep` is the
+    first path tuple that builds the union, and its sinks travel with it.
+    A minimal generating set has no path whose sinks the others cover, so
+    every union with no strict subset of equal sinks is built, by the same
+    rep as in the closure over all path subsets. Of each sink set the
+    minimal unions are kept, sorted by their sorted edges.
+    """
+    unions: dict[frozenset, tuple[frozenset, tuple[int, ...]]] = {frozenset(): (frozenset(), ())}
+    frontier = [frozenset()]
+    while frontier:
+        added = []
+        for edges in frontier:
+            sinks, rep = unions[edges]
+            for index, (path_edges, path_sinks) in enumerate(infos):
+                candidate = edges | path_edges
+                if path_sinks <= sinks or candidate in unions:
+                    continue
+                unions[candidate] = (sinks | path_sinks, rep + (index,))
+                added.append(candidate)
+                if len(unions) > limit:
+                    raise SearchSizeError(
+                        f"signature closure exceeded {limit} entries; "
+                        "reduce max_path_len or use greedy mode"
+                    )
+        frontier = added
+    minimal: dict[frozenset, list[frozenset]] = {}
+    for edges in sorted(unions, key=len):
+        group = minimal.setdefault(unions[edges][0], [])
+        if not any(other < edges for other in group):
+            group.append(edges)
+    kept = sorted((edges for group in minimal.values() for edges in group), key=sorted)
+    return [((edges, unions[edges][0]), unions[edges][1]) for edges in kept]
 
 
 def signature_closure(infos, limit: int):
@@ -212,7 +281,7 @@ def reference_greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, counts))
     paths = enumerate_paths(net, cfg.max_path_len)
-    infos = _path_signatures(net, paths)
+    infos = reference_path_signatures(net, paths)
     residual = _color_capacities(net, cfg)
     color_edges: list[frozenset] = []
     color_sinks: list[frozenset] = []

@@ -193,35 +193,15 @@ class TestEnumeratePaths:
         with pytest.raises(ValueError):
             enumerate_paths(helpers.fig1_network(), 0)
 
-
-    @staticmethod
-    def _walk_networks():
-        """Random networks with cycles and shuffled edge ids, some with a
-        second source and some with a source that is also a sink."""
-        rng = random.Random(41)
-        for index in range(36):
-            net = helpers.random_network(rng)
-            labels = rng.sample(range(100), len(net.edges))
-            edges = tuple(
-                Edge(f"x{i:02d}", e.tail, e.head, e.capacity) for i, e in zip(labels, net.edges)
-            )
-            net = Network(net.nodes, edges, net.sources, net.sinks)
-            if index % 3 == 1:
-                extra = rng.choice([n for n in net.nodes if n not in net.sources])
-                net = Network(net.nodes, net.edges, (extra, *net.sources), net.sinks)
-            elif index % 3 == 2:
-                net = Network(net.nodes, net.edges, net.sources, (*net.sinks, net.sources[0]))
-            yield net
-
     def test_matches_the_reference_walk(self):
-        for net in self._walk_networks():
+        for net in helpers.walk_networks():
             for max_len in (1, 2, 4, 6):
                 assert enumerate_paths(net, max_len) == oracles.reference_enumerate_paths(
                     net, max_len
                 )
 
     def test_masks_are_the_edges_and_sinks_of_each_path(self):
-        for net in self._walk_networks():
+        for net in helpers.walk_networks():
             edge_position = {edge.id: i for i, edge in enumerate(net.edges)}
             rows = enumerate_path_masks(net, 5)
             assert [edges for edges, _, _ in rows] == [p.edges for p in enumerate_paths(net, 5)]
@@ -234,7 +214,7 @@ class TestEnumeratePaths:
         # the guard counts every partial path the walk extends, full-length
         # ones included, so each limit raises exactly where the reference does
         raised = 0
-        for net in list(self._walk_networks())[:12]:
+        for net in list(helpers.walk_networks())[:12]:
             for limit in (1, 3, 8, 20, 60):
                 monkeypatch.setattr(network, "MAX_PATHS", limit)
                 outcomes = []

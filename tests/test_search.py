@@ -28,7 +28,8 @@ from rainbownet import (
 )
 from rainbownet import search
 from rainbownet.distortion import MAX_LAYERS, GAUSSIAN, DistortionModel, description_rates
-from rainbownet.search import _candidates, _path_signatures
+from rainbownet.network import enumerate_path_masks
+from rainbownet.search import _candidates
 
 
 def _cfg(num_colors, rate, **kw):
@@ -327,6 +328,25 @@ def _signature_keyed(unions, infos):
     }
 
 
+def _members(mask):
+    """The positions of the set bits of `mask`, ascending."""
+    return [t for t in range(mask.bit_length()) if mask >> t & 1]
+
+
+def _decoded(net, candidates):
+    """Mask candidates as ((edge ids, sink positions), rep), the reference's form."""
+    return [
+        ((frozenset(net.edges[i].id for i in _members(edges)), frozenset(_members(sinks))), rep)
+        for edges, sinks, rep in candidates
+    ]
+
+
+def _reference_candidates(net, max_len, limit=search.MAX_SIGNATURES):
+    """The frozenset closure's candidates over the walk's paths."""
+    paths = enumerate_paths(net, max_len)
+    return oracles.reference_candidates(oracles.reference_path_signatures(net, paths), limit)
+
+
 def _cost_score(levels, weights):
     """The search cost as a score on a {sink position: count} dict, minimized."""
     positions = range(len(weights))
@@ -338,44 +358,46 @@ class TestPruning:
     def _path_universes():
         rng = random.Random(23)
         for _ in range(30):
-            net = helpers.random_network(rng, max_nodes=6)
-            yield _path_signatures(net, enumerate_paths(net, 3))
+            yield helpers.random_network(rng, max_nodes=6), 3
         for width, depth in ((2, 3), (3, 2), (2, 4), (3, 3)):
-            net = helpers.layered_network(rng, width, depth)
-            yield _path_signatures(net, enumerate_paths(net, depth + 1))
+            yield helpers.layered_network(rng, width, depth), depth + 1
         for family in ("layered", "fanout", "figures", "random"):
             for net, _, max_len in _scan_instances(family):
-                yield _path_signatures(net, enumerate_paths(net, max_len))
-
-    def test_path_sinks_are_the_sinks_on_each_path(self):
-        # the sinks among the nodes each path visits, as positions in net.sinks
-        rng = random.Random(29)
-        nets = [helpers.random_network(rng) for _ in range(30)]
-        for family in ("layered", "fanout", "figures"):
-            nets += [net for net, _, _ in _scan_instances(family)]
-        # a source that is also a sink is visited by every path leaving it
-        source_sink = Network(
-            nodes=("s", "u", "t"),
-            edges=(Edge("e1", "s", "u", Fraction(1)), Edge("e2", "u", "t", Fraction(1))),
-            sources=("s",),
-            sinks=("t", "s"),
-        )
-        nets.append(source_sink)
-        for net in nets:
-            paths = enumerate_paths(net, 4)
-            expected = [
-                sorted({net.sinks.index(node) for node in net.path_nodes(path) if node in net.sinks})
-                for path in paths
-            ]
-            assert search._path_sinks(net, paths) == expected
+                yield net, max_len
 
     def test_matches_the_all_pairs_prune(self):
         # the full closure builds every union of every path subset; growing
         # a union only by a path that reaches a new sink keeps the same
         # undominated unions, with the same reps
-        for infos in self._path_universes():
+        for net, max_len in self._path_universes():
+            infos = oracles.reference_path_signatures(net, enumerate_paths(net, max_len))
             closure = _signature_keyed(oracles.signature_closure(infos, 200_000), infos)
-            assert _candidates(infos, 200_000) == oracles.all_pairs_prune(closure)
+            candidates = _candidates(enumerate_path_masks(net, max_len), 200_000)
+            assert _decoded(net, candidates) == oracles.all_pairs_prune(closure)
+
+    def test_matches_the_reference_candidates(self):
+        # the same order, edge sets, sink sets and reps as the frozenset
+        # closure, and the same raise point under a small guard: layered
+        # (3, 3, 0) at length 4 builds 283 unions. The walk networks'
+        # shuffled x?? ids tell a sort by edge ids from a sort by edge bits
+        universes = list(self._path_universes())
+        universes += [(net, 4) for net in helpers.walk_networks()]
+        raised = 0
+        for net, max_len in universes:
+            rows = enumerate_path_masks(net, max_len)
+            for limit in (1, 5, 50, 282, 283, 284, search.MAX_SIGNATURES):
+                outcomes = []
+                for build in (
+                    lambda: _decoded(net, _candidates(rows, limit)),
+                    lambda: _reference_candidates(net, max_len, limit),
+                ):
+                    try:
+                        outcomes.append(build())
+                    except SearchSizeError:
+                        outcomes.append("raised")
+                assert outcomes[0] == outcomes[1]
+                raised += outcomes[0] == "raised"
+        assert raised > 0
 
     def test_guard_counts_only_the_unions_it_builds(self, monkeypatch):
         # layered(3, 3, 0) at length 4: the full closure has 1,040 unions,
@@ -400,11 +422,10 @@ class TestPruning:
         ]
         rows = []
         for net, max_len in instances:
-            infos = _path_signatures(net, enumerate_paths(net, max_len))
-            candidates = _candidates(infos, search.MAX_SIGNATURES)
+            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SIGNATURES)
             rows.append(
                 [[sorted(edges), sorted(net.sinks[t] for t in sinks), list(rep)]
-                 for (edges, sinks), rep in candidates]
+                 for (edges, sinks), rep in _decoded(net, candidates)]
             )
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
             "1ac61d3456b870ecab64e21df8dd60708913c98e2d09a269d1f99592c18f6917"
@@ -436,8 +457,8 @@ class TestColoringScan:
     def test_matches_the_reference_scan(self, family):
         scans = 0
         for net, K, max_len in _scan_instances(family):
-            infos = _path_signatures(net, enumerate_paths(net, max_len))
-            candidates = _candidates(infos, search.MAX_SIGNATURES)
+            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SIGNATURES)
+            reference = _reference_candidates(net, max_len)
             weights = tuple(1 / len(net.sinks) for _ in net.sinks)
             for objective in ("trf", "wd"):
                 for strict in (False, True):
@@ -449,12 +470,11 @@ class TestColoringScan:
                         continue
                     levels, cost_weights = search._objective(cfg, net)
                     capacity_for = search._color_capacities(net, cfg)
-                    args = (candidates, capacity_for, K)
                     score = _cost_score(levels, cost_weights)
                     # the same multiset (so the same tie-break) and objective
-                    assert search._scan_colorings(*args, levels, cost_weights) == (
-                        oracles.reference_coloring_scan(*args, score, True)
-                    )
+                    assert search._scan_colorings(
+                        candidates, capacity_for, K, levels, cost_weights
+                    ) == oracles.reference_coloring_scan(reference, capacity_for, K, score, True)
                     scans += 1
         assert scans >= 20
 
@@ -530,8 +550,8 @@ class TestColoringScan:
         monkeypatch.setattr(search, "_completion_bound", counted_bound)
         scans = 0
         for net, K, max_len in _scan_instances(family):
-            infos = _path_signatures(net, enumerate_paths(net, max_len))
-            candidates = _candidates(infos, search.MAX_SIGNATURES)
+            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SIGNATURES)
+            reference = _reference_candidates(net, max_len)
             raw = [rng.choice((0, 1, 2, 5)) for _ in net.sinks]
             raw[rng.randrange(len(raw))] += 1
             weights = tuple(w / sum(raw) for w in raw)
@@ -543,15 +563,19 @@ class TestColoringScan:
                     strict=scans % 2 == 1,
                 )
                 levels, cost_weights = search._objective(cfg, net)
-                args = (candidates, search._color_capacities(net, cfg), K)
+                capacity_for = search._color_capacities(net, cfg)
                 positions = range(len(cost_weights))
-                reference = oracles.reference_coloring_scan(
-                    *args,
+                expected = oracles.reference_coloring_scan(
+                    reference,
+                    capacity_for,
+                    K,
                     lambda counts: cost(levels, cost_weights, [counts.get(t, 0) for t in positions]),
                     True,
                 )
                 best[0] = None
-                assert search._scan_colorings(*args, levels, cost_weights) == reference
+                assert search._scan_colorings(
+                    candidates, capacity_for, K, levels, cost_weights
+                ) == expected
                 scans += 1
         assert scans >= 12
         assert equal_prunes
@@ -560,9 +584,7 @@ class TestColoringScan:
         # the empty union and 200 single-edge unions, of which only e0 has
         # room (for one color): of the ~1e53 multisets at K=50 two fit;
         # levels[c] = 2 - c costs a multiset 2 minus its description count
-        candidates = [((frozenset(), frozenset()), ())] + [
-            ((frozenset({f"e{i}"}), frozenset({0})), (i,)) for i in range(200)
-        ]
+        candidates = [(0, 0, ())] + [(1 << i, 1, (i,)) for i in range(200)]
         capacity_for = {f"e{i}": int(i == 0) for i in range(200)}
         scored = []
         cost = search._cost
