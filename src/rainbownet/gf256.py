@@ -6,9 +6,13 @@ symbols are values of the degree<k polynomial through points 0..k-1;
 parity symbols are its values at points k..total-1, so the code is MDS
 and systematic; field elements double as points, which caps `total` at
 255. Evaluating the polynomial through `sources` at `targets` is linear:
-one cached Lagrange coefficient matrix per (sources, targets), applied to
-whole byte rows through the product table `MUL`, does the encoding, the
-recovery of missing data rows and the parity check on extra rows.
+one cached Lagrange coefficient matrix C per (sources, targets). Each
+evaluation gathers the rows of the product table `MUL` that C names, so
+one table pass per source row multiplies that row by all its target
+coefficients at once. Encoding is one evaluation; recovery is one
+evaluation per block, at the missing data points and the extra rows'
+points together, which yields the missing rows and the values the extra
+rows are checked against.
 """
 
 from __future__ import annotations
@@ -72,9 +76,14 @@ def _evaluate(sources, rows: np.ndarray, targets) -> np.ndarray:
     out = np.zeros((len(targets), rows.shape[1]), dtype=np.uint8)
     if not targets:
         return out
-    matrix = _coefficients(tuple(sources), targets)
-    for u, row in enumerate(rows):
-        out ^= MUL[matrix[:, u]][:, row]
+    # tables[u, t] = MUL[C[t, u]], (sources, targets, 256) bytes: one take per
+    # source row multiplies it by all its target coefficients. Indices are
+    # converted to intp once here, not by every take.
+    tables = MUL[_coefficients(tuple(sources), targets).T]
+    part = np.empty_like(out)
+    for table, row in zip(tables, rows.astype(np.intp)):
+        table.take(row, axis=1, out=part)
+        out ^= part
     return out
 
 
@@ -90,9 +99,10 @@ def encode_block(data: np.ndarray, total: int) -> np.ndarray:
 def recover_block(shares: dict[int, np.ndarray], k: int, total: int) -> np.ndarray:
     """Recover the (k, width) data block from any >= k coded rows.
 
-    `shares` maps row index (0-based point) to its byte row. Extra rows
-    beyond k are used to verify consistency; a mismatch raises ValueError
-    naming the first inconsistent row in the order given.
+    `shares` maps row index (0-based point) to its byte row. The k lowest
+    rows must be 1-D rows of one width. Extra rows beyond k are used to
+    verify consistency; a mismatch raises ValueError naming the first
+    inconsistent row in the order given.
     """
     if not 1 <= k <= total <= 255:
         raise ValueError(f"need 1 <= k <= total <= 255, got k={k}, total={total}")
@@ -102,14 +112,33 @@ def recover_block(shares: dict[int, np.ndarray], k: int, total: int) -> np.ndarr
         if not 0 <= point < total:
             raise ValueError(f"row index {point} outside 0..{total - 1}")
     chosen = sorted(shares)[:k]
+    shape = np.shape(shares[chosen[0]])
+    if len(shape) != 1:
+        raise ValueError(f"row {chosen[0]} has shape {shape}, expected a 1-D byte row")
+    for point in chosen[1:]:
+        if np.shape(shares[point]) != shape:
+            raise ValueError(
+                f"row {point} has shape {np.shape(shares[point])}, "
+                f"expected {shape} like row {chosen[0]}"
+            )
     rows = np.array([shares[point] for point in chosen], dtype=np.uint8)
     present = [point for point in chosen if point < k]
     missing = [point for point in range(k) if point not in shares]
+    extras = [point for point in shares if point not in chosen]
+    # one polynomial through the chosen rows gives both the missing data
+    # rows and the values the extra rows must hold
+    values = _evaluate(chosen, rows, missing + extras)
     data = np.empty_like(rows)
     data[present] = rows[: len(present)]
-    data[missing] = _evaluate(chosen, rows, missing)
-    extras = [point for point in shares if point not in chosen]
-    for point, row in zip(extras, _evaluate(range(k), data, extras)):
-        if not np.array_equal(row, shares[point]):
-            raise ValueError(f"parity row {point} is inconsistent with the recovered data")
+    data[missing] = values[: len(missing)]
+    # only extra rows of the block's shape are compared, and uncast: a row of
+    # another shape would broadcast, and a cast to uint8 would wrap
+    comparable = [i for i, point in enumerate(extras) if np.shape(shares[point]) == shape]
+    consistent = np.zeros(len(extras), dtype=bool)
+    if comparable:
+        stacked = np.array([shares[extras[i]] for i in comparable])
+        consistent[comparable] = (stacked == values[len(missing) :][comparable]).all(axis=1)
+    if not consistent.all():
+        point = extras[int(consistent.argmin())]
+        raise ValueError(f"parity row {point} is inconsistent with the recovered data")
     return data

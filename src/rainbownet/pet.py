@@ -23,6 +23,7 @@ import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -256,6 +257,22 @@ def description_to_bytes(description: Description) -> bytes:
     return head + layers + description.payload
 
 
+@lru_cache(maxsize=16)
+def _header_profile(
+    K: int, block_symbols: int, rate_num: int, rate_den: int, layer_table: bytes
+) -> PetProfile:
+    """The profile of one header; every description of a block shares it."""
+    layer_bits = struct.unpack(f">{K}I", layer_table)
+    if any(bits % 8 for bits in layer_bits):
+        raise CodecError("layer sizes must be whole bytes")
+    return PetProfile(
+        num_descriptions=K,
+        rate=Fraction(rate_num, rate_den),
+        block_symbols=block_symbols,
+        segment_bytes=tuple(bits // 8 for bits in layer_bits),
+    )
+
+
 def description_from_bytes(data: bytes) -> Description:
     """Parse a serialized description, validating the header."""
     if len(data) < _HEADER.size:
@@ -268,15 +285,8 @@ def description_from_bytes(data: bytes) -> Description:
     layer_area = struct.calcsize(f">{K}I")
     if len(data) < _HEADER.size + layer_area:
         raise CodecError("description file truncated in the layer table")
-    layer_bits = struct.unpack_from(f">{K}I", data, _HEADER.size)
-    if any(bits % 8 for bits in layer_bits):
-        raise CodecError("layer sizes must be whole bytes")
-    profile = PetProfile(
-        num_descriptions=K,
-        rate=Fraction(rate_num, rate_den),
-        block_symbols=block_symbols,
-        segment_bytes=tuple(bits // 8 for bits in layer_bits),
-    )
+    layer_table = bytes(data[_HEADER.size : _HEADER.size + layer_area])
+    profile = _header_profile(K, block_symbols, rate_num, rate_den, layer_table)
     payload = data[_HEADER.size + layer_area :]
     if len(payload) != profile.description_bytes:
         raise CodecError(

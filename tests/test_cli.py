@@ -364,6 +364,25 @@ class TestPet:
         assert (code, out) == (1, "")
         assert err == "error: layer weights must sum to 1, got 2.00000e+308\n"
 
+    def test_decode_rejects_files_differing_only_in_the_layer_table(self, capsys, tmp_path):
+        source = tmp_path / "payload.bin"
+        source.write_bytes(bytes(range(256)) * 8)
+        for name, y in (("a", "1,0"), ("b", "0,1")):
+            code, _, _ = run(
+                capsys, "pet", "encode", "--y", y, "--rate", "1", "--n", "8192",
+                "--input", str(source), "--out-prefix", str(tmp_path / name),
+            )
+            assert code == 0
+        first, second = (tmp_path / "a.d01").read_bytes(), (tmp_path / "b.d02").read_bytes()
+        # magic, K, block size and rate agree; the index and the layer table do not
+        assert first[:5] == second[:5] and first[6:18] == second[6:18]
+        assert first[18:26] != second[18:26]
+        code, out, err = run(
+            capsys, "pet", "decode", str(tmp_path / "a.d01"), str(tmp_path / "b.d02"),
+            "--out", str(tmp_path / "rec.bin"),
+        )
+        assert (code, out, err) == (1, "", "error: descriptions carry inconsistent headers\n")
+
     def test_decode_rejects_garbage(self, capsys, tmp_path):
         bad = tmp_path / "bad.d01"
         bad.write_bytes(b"not a description, but long enough to hold a header")

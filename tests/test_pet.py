@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from rainbownet import (
     PetProfile,
     description_from_bytes,
     description_to_bytes,
+    gf256,
     pet_decode,
     pet_encode,
 )
@@ -55,6 +58,84 @@ class TestField:
     def test_too_few_shares(self):
         with pytest.raises(ValueError, match="at least"):
             recover_block({0: np.zeros(4, dtype=np.uint8)}, 2, 4)
+
+    def test_one_evaluation_recovers_and_checks(self, monkeypatch):
+        calls = []
+
+        def spy(sources, rows, targets):
+            calls.append((tuple(sources), tuple(targets)))
+            return evaluate(sources, rows, targets)
+
+        data = np.random.default_rng(4).integers(0, 256, size=(3, 10), dtype=np.uint8)
+        coded = encode_block(data, 7)
+        evaluate = gf256._evaluate
+        monkeypatch.setattr(gf256, "_evaluate", spy)
+        shares = {point: coded[point] for point in (6, 1, 5, 4)}
+        assert np.array_equal(recover_block(shares, 3, 7), data)
+        # missing data rows 0 and 2, then the extra row 6
+        assert calls == [((1, 4, 5), (0, 2, 6))]
+
+    def test_wide_encode_memory_is_bounded(self):
+        # the product tables of one evaluation are (sources, targets, 256)
+        # bytes, about 4 MiB here; a gather over every (target, source,
+        # byte) triple would need over 100 MiB
+        data = np.random.default_rng(5).integers(0, 256, size=(127, 1024), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            encode_block(data, 255)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestShareShapes:
+    """Rows of another shape or value are named, never broadcast or wrapped."""
+
+    @staticmethod
+    def _constant_code():
+        # the polynomial through a constant block is constant, so every
+        # parity byte equals the data byte
+        coded = encode_block(np.full((2, 8), 7, dtype=np.uint8), 4)
+        assert (coded == 7).all()
+        return coded
+
+    @pytest.mark.parametrize(
+        "make_row",
+        [lambda row: row[:1], lambda row: row[:-1], lambda row: row[None]],
+        ids=["one-byte", "short", "two-dimensional"],
+    )
+    def test_extra_row_of_another_shape_is_inconsistent(self, make_row):
+        coded = self._constant_code()
+        shares = {0: coded[0], 1: coded[1], 2: make_row(coded[2]), 3: coded[3]}
+        with pytest.raises(ValueError) as raised:
+            recover_block(shares, 2, 4)
+        assert str(raised.value) == "parity row 2 is inconsistent with the recovered data"
+
+    def test_extra_int_row_past_255_is_inconsistent(self):
+        coded = self._constant_code()
+        wide = coded[3].astype(np.int64)
+        wide[0] += 256  # 263: equal to the parity byte modulo 256
+        shares = {0: coded[0], 1: coded[1], 2: coded[2], 3: wide}
+        with pytest.raises(ValueError) as raised:
+            recover_block(shares, 2, 4)
+        assert str(raised.value) == "parity row 3 is inconsistent with the recovered data"
+        shares[3] = coded[3].astype(np.int64)
+        assert np.array_equal(recover_block(shares, 2, 4), coded[:2])
+
+    def test_short_chosen_row_is_named(self):
+        coded = self._constant_code()
+        shares = {3: coded[3], 0: coded[0], 2: coded[2][:-1]}
+        with pytest.raises(ValueError) as raised:
+            recover_block(shares, 2, 4)
+        assert str(raised.value) == "row 2 has shape (7,), expected (8,) like row 0"
+
+    def test_chosen_row_must_be_one_dimensional(self):
+        coded = self._constant_code()
+        shares = {1: coded[1][None], 2: coded[2]}
+        with pytest.raises(ValueError) as raised:
+            recover_block(shares, 2, 4)
+        assert str(raised.value) == "row 1 has shape (1, 8), expected a 1-D byte row"
 
 
 class TestProfile:
@@ -172,6 +253,12 @@ class TestCodec:
             pet_decode([encoded.descriptions[0], encoded.descriptions[1], tampered])
 
 
+def _header(magic=b"RNF1", K=1, index=1, n=64, num=1, den=1, bits=(64,), payload=bytes(8)):
+    """A serialized description, field by field; the defaults are valid."""
+    fields = struct.pack(">4sBBIII", magic, K, index, n, num, den)
+    return fields + struct.pack(f">{len(bits)}I", *bits) + payload
+
+
 class TestSerialization:
     def test_round_trip(self):
         profile = PetProfile.quantize([0.5, 0.25, 0.25], Fraction(3, 2), 3, 48)
@@ -191,6 +278,46 @@ class TestSerialization:
         )
         with pytest.raises(CodecError, match="magic"):
             description_from_bytes(b"XXXX" + blob[4:])
+
+    def test_descriptions_of_one_header_share_one_profile(self):
+        profile = PetProfile.quantize([0.5, 0.25, 0.25], Fraction(3, 2), 3, 48)
+        encoded = pet_encode(bytes(range(54)), profile)
+        parsed = [description_from_bytes(description_to_bytes(d)) for d in encoded.descriptions]
+        assert parsed[0].profile == profile
+        assert all(d.profile is parsed[0].profile for d in parsed)
+
+    @pytest.mark.parametrize(
+        "blob,message",
+        [
+            (b"RNF1\x01", "description file too short for its header"),
+            (_header(magic=b"XXXX", den=0), "bad magic b'XXXX', expected b'RNF1'"),
+            (
+                _header(den=0, bits=(), payload=b""),
+                "description header has a zero rate denominator",
+            ),
+            (_header(K=2, payload=b""), "description file truncated in the layer table"),
+            (_header(bits=(60,), payload=b""), "layer sizes must be whole bytes"),
+            (_header(K=0, bits=(), payload=b""), "num_descriptions must be in 1..255, got 0"),
+            (
+                _header(n=63, payload=b""),
+                "block_symbols * rate must be a whole number of bytes, got 63 bits",
+            ),
+            (_header(bits=(56,), payload=b""), "segment sizes sum to 7, expected 8"),
+            (_header(index=2, payload=bytes(7)), "payload is 7 bytes, expected 8"),
+            (_header(index=2), "description index 2 outside 1..1"),
+        ],
+        ids=[
+            "short", "magic", "zero-denominator", "truncated-table", "whole-bytes",
+            "no-descriptions", "fractional-bytes", "segment-sum", "payload", "index",
+        ],
+    )
+    def test_malformed_headers_keep_their_messages(self, blob, message):
+        # most blobs also break a later check: the first check in header
+        # order names the fault, on every parse
+        for _ in range(2):
+            with pytest.raises(CodecError) as raised:
+                description_from_bytes(blob)
+            assert str(raised.value) == message
 
     def test_truncated_payload_rejected(self):
         blob = description_to_bytes(
