@@ -8,12 +8,15 @@ descriptions costs sum_t w_t * levels[c_t] (minus the description count
 for "trf", the weighted distortion for "wd"), and both searches minimize
 that one cost. Both grow a color only by a path that reaches a sink the
 color lacks, and both test an edge's room on the edge masks. The exact
-search builds the path unions that grow this way as OR-ed masks, keeps the
-minimal ones of each sink set, and scans multisets of K unions depth first
+search builds the path unions that grow this way as OR-ed masks, reading
+for each union only the paths listed once for its sink set, keeps the
+minimal ones of each sink set (tested against all smaller kept unions at
+once, packed into one int), and scans multisets of K unions depth first
 (branch and bound). It skips every extension of a prefix that already
 overloads an edge, and every extension whose lower bound is no less than
 the best cost found: each sink that a later candidate reaches is costed as
 if it gained all the colors left, every other sink at its current count.
+A candidate's edge bits and sink positions are built on its first push.
 Candidate order and tie-breaking are fixed, so results are reproducible
 regardless of scheduling; guards refuse instances whose path, union or
 coloring count would exceed its bound, and the coloring guard counts every
@@ -54,7 +57,8 @@ class SearchConfig:
     distortion under a caller-fixed layer profile, minimized). "wd" needs
     `weights`, a finite simplex vector over the sinks, at construction, and
     takes an optional simplex `profile` over the K layers (uniform when
-    omitted); K is then at most `MAX_LAYERS`.
+    omitted). K is at most `MAX_LAYERS` under either objective: the exact
+    scan's level floor has K + 1 entries, and it pushes up to K candidates.
     """
 
     num_colors: int
@@ -75,14 +79,13 @@ class SearchConfig:
             raise ValueError("max_path_len must be at least 1")
         if self.objective not in ("trf", "wd"):
             raise ValueError(f"unknown objective '{self.objective}'")
-        if self.objective == "wd":
-            if self.weights is None:
-                raise ValueError("weighted-distortion search needs a weight vector")
-            if self.num_colors > MAX_LAYERS:
-                raise ValueError(
-                    f"a weighted-distortion search over {self.num_colors} descriptions "
-                    f"exceeds the limit of {MAX_LAYERS} layers"
-                )
+        if self.objective == "wd" and self.weights is None:
+            raise ValueError("weighted-distortion search needs a weight vector")
+        if self.num_colors > MAX_LAYERS:
+            raise ValueError(
+                f"a search over {self.num_colors} descriptions "
+                f"exceeds the limit of {MAX_LAYERS} layers"
+            )
         if self.profile is not None:
             _check_weights(self.profile, self.num_colors, "profile")
         if self.weights is not None:
@@ -149,24 +152,35 @@ def _candidates(rows, limit: int):
     `rows` are the walk's (edge ids, edge mask, sink mask) paths; a union's
     edges and sinks are the ORs of its paths' masks. A breadth-first
     closure from the empty union grows a union by a path only when the path
-    reaches a sink the union lacks; `rep` is the first path tuple that
-    builds the union, and its sinks travel with it. A minimal generating
-    set has no path whose sinks the others cover, so every union with no
-    strict subset of equal sinks is built, by the same rep as in the
-    closure over all path subsets. Of each sink set the minimal unions are
-    kept, sorted by their sorted edge ids (as strings, not by bit order).
+    reaches a sink the union lacks, so the unions of one sink set share
+    their growers: the rows reaching a sink outside it, listed in row order
+    on the set's first visit. `rep` is the first path tuple that builds the
+    union, and its sinks travel with it. A minimal generating set has no
+    path whose sinks the others cover, so every union with no strict subset
+    of equal sinks is built, by the same rep as in the closure over all path
+    subsets. Of each sink set the minimal unions are kept, sorted by their
+    sorted edge ids (as strings, not by bit order).
     """
     unions: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+    # sink set -> (row index, edge mask, grown sink set) of its growers
+    growers: dict[int, list[tuple[int, int, int]]] = {}
     frontier = [0]
     while frontier:
         added = []
         for edges in frontier:
             sinks, rep = unions[edges]
-            for index, (_, path_edges, path_sinks) in enumerate(rows):
+            grow = growers.get(sinks)
+            if grow is None:
+                grow = growers[sinks] = [
+                    (index, path_edges, sinks | path_sinks)
+                    for index, (_, path_edges, path_sinks) in enumerate(rows)
+                    if path_sinks & ~sinks
+                ]
+            for index, path_edges, grown in grow:
                 candidate = edges | path_edges
-                if not path_sinks & ~sinks or candidate in unions:
+                if candidate in unions:
                     continue
-                unions[candidate] = (sinks | path_sinks, rep + (index,))
+                unions[candidate] = (grown, rep + (index,))
                 added.append(candidate)
                 if len(unions) > limit:
                     raise SearchSizeError(
@@ -174,15 +188,61 @@ def _candidates(rows, limit: int):
                         "reduce max_path_len or use greedy mode"
                     )
         frontier = added
-    minimal: dict[int, list[int]] = {}
-    for edges in sorted(unions, key=int.bit_count):
-        group = minimal.setdefault(unions[edges][0], [])
-        if all(other & ~edges for other in group):
-            group.append(edges)
-    kept = [edges for group in minimal.values() for edges in group]
-    # a union's edges are those of its rep's paths
-    kept.sort(key=lambda edges: sorted({e for i in unions[edges][1] for e in rows[i][0]}))
+    kept = _minimal(unions)
+    kept.sort(key=_id_order(rows, unions))
     return [(edges, *unions[edges]) for edges in kept]
+
+
+def _minimal(unions):
+    """The unions with no strict subset of equal sinks among `unions`.
+
+    Unions are visited by popcount, so a subset of a union comes before it.
+    Each sink set's kept masks are packed into one int, one field of
+    `width` bits each with a clear top bit, and a union is tested against
+    all of them at once: a kept mask is a subset exactly when its field of
+    `packed & ~union` is zero, and the lowest zero field borrows into its
+    top bit when one is subtracted from every field.
+    """
+    width = max(unions).bit_length() + 1
+    everything = (1 << width - 1) - 1
+    # sink set -> (packed kept masks, a 1 at the bottom of each field)
+    groups: dict[int, tuple[int, int]] = {}
+    kept = []
+    for edges in sorted(unions, key=int.bit_count):
+        sinks = unions[edges][0]
+        packed, ones = groups.get(sinks, (0, 0))
+        outside = packed & (everything ^ edges) * ones
+        if (outside - ones) & ones << width - 1:
+            continue
+        groups[sinks] = (packed << width | edges, ones << width | 1)
+        kept.append(edges)
+    return kept
+
+
+_MEMBERS_FIRST = str.maketrans("01", "10")
+
+
+def _id_order(rows, unions):
+    """A sort key that orders unions by their sorted edge ids.
+
+    Bit r of a row's rank mask stands for the r-th edge id in string order,
+    and a union's rank mask is the OR over its rep. Read from bit 0 up to
+    its last member, with members as "0" and the others as "1", it compares
+    as the sorted edge ids do: the first rank where two unions differ is a
+    member of the one that sorts first, unless the other has no later
+    member, and then the other is a prefix and ends first.
+    """
+    paths = [path[0] for path in rows]
+    rank = {edge: 1 << position for position, edge in enumerate(sorted(set().union(*paths)))}
+    row_ranks = [sum(map(rank.__getitem__, path)) for path in paths]
+
+    def key(edges):
+        ranks = 0
+        for index in unions[edges][1]:
+            ranks |= row_ranks[index]
+        return f"{ranks:b}"[::-1].translate(_MEMBERS_FIRST) if ranks else ""
+
+    return key
 
 
 def _edge_bits(capacity_for):
@@ -212,7 +272,9 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
     """The first least-cost feasible K-multiset of candidates: (indices, cost).
 
     Candidates are `_candidates`' (edge mask, sink mask, rep) triples, with
-    bit i of an edge mask for the i-th edge of `capacity_for`.
+    bit i of an edge mask for the i-th edge of `capacity_for`. A
+    candidate's edge bits and sink positions are built on its first push:
+    the bound often ends the scan after pushing a few of them.
 
     An iterative depth-first walk over nondecreasing candidate indices. It
     keeps the edges at their color capacity and the per-sink description
@@ -229,8 +291,9 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
     """
     room, full = _edge_bits(capacity_for)
     masks = [edges for edges, _, _ in candidates]
-    edge_bits = [tuple(_bits(edges)) for edges in masks]
-    reached = [tuple(bit.bit_length() - 1 for bit in _bits(sinks)) for _, sinks, _ in candidates]
+    # a candidate's edge bits and sink positions, built on its first push
+    edge_bits = [None] * len(candidates)
+    reached = [None] * len(candidates)
     floor = list(itertools.accumulate(levels, min))
     # suffix[i] flags the sinks candidates i.. reach, one shared tuple per set
     suffix = [None] * len(candidates)
@@ -263,7 +326,13 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
                 if bound[depth] >= best_cost:
                     index = size
                     continue
-            for bit in edge_bits[index]:
+            bits = edge_bits[index]
+            if bits is None:
+                bits = edge_bits[index] = tuple(_bits(masks[index]))
+                reached[index] = tuple(
+                    bit.bit_length() - 1 for bit in _bits(candidates[index][1])
+                )
+            for bit in bits:
                 room[bit] -= 1
                 if not room[bit]:
                     full |= bit

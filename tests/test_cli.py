@@ -218,11 +218,15 @@ def test_vectors_whose_sum_overflows_exit_one(capsys, argv):
         ["search", "fig1", "--K", "1000000000000", "--rate", "1/2", "--mode", "greedy",
          "--objective", "wd"],
         ["pipeline", "fig1", "--K", "1000000000000", "--rate", "1", "--n", "256"],
+        ["search", "fig1", "--K", "1048577", "--rate", "1/2", "--mode", "exact"],
+        ["search", "fig1", "--K", "1048577", "--rate", "1/2", "--mode", "greedy"],
     ],
-    ids=["optimize", "lemmas", "search-wd", "pipeline"],
+    ids=["optimize", "lemmas", "search-wd", "pipeline", "search-exact", "search-greedy"],
 )
 def test_huge_layer_counts_exit_one_quickly(capsys, argv):
-    # a profile of 10**12 layers would be terabytes; the layer cap refuses it
+    # a profile of 10**12 layers would be terabytes; the layer cap refuses it.
+    # A trf search has no profile, but its exact scan keeps a K + 1 level
+    # floor and pushes up to K candidates, so the cap holds for it too
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -231,13 +235,14 @@ def test_huge_layer_counts_exit_one_quickly(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_huge_layer_counts_stay_open_to_trf_search(capsys):
+def test_trf_search_is_open_up_to_the_layer_limit(capsys):
+    # greedy's work grows with the colors in use, not with K
     code, out, _ = run(
-        capsys, "search", "fig1", "--K", "1000000000000", "--rate", "1", "--mode", "greedy"
+        capsys, "search", "fig1", "--K", str(search.MAX_LAYERS), "--rate", "1", "--mode", "greedy"
     )
     assert code == 0
     header = ("objective", "K", "rate", "q_1", "q_2", "q_3", "q_4")
-    assert parse_blocks(out)[header] == [["6", "1000000000000", "1", "1", "1", "2", "2"]]
+    assert parse_blocks(out)[header] == [["6", "1048576", "1", "1", "1", "2", "2"]]
 
 
 class TestOptimize:

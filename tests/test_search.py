@@ -283,11 +283,16 @@ class TestWeightedObjective:
             _cfg(2, 1, objective="wd", weights=(0.25,) * 4, profile=profile)
 
     def test_config_rejects_a_wd_search_over_too_many_layers(self):
-        # the level table has K + 1 entries; a trf search has none and takes any K
+        # the level table has K + 1 entries
         with pytest.raises(ValueError, match="limit of"):
             _cfg(MAX_LAYERS + 1, 1, objective="wd", weights=(0.25,) * 4)
         _cfg(MAX_LAYERS, 1, objective="wd", weights=(0.25,) * 4)
-        _cfg(10**12, 1)
+
+    def test_config_rejects_a_trf_search_over_too_many_layers(self):
+        # the exact scan's level floor has K + 1 entries and its stack K
+        with pytest.raises(ValueError, match="limit of"):
+            _cfg(MAX_LAYERS + 1, 1)
+        _cfg(MAX_LAYERS, 1)
 
     def test_levels_equal_the_per_entry_distortions(self):
         # bit for bit against one scalar model call per level, on seeded
@@ -409,6 +414,45 @@ class TestPruning:
         patched = exact_search(net, cfg)
         assert (patched.flow, patched.objective) == (unpatched.flow, unpatched.objective)
 
+    def test_closure_walks_the_rows_once_per_sink_set(self):
+        # a union grows only by the rows that reach a sink outside its sink
+        # set, listed on the set's first visit: layered(3, 3, 0) at length 4
+        # builds 283 unions over 16 sink sets. One more walk ranks the edge
+        # ids for the candidates' order
+        class CountedRows(list):
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+        for net, max_len in self._path_universes():
+            rows = enumerate_path_masks(net, max_len)
+            counted = CountedRows(rows)
+            candidates = _candidates(counted, search.MAX_SIGNATURES)
+            assert candidates == _candidates(rows, search.MAX_SIGNATURES)
+            assert counted.walks == len({sinks for _, sinks, _ in candidates}) + 1
+
+    def test_packed_subset_test_matches_the_pairwise_one(self):
+        # random unions of up to 90 edges over a few sink sets: kept masks
+        # pack into ints of many machine words, and the highest field borrows
+        # past the top of the packed int when it is a subset
+        rng = random.Random(43)
+        for _ in range(200):
+            num_edges = rng.choice((1, 3, 8, 30, 90))
+            unions = {0: (0, ())}
+            for _ in range(rng.randint(1, 60)):
+                edges = sum(1 << e for e in range(num_edges) if rng.random() < 0.3)
+                unions.setdefault(edges, (rng.randint(0, 3), ()))
+            kept = [
+                edges for edges, (sinks, _) in unions.items()
+                if not any(
+                    other != edges and other & ~edges == 0 and unions[other][0] == sinks
+                    for other in unions
+                )
+            ]
+            assert sorted(search._minimal(unions)) == sorted(kept)
+
     def test_candidates_are_pinned(self):
         # sorted edges, sorted sink names and rep of every pruned candidate on
         # the layered scan family, fanout(6, 3, s) and fig1/fig2 at lengths 3-4;
@@ -493,6 +537,30 @@ class TestColoringScan:
         result = exact_search(net, _cfg(3, Fraction(1, 2)))
         assert len(calls) == 327
         assert is_admissible(result.flow)
+
+    def test_builds_scan_state_only_for_pushed_candidates(self, monkeypatch):
+        # layered(2, 4, 0) at K=2, length 5: the bound ends the scan after
+        # pushes of 3 of the 83 candidates, and each gets its edge bits and
+        # sink positions once, on its first push
+        masks = []
+        bits = search._bits
+
+        def counted(mask):
+            masks.append(mask)
+            return bits(mask)
+
+        net = helpers.document_network(helpers.layered_document(2, 4, 0))
+        candidates = _candidates(enumerate_path_masks(net, 5), search.MAX_SIGNATURES)
+        cfg = _cfg(2, Fraction(1, 2), max_path_len=5)
+        levels, weights = search._objective(cfg, net)
+        capacity_for = search._color_capacities(net, cfg)
+        monkeypatch.setattr(search, "_bits", counted)
+        best_key, _ = search._scan_colorings(candidates, capacity_for, 2, levels, weights)
+        assert len(candidates) == 83
+        position = {(edges, sinks): index for index, (edges, sinks, _) in enumerate(candidates)}
+        pushed = [position[pair] for pair in zip(masks[::2], masks[1::2])]
+        assert len(pushed) == len(set(pushed)) == 3
+        assert set(best_key) <= set(pushed)
 
     def test_bound_prunes_the_layered_boundary_instance(self, monkeypatch):
         # layered(4, 4, 1) at K=2, length 5: the unbounded scan costed
