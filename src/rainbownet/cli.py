@@ -366,21 +366,26 @@ def cmd_pipeline(args) -> CliOutput:
     result, profile_vec, _ = alternating_search(net, cfg, rounds=args.rounds)
     q = list(result.rfv.values)
     profile = PetProfile.quantize(profile_vec, rate, args.K, args.n)
+    held_by_sink = [tuple(node_spectrum(result.flow, sink)) for sink in net.sinks]
     # Encode only the prefix PET reads: a byte-aligned budget stream is the
-    # same bytes as the head of any longer one.
+    # same bytes as the head of any longer one. The encoder records where
+    # the decoder of each prefix a sink should recover stops, so a
+    # recovered prefix of the stream is not decoded again.
     source = progressive_gaussian_source(
-        args.seed, args.n, Fraction(profile.prefix_bits(args.K), args.n)
+        args.seed,
+        args.n,
+        Fraction(profile.prefix_bits(args.K), args.n),
+        marks={profile.prefix_bits(len(held)) for held in held_by_sink},
     )
     encoded = pet_encode(source.bitstream, profile)
     analytic = drnf_distortion(q, profile.y, rate)
-    # Sinks holding the same colors recover the same bytes, and decoding
-    # depends only on those bytes: each color set and each prefix is
-    # decoded once.
+    # Sinks holding the same colors recover the same bytes, and
+    # reconstruction depends only on those bytes: each color set is
+    # PET-decoded once and each prefix reconstructed once.
     recovered_by_colors: dict[tuple[int, ...], bytes] = {}
     mse_by_prefix: dict[bytes, float] = {}
     rows = []
-    for position, sink in enumerate(net.sinks):
-        held = tuple(node_spectrum(result.flow, sink))
+    for position, (sink, held) in enumerate(zip(net.sinks, held_by_sink)):
         if held not in recovered_by_colors:
             recovered_by_colors[held] = pet_decode(
                 [encoded.descriptions[color - 1] for color in held]

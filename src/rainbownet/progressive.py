@@ -14,6 +14,15 @@ index lists of the samples each pass visits. Reconstruction uses the
 conditional mean of the standard normal on each sample's surviving
 uncertainty interval.
 
+The encoder makes every decision the decoder will make, so for prefix
+lengths marked in advance it also records where each such decoder stops:
+the plane, and how far its two passes got. The decoder's state there
+follows from the magnitudes, except for a sign read past the prefix,
+which the encoder cannot know before the stream is final; it is read off
+the final stream's bits in one step. `decode_prefix` reconstructs a
+marked prefix of the source's own stream from its record and scans any
+other input.
+
 The stream is prefix-significant but not rate-distortion optimal; the
 measured gap against 2**(-2R) is pinned in the test-suite.
 """
@@ -21,7 +30,7 @@ measured gap against 2**(-2R) is pinned in the test-suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,15 +44,88 @@ _COUNT_CAP = 1024
 # Largest block `progressive_gaussian_source` codes: 64 times the CLI's
 # default n. The scans keep Python lists over the samples and the coded
 # bits, so memory and time grow linearly with n: at this cap `pipeline fig1
-# --K 2 --rate 1` peaks near 170 MB and takes about 6 s on a 2-vCPU machine.
+# --K 2 --rate 1` peaks near 180 MB and takes 2-3 s on a 2-vCPU machine.
 MAX_BLOCK_SYMBOLS = 1 << 20
 
 
-def _encode_scan(magnitudes, signs, limit_bits: int) -> bytes:
+def _clip(samples: np.ndarray) -> np.ndarray:
+    """The values the coder codes: the samples clipped just inside +-_TOP."""
+    return np.clip(samples, -(_TOP - 1e-9), _TOP - 1e-9)
+
+
+def _scan_state(samples: np.ndarray, threshold: float, newly_below: int, refined_below: int, late):
+    """The held samples' mask, lower ends, widths and signs at a record.
+
+    The decoder stopped in the plane of `threshold`, its significance pass
+    short of sample `newly_below` and its refinement pass short of sample
+    `refined_below`. Samples of magnitude >= 2 * threshold were significant
+    before this plane; those of magnitude >= threshold became so in it. A
+    sample's width is the threshold of the last pass that coded it, and
+    its lower end is its magnitude rounded down to a multiple of that width
+    (every value is dyadic, so the rounding is exact). `late` is (sample,
+    sign) for a sign the decoder read past its prefix, or None.
+    """
+    magnitude = _clip(samples)
+    np.abs(magnitude, out=magnitude)
+    earlier = magnitude >= 2.0 * threshold
+    newly = (magnitude >= threshold) & ~earlier
+    newly[newly_below:] = False
+    coarse = earlier.copy()  # not refined in this plane yet
+    coarse[:refined_below] = False
+    held = earlier | newly
+    width = np.where(coarse[held], 2.0 * threshold, threshold)
+    lower = np.floor(magnitude[held] / width) * width
+    negative = samples < 0
+    if late is not None:
+        negative[late[0]] = late[1]
+    return held, lower, width, negative[held]
+
+
+def _reach(reached: dict, waiting: list, shifts, record, unchecked) -> None:
+    """Give `record` to each waiting mark whose decoder stops at `shifts`.
+
+    `unchecked` is the last sign a mark's decoder may read past its prefix,
+    as (sample, low, high, emitted bits, pending); it is kept with each mark
+    whose decoder does, to be read once the stream is final.
+    """
+    while waiting and shifts >= waiting[-1] - 31:
+        mark = waiting.pop()
+        late = unchecked is not None and unchecked[3] + unchecked[4] >= mark - 31
+        reached[mark] = (record, unchecked if late else None)
+
+
+def _late_sign(stream: bytes, mark: int, low: int, high: int, emitted: int, pending: int) -> int:
+    """The sign a decoder of the first `mark` bits of `stream` reads at an
+    interval (low, high) the encoder left after `emitted` bits and `pending`
+    deferred ones.
+
+    Its register holds the first 32 + emitted + pending bits, zeros from
+    `mark` on, less the encoder's offsets: the emitted bits, and
+    2**31 * (2**pending - 1) from the deferred quarter shifts.
+    """
+    read = 32 + emitted + pending
+    kept = min(read, mark)
+    size = (kept + 7) // 8
+    window = int.from_bytes(stream[:size].ljust(size, b"\0"), "big") >> (8 * size - kept)
+    size = (emitted + 7) // 8
+    out = int.from_bytes(stream[:size], "big") >> (8 * size - emitted)
+    value = (window << (read - kept)) - (out << (32 + pending)) - (1 << (31 + pending)) + _HALF
+    return int(value > low + ((high - low + 1) >> 1) - 1)
+
+
+def _encode_scan(magnitudes, signs, limit_bits: int, marks=()):
     """Encode the plane scan until `limit_bits` bits are out or the planes end.
 
-    Returns the flushed stream, zero-padded to whole bytes; it may run past
-    the limit by the bits of the last decision, its sign and the flush.
+    Returns the flushed stream, zero-padded to whole bytes (it may run past
+    the limit by the bits of the last decision, its sign and the flush), and
+    a dict that maps each of the prefix lengths `marks` the encoder reaches
+    to a record (threshold, newly_below, refined_below, late) from which
+    `_scan_state` builds the state `_decode_scan` returns for the first
+    `mark` bits of the stream, zero-padded to hold them. That decoder stops
+    before the first decision made once it has shifted 32 + shifts > mark
+    bits into its register, where shifts = len(bits) + pending counts the
+    encoder's renormalizations so far; a mark whose decoder would stop past
+    the encoder's own stop is left out.
     """
     n = len(magnitudes)
     bits: list[int] = []
@@ -53,13 +135,25 @@ def _encode_scan(magnitudes, signs, limit_bits: int) -> bytes:
     insignificant = list(range(n))
     earlier: list[int] = []
     threshold = _FIRST_THRESHOLD
+    # Marks not reached yet, the next one last. One test before each
+    # decision watches both the next mark and the limit; its slow branch
+    # works out which of them it met.
+    waiting = sorted(set(marks), reverse=True)
+    watch = min(waiting[-1] - 31, limit_bits) if waiting else limit_bits
+    reached: dict = {}
+    unchecked = None
     while len(bits) < limit_bits and threshold > 1e-12:
         zero = one = 1
         newly: list[int] = []
         still: list[int] = []
         for i in insignificant:
-            if len(bits) >= limit_bits:
-                break
+            if len(bits) + pending >= watch:
+                shifts = len(bits) + pending
+                if waiting and shifts >= waiting[-1] - 31:
+                    _reach(reached, waiting, shifts, (threshold, i, 0), unchecked)
+                    watch = min(waiting[-1] - 31, limit_bits) if waiting else limit_bits
+                if len(bits) >= limit_bits:
+                    break
             split = low + (high - low + 1) * zero // (zero + one) - 1
             bit = magnitudes[i] >= threshold
             if bit:
@@ -96,6 +190,14 @@ def _encode_scan(magnitudes, signs, limit_bits: int) -> bytes:
                 still.append(i)
                 continue
             newly.append(i)
+            if (
+                len(bits) + pending >= watch
+                and waiting
+                and len(bits) + pending >= waiting[-1] - 31
+            ):
+                # the next mark's decoder reads this sign past its prefix,
+                # and stops before the decision after it
+                unchecked = (i, low, high, len(bits), pending)
             # the sign: one raw decision, with no overrun check before it
             split = low + ((high - low + 1) >> 1) - 1
             if signs[i]:
@@ -126,8 +228,13 @@ def _encode_scan(magnitudes, signs, limit_bits: int) -> bytes:
                 high = high << 1 | 1
         zero = one = 1
         for i in earlier:
-            if len(bits) >= limit_bits:
-                break
+            if len(bits) + pending >= watch:
+                shifts = len(bits) + pending
+                if waiting and shifts >= waiting[-1] - 31:
+                    _reach(reached, waiting, shifts, (threshold, n, i), unchecked)
+                    watch = min(waiting[-1] - 31, limit_bits) if waiting else limit_bits
+                if len(bits) >= limit_bits:
+                    break
             split = low + (high - low + 1) * zero // (zero + one) - 1
             midpoint = lower[i] + threshold
             if magnitudes[i] >= midpoint:
@@ -164,10 +271,22 @@ def _encode_scan(magnitudes, signs, limit_bits: int) -> bytes:
         insignificant = still
         earlier = sorted(earlier + newly)
         threshold /= 2.0
+    # Past the planes' end every decoder holds the end state; past the
+    # limit, the decoders that stop before the next decision.
+    shifts = len(bits) + pending if len(bits) >= limit_bits else math.inf
+    if waiting and shifts >= waiting[-1] - 31:
+        _reach(reached, waiting, shifts, (threshold, 0, 0), unchecked)
     # flush: one bit that selects a point inside the interval, plus pending
     append(0 if low < _QUARTER else 1)
     bits += [bits[-1] ^ 1] * (pending + 1)
-    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+    stream = np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+    states = {}
+    for mark, (record, late) in reached.items():
+        if late is not None:
+            i, *interval = late
+            late = (i, _late_sign(stream, mark, *interval))
+        states[mark] = (*record, late)
+    return stream, states
 
 
 def _decode_scan(data: bytes, limit_bits: int, n: int):
@@ -315,34 +434,48 @@ def _normal_interval_mean(a: float, b: float) -> float:
 
 @dataclass
 class ProgressiveGaussianSource:
-    """A seeded Gaussian block, its progressive bitstream, and decoders."""
+    """A seeded Gaussian block, its progressive bitstream, and decoders.
+
+    `states` maps marked prefix lengths to the encoder's record of where
+    their decoder stops, so decoding a marked prefix of the source's own
+    stream runs no decoder scan.
+    """
 
     seed: int
     samples: np.ndarray
     bitstream: bytes
     max_rate_bits: int
+    states: dict = field(default_factory=dict, repr=False, compare=False)
 
     def decode_prefix(self, prefix_bits: int, data: bytes | None = None) -> np.ndarray:
         """Reconstruct the block from the first `prefix_bits` of the stream.
 
         `data` defaults to the source's own bitstream; pass recovered bytes
-        to reconstruct from a transported prefix instead.
+        to reconstruct from a transported prefix instead. The recorded state
+        serves a marked prefix when `data` holds the stream's own bytes up
+        to it; any other input is decoded.
         """
         if prefix_bits < 0:
             raise ValueError("prefix_bits must be nonnegative")
-        stream = self.bitstream if data is None else data
         n = len(self.samples)
-        significant, sign, lower, width = _decode_scan(stream, prefix_bits, n)
-        held = np.frombuffer(significant, dtype=np.uint8) == 1
-        a = np.array(lower)[held]
+        record = self.states.get(prefix_bits)
+        size = (prefix_bits + 7) // 8
+        if record is None or (data is not None and data[:size] != self.bitstream[:size]):
+            stream = self.bitstream if data is None else data
+            significant, sign, lower, width = _decode_scan(stream, prefix_bits, n)
+            held = np.frombuffer(significant, dtype=np.uint8) == 1
+            a = np.array(lower)[held]
+            widths = np.array(width)[held]
+            negative = np.frombuffer(sign, dtype=np.uint8)[held] == 1
+        else:
+            held, a, widths, negative = _scan_state(self.samples, *record)
         # (a, b) pairs as complex keys, so one sort finds the distinct ones
         keys = np.empty(len(a), dtype=np.complex128)
         keys.real = a
-        keys.imag = np.minimum(a + np.array(width)[held], _TOP)
+        keys.imag = np.minimum(a + widths, _TOP)
         pairs, inverse = np.unique(keys, return_inverse=True)
         means = np.array([_normal_interval_mean(p.real, p.imag) for p in pairs.tolist()])
         values = means[inverse]
-        negative = np.frombuffer(sign, dtype=np.uint8)[held] == 1
         reconstruction = np.zeros(n, dtype=float)
         reconstruction[held] = np.where(negative, -values, values)
         return reconstruction
@@ -361,14 +494,16 @@ def _check_block_size(n: int) -> None:
         raise ValueError(f"n must be at most {MAX_BLOCK_SYMBOLS}, got {n}")
 
 
-def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGaussianSource:
+def progressive_gaussian_source(seed: int, n: int, max_rate, marks=()) -> ProgressiveGaussianSource:
     """Draw n unit-variance Gaussian samples and encode them progressively.
 
     `max_rate` is the stream budget in bits per sample; the returned
     bitstream has ceil(n * max_rate) bits in ceil(n * max_rate / 8) bytes
     (exact for a `Fraction`), and any prefix of it decodes to a
     reconstruction whose MSE shrinks as the prefix grows. A stream with a
-    budget of B whole bytes is the first B bytes of any longer one.
+    budget of B whole bytes is the first B bytes of any longer one. The
+    encoder records the decoder state of each prefix length in `marks`
+    that its stream holds.
     """
     _check_block_size(n)
     budget_bits = math.ceil(n * max_rate)
@@ -376,13 +511,16 @@ def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGauss
         raise ValueError("max_rate must be positive")
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(n)
-    clipped = np.clip(samples, -(_TOP - 1e-9), _TOP - 1e-9)
+    clipped = _clip(samples)
     signs = (clipped < 0).tolist()
-    stream = _encode_scan(np.abs(clipped).tolist(), signs, budget_bits)
+    stream, states = _encode_scan(np.abs(clipped).tolist(), signs, budget_bits, marks)
     # Above about 41 bit/sample the planes end before the budget; the
     # decoder reads zeros past a stream's end, so padding changes no prefix.
+    # Its scan stops at the end of the bytes it is given, so a state for a
+    # prefix past the stream's end is dropped.
     size = (budget_bits + 7) // 8
+    states = {mark: state for mark, state in states.items() if mark <= 8 * size}
     stream = stream[:size].ljust(size, b"\0")
     return ProgressiveGaussianSource(
-        seed=seed, samples=samples, bitstream=stream, max_rate_bits=budget_bits
+        seed=seed, samples=samples, bitstream=stream, max_rate_bits=budget_bits, states=states
     )

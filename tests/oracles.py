@@ -25,7 +25,7 @@ from rainbownet import (
 )
 from rainbownet import network
 from rainbownet.errors import SearchSizeError
-from rainbownet.gf256 import EXP, LOG, gf_inv, gf_mul
+from rainbownet.gf256 import EXP, LOG, gf_mul
 from rainbownet.progressive import (
     _COUNT_CAP,
     _FIRST_THRESHOLD,
@@ -470,6 +470,12 @@ def central_difference_gradient(fn, y, h: float = 1e-6) -> np.ndarray:
         down[i] -= h
         out[i] = (fn(up) - fn(down)) / (2.0 * h)
     return out
+
+
+def gf_inv(a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse in GF(256)")
+    return EXP[255 - LOG[a]]
 
 
 def _gf_mul_row(scalar: int, row: np.ndarray) -> np.ndarray:

@@ -569,18 +569,26 @@ class TestPipeline:
 
 
 def _record_codec_work(monkeypatch):
-    """Log the bit limit of every progressive scan and the profile PET encodes with."""
-    work = {"encode_bits": [], "decode_bits": [], "profiles": []}
+    """Log every progressive encode's bit limit and marks, every prefix
+    reconstructed, every decoder scan's bit limit and the profile PET
+    encodes with."""
+    work = {"encode_bits": [], "marks": [], "decoded_prefixes": [], "scan_bits": [], "profiles": []}
     encode_scan = progressive._encode_scan
     decode_scan = progressive._decode_scan
+    decode_prefix = progressive.ProgressiveGaussianSource.decode_prefix
 
-    def recording_encode_scan(magnitudes, signs, limit_bits):
+    def recording_encode_scan(magnitudes, signs, limit_bits, marks=()):
         work["encode_bits"].append(limit_bits)
-        return encode_scan(magnitudes, signs, limit_bits)
+        work["marks"].append(set(marks))
+        return encode_scan(magnitudes, signs, limit_bits, marks)
 
     def recording_decode_scan(data, limit_bits, n):
-        work["decode_bits"].append(limit_bits)
+        work["scan_bits"].append(limit_bits)
         return decode_scan(data, limit_bits, n)
+
+    def recording_decode_prefix(self, prefix_bits, data=None):
+        work["decoded_prefixes"].append(prefix_bits)
+        return decode_prefix(self, prefix_bits, data=data)
 
     encode = cli.pet_encode
 
@@ -590,6 +598,9 @@ def _record_codec_work(monkeypatch):
 
     monkeypatch.setattr(progressive, "_encode_scan", recording_encode_scan)
     monkeypatch.setattr(progressive, "_decode_scan", recording_decode_scan)
+    monkeypatch.setattr(
+        progressive.ProgressiveGaussianSource, "decode_prefix", recording_decode_prefix
+    )
     monkeypatch.setattr(cli, "pet_encode", recording_encode)
     return work
 
@@ -611,12 +622,17 @@ class TestPipelineWork:
         assert code == 0
         [profile] = work["profiles"]
         assert work["encode_bits"] == [8 * profile.source_bytes_required]
-        # prefixes of one stream differ exactly when their lengths differ
-        assert len(work["decode_bits"]) == len(set(work["decode_bits"])) == decodes
-        # reference: the full rate*K stream, one un-shared decode per sink
         rate = Fraction(rate)
-        full = progressive_gaussian_source(seed, n, rate * K)
         rows = parse_blocks(out)[("sink", "q", "analytic_d", "empirical_mse")]
+        prefixes = {profile.prefix_bits(int(Fraction(q) / rate)) for _, q, _, _ in rows}
+        # the encoder marks each distinct sink prefix, each is reconstructed
+        # once, from the state the encoder recorded: no decoder scan runs
+        assert work["marks"] == [prefixes]
+        assert sorted(work["decoded_prefixes"]) == sorted(prefixes)
+        assert len(prefixes) == decodes
+        assert work["scan_bits"] == []
+        # reference: the full rate*K stream, one un-shared decode per sink
+        full = progressive_gaussian_source(seed, n, rate * K)
         for _, q, _, empirical in rows:
             received = int(Fraction(q) / rate)
             reference = full.empirical_mse(profile.prefix_bits(received))

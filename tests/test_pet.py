@@ -19,7 +19,8 @@ from rainbownet import (
     pet_decode,
     pet_encode,
 )
-from rainbownet.gf256 import EXP, LOG, encode_block, gf_inv, gf_mul, recover_block
+from oracles import gf_inv
+from rainbownet.gf256 import EXP, LOG, encode_block, gf_mul, recover_block
 
 
 class TestField:
@@ -87,6 +88,23 @@ class TestField:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_coefficient_cache_is_bounded(self):
+        # random K=32 subsets: far more distinct (sources, targets) pairs
+        # than the cache holds
+        K, n = 32, 256
+        profile = PetProfile.quantize([1 / K] * K, 1, K, n)
+        payload = random.Random(7).randbytes(profile.source_bytes_required)
+        descriptions = pet_encode(payload, profile).descriptions
+        rng = random.Random(8)
+        gf256._coefficients.cache_clear()
+        for _ in range(300):
+            subset = rng.sample(descriptions, rng.randint(1, K))
+            recovered = pet_decode(subset)
+            assert recovered == payload[: len(recovered)]
+        info = gf256._coefficients.cache_info()
+        assert info.misses > info.maxsize == 4096
+        assert info.currsize <= 4096
 
 
 class TestShareShapes:

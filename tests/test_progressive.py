@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import _Decoder, _Encoder, _Model, _scan, reference_reconstruction
-from rainbownet import PetProfile, pet_encode, progressive_gaussian_source
+from rainbownet import PetProfile, pet_encode, progressive, progressive_gaussian_source
 from rainbownet.progressive import MAX_BLOCK_SYMBOLS, _decode_scan, _encode_scan
 
 
@@ -224,8 +224,9 @@ def test_inlined_scans_match_the_reference_coder():
             signs = (clipped < 0).astype(int).tolist()
             encoder = _Encoder(budget)
             _scan(encoder, magnitudes, signs)
-            stream = _encode_scan(magnitudes, signs, budget)
+            stream, states = _encode_scan(magnitudes, signs, budget)
             assert stream == encoder.finish(), (seed, n, budget)
+            assert states == {}
             full = 8 * len(stream)
             # full // 3 | 1: an odd length that ends inside a decision
             for prefix in sorted({0, 1, 5, 31, 32, 33, full // 3 | 1, full - 1, full, full + 100}):
@@ -237,3 +238,81 @@ def test_inlined_scans_match_the_reference_coder():
                 lookahead_signs += decoder.lookahead_signs
     # the grid must reach the unchecked sign decision, not only agree
     assert lookahead_signs > 0
+
+
+def _expanded(held, lower, width, negative):
+    """A record's held-sample arrays as the decoder's per-sample state."""
+    significant = held.astype(np.uint8)
+    sign = np.zeros(len(held), dtype=np.uint8)
+    sign[held] = negative
+    full_lower = np.zeros(len(held))
+    full_lower[held] = lower
+    full_width = np.zeros(len(held))
+    full_width[held] = width
+    return significant.tobytes(), sign.tobytes(), full_lower.tolist(), full_width.tolist()
+
+
+def test_encoder_states_match_the_decoder_at_every_mark(monkeypatch):
+    late_signs = []
+    late_sign = progressive._late_sign
+
+    def counting_late_sign(*args):
+        late_signs.append(args[1])
+        return late_sign(*args)
+
+    monkeypatch.setattr(progressive, "_late_sign", counting_late_sign)
+    # the grid, and a budget past the last plane: its stream is zero-padded
+    # and every mark in it holds the end state
+    for seed in range(4):
+        for n, budget in DIFFERENTIAL_SHAPES + [(50, 45 * 50)]:
+            plain = progressive_gaussian_source(seed, n, Fraction(budget, n))
+            full = 8 * len(plain.bitstream)
+            # marks 0-33 (the 32-bit start-up read), a stride that is mostly
+            # not byte-aligned, and the stream's last two bits
+            stride = max(1, full // 40) | 1
+            marks = set(range(34)) | set(range(1, full, stride)) | {full - 1, full}
+            source = progressive_gaussian_source(seed, n, Fraction(budget, n), marks)
+            assert source.bitstream == plain.bitstream
+            assert set(source.states) == {mark for mark in marks if mark <= full}
+            for mark, record in source.states.items():
+                state = _expanded(*progressive._scan_state(source.samples, *record))
+                significant, sign, lower, width = _decode_scan(source.bitstream, mark, n)
+                expected = bytes(significant), bytes(sign), lower, width
+                assert state == expected, (seed, n, budget, mark)
+    # the grid must reach the sign a decoder reads past its prefix
+    assert len(late_signs) > 0
+
+
+def test_decode_prefix_scans_what_the_encoder_did_not_record(monkeypatch):
+    n, mark = 300, 8 * 90
+    source = progressive_gaussian_source(3, n, 4, marks={mark})
+    own = source.bitstream[: mark // 8]
+    flipped = bytearray(own)
+    flipped[40] ^= 0x10
+    other = progressive_gaussian_source(4, n, 4).bitstream[: mark // 8]
+    scans = []
+    decode_scan = progressive._decode_scan
+
+    def recording_decode_scan(data, limit_bits, n):
+        scans.append(limit_bits)
+        return decode_scan(data, limit_bits, n)
+
+    monkeypatch.setattr(progressive, "_decode_scan", recording_decode_scan)
+
+    def reference(data, prefix_bits):
+        state = _scan(_Decoder(data, prefix_bits), [0.0] * n, bytes(n))
+        return reference_reconstruction(*state).tobytes()
+
+    # the marked prefix of the source's own stream: the recorded state
+    for data in (None, own, source.bitstream):
+        assert source.decode_prefix(mark, data=data).tobytes() == reference(own, mark)
+    assert scans == []
+    # a flipped byte, another seed's stream, short data and an unmarked prefix
+    for data, prefix_bits in (
+        (bytes(flipped), mark), (other, mark), (own[:-1], mark), (None, mark + 8), (own, mark - 1)
+    ):
+        stream = source.bitstream if data is None else data
+        decoded = source.decode_prefix(prefix_bits, data=data)
+        assert decoded.tobytes() == reference(stream, prefix_bits)
+        assert scans[-1] == prefix_bits
+    assert len(scans) == 5
