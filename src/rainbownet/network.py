@@ -174,67 +174,70 @@ def load_scenario(text: str) -> Network:
     )
 
 
-def max_flow(net: Network, sink: str):
+def max_flow(net: Network, sink: str, capacities=None, limit=None):
     """Value of a maximum flow from the source set to `sink`, exact.
 
-    Uses BFS augmenting paths on a residual graph with Fraction arithmetic,
-    so the result is exact for rational capacities. A sink that is itself a
-    source observes the source directly and gets ``math.inf``.
+    Uses BFS augmenting paths on a residual graph, with the edges' own
+    capacities (exact rationals) or, when given, `capacities[edge.id]` (say,
+    integers), so the value is exact in their arithmetic. With a `limit`
+    the search stops once the value reaches it and returns at most the
+    limit: on integer capacities that is at most `limit` augmenting paths.
+    A sink that is itself a source observes the source directly and gets
+    ``math.inf``, or the limit.
     """
     if sink not in net.sinks:
         raise ValueError(f"'{sink}' is not a sink of this network")
     if sink in net.sources:
-        return math.inf
+        return math.inf if limit is None else limit
 
-    heads: list[str] = []
-    caps: list[Fraction] = []
-    adjacency: dict[object, list[int]] = {node: [] for node in net.nodes}
-
-    def add_arc(tail, head, capacity):
-        adjacency.setdefault(tail, [])
-        adjacency.setdefault(head, [])
+    # nodes by position; arcs come in pairs, an edge then its reverse (arc ^ 1)
+    position = {node: i for i, node in enumerate(net.nodes)}
+    heads: list[int] = []
+    caps: list = []
+    adjacency: list[list[int]] = [[] for _ in net.nodes]
+    for edge in net.edges:
+        capacity = edge.capacity if capacities is None else capacities[edge.id]
+        if capacity <= 0:
+            continue  # never carries flow, so neither does its reverse
+        tail, head = position[edge.tail], position[edge.head]
         adjacency[tail].append(len(heads))
         heads.append(head)
         caps.append(capacity)
         adjacency[head].append(len(heads))
         heads.append(tail)
-        caps.append(Fraction(0))
+        caps.append(0)
+    target = position[sink]
+    sources = [position[source] for source in net.sources]
 
-    for edge in net.edges:
-        add_arc(edge.tail, edge.head, edge.capacity)
-    super_source = object()
-    bound = sum((e.capacity for e in net.edges), Fraction(1))
-    for source in net.sources:
-        add_arc(super_source, source, bound)
-
-    total = Fraction(0)
-    while True:
-        parent_arc: dict[object, int] = {super_source: -1}
-        queue = [super_source]
-        while queue and sink not in parent_arc:
+    total = 0
+    while limit is None or total < limit:
+        # the arc into each reached node, -1 at the sources (one BFS from all)
+        parent_arc: list[int | None] = [None] * len(net.nodes)
+        for source in sources:
+            parent_arc[source] = -1
+        queue = sources
+        while queue and parent_arc[target] is None:
             frontier = []
             for node in queue:
                 for arc in adjacency[node]:
                     head = heads[arc]
-                    if caps[arc] > 0 and head not in parent_arc:
+                    if parent_arc[head] is None and caps[arc] > 0:
                         parent_arc[head] = arc
                         frontier.append(head)
             queue = frontier
-        if sink not in parent_arc:
-            return total
-        bottleneck = None
-        node = sink
-        while node is not super_source:
-            arc = parent_arc[node]
-            bottleneck = caps[arc] if bottleneck is None else min(bottleneck, caps[arc])
+        if parent_arc[target] is None:
+            break
+        path = []
+        node = target
+        while (arc := parent_arc[node]) != -1:
+            path.append(arc)
             node = heads[arc ^ 1]
-        node = sink
-        while node is not super_source:
-            arc = parent_arc[node]
+        bottleneck = min(caps[arc] for arc in path)
+        for arc in path:
             caps[arc] -= bottleneck
             caps[arc ^ 1] += bottleneck
-            node = heads[arc ^ 1]
         total += bottleneck
+    return total if limit is None else min(total, limit)
 
 
 # Edge-simple paths grow exponentially with their length bound on dense

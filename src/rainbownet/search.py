@@ -22,13 +22,21 @@ regardless of scheduling; guards refuse instances whose path, union or
 coloring count would exceed its bound, and the coloring guard counts every
 multiset, skipped or not. Both build a `FlowPath` only for the paths of
 the flow they return.
+
+The cut bound: sink t holds at most cap_t = min(K, λ_t) descriptions in
+any flow, where λ_t is the integer max-flow to t on the edges' color
+capacities, so no flow costs less than sum_t w_t * floor[cap_t], with
+`floor` the running minimum of the levels. The exact scan ends once its
+best cost reaches it, and `route` returns greedy's flow, without an exact
+search, when greedy's cost meets it: that flow is then optimal, though it
+may differ from the exact search's flow of equal cost.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .distortion import (
@@ -95,9 +103,22 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A flow, its objective and flow vector, and how the search found it.
+
+    `mode` names the branch that produced the flow: "exact", "greedy",
+    "certified-greedy" (`route`'s greedy flow, whose cost meets the cut
+    bound) or "guard-greedy" (`route`'s greedy flow after the exact search
+    overflowed its guard). `bound` is the cut bound in the objective's
+    units (no total rainbow flow is above it, no weighted distortion below
+    it), or None when the search did not compute it. Neither field takes
+    part in equality.
+    """
+
     flow: DiscreteRnf
     objective: object  # Fraction for "trf", float for "wd"
     rfv: RainbowFlowVector
+    mode: str | None = field(default=None, compare=False)
+    bound: object = field(default=None, compare=False)
 
 
 def _objective(cfg: SearchConfig, net: Network):
@@ -125,12 +146,44 @@ def _cost(levels, weights, counts):
 
 
 def _color_capacities(net: Network, cfg: SearchConfig) -> dict[str, int]:
-    """Distinct colors each edge can carry: floor(capacity/rate), strict < variant."""
+    """Distinct colors each edge can carry: floor(capacity/rate), strict < variant.
+
+    The quotient is taken on the numerators and denominators, as integers.
+    """
     out = {}
+    num, den = cfg.rate.numerator, cfg.rate.denominator
     for edge in net.edges:
-        ratio = edge.capacity / cfg.rate
-        out[edge.id] = int(ratio) - 1 if cfg.strict and ratio.denominator == 1 else int(ratio)
+        colors, rest = divmod(edge.capacity.numerator * den, edge.capacity.denominator * num)
+        out[edge.id] = colors - 1 if cfg.strict and not rest else colors
     return out
+
+
+def _sink_caps(net: Network, cfg: SearchConfig) -> tuple[int, ...]:
+    """min(K, λ_t) per sink, in sink order: the most descriptions sink t can hold.
+
+    λ_t is the integer max-flow to t on the color capacities: a color that
+    reaches t carries one source-to-t path, and an edge carries at most its
+    color capacity of them. It ignores `max_path_len`, so the cap holds for
+    every path universe.
+    """
+    capacities = _color_capacities(net, cfg)
+    return tuple(max_flow(net, sink, capacities, cfg.num_colors) for sink in net.sinks)
+
+
+def _cut_bound(levels, weights, caps):
+    """The least cost any flow can have when sink t holds at most caps[t] descriptions.
+
+    Each term weights[t] * floor[caps[t]], with `floor` the running minimum
+    of `levels`, is at most the flow's own term, and the terms add in
+    `_cost`'s sink order, so the float sum is at most the flow's cost too.
+    """
+    floor = list(itertools.accumulate(levels[: max(caps, default=0) + 1], min))
+    return _cost(floor, weights, caps)
+
+
+def _value(cfg: SearchConfig, cost):
+    """A cost in the objective's units: total rainbow flow or weighted distortion."""
+    return cfg.rate * -cost if cfg.objective == "trf" else float(cost)
 
 
 def _nothing_admissible(net: Network, cfg: SearchConfig) -> bool:
@@ -138,12 +191,17 @@ def _nothing_admissible(net: Network, cfg: SearchConfig) -> bool:
     return cfg.strict and any(edge.capacity <= 0 for edge in net.edges)
 
 
-def _result(net: Network, cfg: SearchConfig, chosen, cost) -> SearchResult:
-    """A search result from (path, color) pairs in flow order and their cost."""
+def _result(net: Network, cfg: SearchConfig, chosen, cost, mode=None, bound=None) -> SearchResult:
+    """A search result from (path, color) pairs in flow order, their cost and the cut bound."""
     paths, colors = tuple(p for p, _ in chosen), tuple(c for _, c in chosen)
     flow = DiscreteRnf(net, paths, colors, cfg.num_colors, cfg.rate)
-    objective = cfg.rate * -cost if cfg.objective == "trf" else float(cost)
-    return SearchResult(flow=flow, objective=objective, rfv=rainbow_flow_vector(flow))
+    return SearchResult(
+        flow=flow,
+        objective=_value(cfg, cost),
+        rfv=rainbow_flow_vector(flow),
+        mode=mode,
+        bound=None if bound is None else _value(cfg, bound),
+    )
 
 
 def _candidates(rows, limit: int):
@@ -268,13 +326,16 @@ def _completion_bound(floor, weights, counts, reach, left):
     return sum(w * floor[c + left * r] for w, c, r in zip(weights, counts, reach))
 
 
-def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
+def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights, cut_bound=None):
     """The first least-cost feasible K-multiset of candidates: (indices, cost).
 
     Candidates are `_candidates`' (edge mask, sink mask, rep) triples, with
     bit i of an edge mask for the i-th edge of `capacity_for`. A
     candidate's edge bits and sink positions are built on its first push:
-    the bound often ends the scan after pushing a few of them.
+    the bound often ends the scan after pushing a few of them. `cut_bound`,
+    when given, is a cost no multiset is below (the cut bound); the scan ends
+    once the best cost reaches it, since no later multiset is strictly
+    cheaper.
 
     An iterative depth-first walk over nondecreasing candidate indices. It
     keeps the edges at their color capacity and the per-sink description
@@ -345,6 +406,8 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
             cost = _cost(levels, weights, counts)
             if best_cost is None or cost < best_cost:
                 best_cost, best_key = cost, tuple(combo)
+                if cut_bound is not None and cost <= cut_bound:
+                    return best_key, best_cost
         elif not combo:
             return best_key, best_cost
         index = combo.pop()
@@ -356,7 +419,7 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights):
         index += 1
 
 
-def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
+def exact_search(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
     """Globally optimal admissible flow within the enumerated path universe.
 
     Minimizes the search cost (minus total rainbow flow, or the weighted
@@ -364,15 +427,16 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     only the minimal union of each sink set can be optimal, and the scan
     skips the extensions of a prefix that overloads an edge or whose
     completion bound cannot beat the best cost so far, so it costs only
-    feasible multisets that might. Returns an empty flow with objective 0 when nothing
-    admissible exists. Raises SearchSizeError when the sink-adding closure
-    builds more than `MAX_SIGNATURES` unions or the coloring count, every
-    K-multiset of candidates whether feasible or not, exceeds
-    `MAX_COLORINGS`.
+    feasible multisets that might. It ends once the best cost reaches the
+    cut bound of `caps` (`_sink_caps`, computed when not given). Returns an
+    empty flow with objective 0 when nothing admissible exists. Raises
+    SearchSizeError when the sink-adding closure builds more than
+    `MAX_SIGNATURES` unions or the coloring count, every K-multiset of
+    candidates whether feasible or not, exceeds `MAX_COLORINGS`.
     """
     levels, weights = _objective(cfg, net)
     if _nothing_admissible(net, cfg):
-        return _result(net, cfg, [], _cost(levels, weights, [0] * len(weights)))
+        return _result(net, cfg, [], _cost(levels, weights, [0] * len(weights)), "exact")
     rows = enumerate_path_masks(net, cfg.max_path_len)
     candidates = _candidates(rows, MAX_SIGNATURES)
 
@@ -380,15 +444,16 @@ def exact_search(net: Network, cfg: SearchConfig) -> SearchResult:
     if count > MAX_COLORINGS:
         raise SearchSizeError(f"{count} candidate colorings exceed the guard of {MAX_COLORINGS}")
 
+    bound = _cut_bound(levels, weights, _sink_caps(net, cfg) if caps is None else caps)
     best_key, best_cost = _scan_colorings(
-        candidates, _color_capacities(net, cfg), cfg.num_colors, levels, weights
+        candidates, _color_capacities(net, cfg), cfg.num_colors, levels, weights, bound
     )
     chosen = [
         (FlowPath(rows[path_index][0]), color)
         for color, index in enumerate(best_key, start=1)
         for path_index in candidates[index][2]
     ]
-    return _result(net, cfg, chosen, best_cost)
+    return _result(net, cfg, chosen, best_cost, "exact", bound)
 
 
 def _best_path(table, color_mask, sink_mask, full, counts, levels, weights):
@@ -442,7 +507,7 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     levels, weights = _objective(cfg, net)
     counts = [0] * len(weights)
     if _nothing_admissible(net, cfg):
-        return _result(net, cfg, [], _cost(levels, weights, counts))
+        return _result(net, cfg, [], _cost(levels, weights, counts), "greedy")
     # the walk and _edge_bits both give bit i to net.edges[i]
     table = enumerate_path_masks(net, cfg.max_path_len)
     room, full = _edge_bits(_color_capacities(net, cfg))
@@ -475,7 +540,7 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
             chosen.append((FlowPath(edges), color + 1))
             progress = True
 
-    return _result(net, cfg, chosen, _cost(levels, weights, counts))
+    return _result(net, cfg, chosen, _cost(levels, weights, counts), "greedy")
 
 
 @dataclass(frozen=True)
@@ -494,17 +559,27 @@ def separate_coding_baseline(net: Network, model: DistortionModel = GAUSSIAN) ->
     return BaselineResult(rate=rate, distortions=tuple(model.distortion(rate) for _ in net.sinks))
 
 
-def route(net: Network, cfg: SearchConfig) -> SearchResult:
-    """The package's routing policy: exact search, greedy past its guard.
+def route(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
+    """The package's routing policy: greedy when the cut bound certifies it, else exact.
 
-    Returns ``exact_search(net, cfg)``, or ``greedy_search(net, cfg)`` when
-    the instance overflows the exact search's guard (SearchSizeError). The
-    result does not say which search produced it; the fallback is logged as
-    a DEBUG record of the "rainbownet" logger that carries the guard's
-    message.
+    Runs ``greedy_search(net, cfg)`` first. When its cost meets the cut
+    bound of `caps` (`_sink_caps`, computed when not given) no flow in any
+    path universe costs less, so it is returned as "certified-greedy".
+    Otherwise returns ``exact_search(net, cfg, caps)``, or, when the
+    instance overflows the exact search's guard (SearchSizeError), the
+    greedy result already in hand as "guard-greedy"; that fallback is also
+    logged as a DEBUG record of the "rainbownet" logger that carries the
+    guard's message. A certified flow may differ from the exact search's,
+    at equal cost.
     """
+    if caps is None:
+        caps = _sink_caps(net, cfg)
+    greedy = greedy_search(net, cfg)
+    bound = _value(cfg, _cut_bound(*_objective(cfg, net), caps))
+    if greedy.objective == bound:
+        return replace(greedy, mode="certified-greedy", bound=bound)
     try:
-        return exact_search(net, cfg)
+        return exact_search(net, cfg, caps)
     except SearchSizeError as exc:
         # imported here: nothing else in the package logs, and the import
         # would add about 5 ms to every one-shot run
@@ -513,7 +588,7 @@ def route(net: Network, cfg: SearchConfig) -> SearchResult:
         logging.getLogger("rainbownet").debug(
             "exact search overflowed its guard, routing greedily: %s", exc
         )
-        return greedy_search(net, cfg)
+        return replace(greedy, mode="guard-greedy", bound=bound)
 
 
 def alternating_search(net: Network, cfg: SearchConfig, rounds: int = 1):
@@ -521,16 +596,19 @@ def alternating_search(net: Network, cfg: SearchConfig, rounds: int = 1):
 
     Round 1 routes under `cfg` as given (its objective and profile); every
     later round routes for weighted distortion ("wd") under the profile the
-    previous round optimized. Each round routes through `route` and then
-    re-optimizes the profile for the flow vector it found, under
-    `cfg.weights`. At least one round runs. Returns the final
-    (SearchResult, profile, weighted objective).
+    previous round optimized. Each round routes through `route`, with the
+    per-sink cut caps computed once (they depend on the rate, K and
+    strictness, which every round shares), and then re-optimizes the
+    profile for the flow vector it found, under `cfg.weights`. At least one
+    round runs. Returns the final (SearchResult, profile, weighted
+    objective).
     """
     if cfg.weights is None:
         raise ValueError("alternating search needs a weight vector")
+    caps = _sink_caps(net, cfg)
     round_cfg = cfg
     for _ in range(max(1, rounds)):
-        result = route(net, round_cfg)
+        result = route(net, round_cfg, caps)
         optimum = optimize_pet_profile(
             list(result.rfv), cfg.weights, cfg.num_colors, cfg.rate
         )

@@ -3,9 +3,12 @@ import json
 import logging
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -524,7 +527,8 @@ class TestColoringScan:
 
     def test_scores_only_feasible_multisets(self, monkeypatch):
         # fanout(6, 3, 0) at K=3: 45,760 multisets of 64 candidates, 2,667
-        # fit, and the completion bound leaves 327 of those to cost
+        # fit, and the completion bound leaves 327 of those to cost; the
+        # ninth reaches the cut bound, which ends the scan there
         calls = []
         cost = search._cost
 
@@ -532,11 +536,22 @@ class TestColoringScan:
             calls.append(1)
             return cost(levels, weights, counts)
 
-        monkeypatch.setattr(search, "_cost", counted)
         net = helpers.document_network(helpers.fanout_document(6, 3, 0))
-        result = exact_search(net, _cfg(3, Fraction(1, 2)))
+        cfg = _cfg(3, Fraction(1, 2))
+        candidates = _candidates(enumerate_path_masks(net, 4), search.MAX_SIGNATURES)
+        levels, weights = search._objective(cfg, net)
+        capacity_for = search._color_capacities(net, cfg)
+        bound = search._cut_bound(levels, weights, search._sink_caps(net, cfg))
+        monkeypatch.setattr(search, "_cost", counted)
+        full = search._scan_colorings(candidates, capacity_for, 3, levels, weights)
         assert len(calls) == 327
+        calls.clear()
+        stopped = search._scan_colorings(candidates, capacity_for, 3, levels, weights, bound)
+        assert len(calls) == 9
+        assert stopped == full == (full[0], bound)
+        result = exact_search(net, cfg)
         assert is_admissible(result.flow)
+        assert result.objective == result.bound == Fraction(9, 2)
 
     def test_builds_scan_state_only_for_pushed_candidates(self, monkeypatch):
         # layered(2, 4, 0) at K=2, length 5: the bound ends the scan after
@@ -564,8 +579,9 @@ class TestColoringScan:
 
     def test_bound_prunes_the_layered_boundary_instance(self, monkeypatch):
         # layered(4, 4, 1) at K=2, length 5: the unbounded scan costed
-        # 2,242,564 feasible pairs (about 18 s); the first costed pair is
-        # already optimal, and the bound then drops every other prefix
+        # 2,242,564 feasible pairs (about 18 s); the third costed pair is
+        # optimal, meets the cut bound, and ends the scan. The first call
+        # costs the cut bound itself.
         calls = []
         cost = search._cost
 
@@ -576,8 +592,8 @@ class TestColoringScan:
         monkeypatch.setattr(search, "_cost", counted)
         net = helpers.document_network(helpers.layered_document(4, 4, 1))
         result = exact_search(net, _cfg(2, Fraction(1, 2), max_path_len=5))
-        assert len(calls) == 3
-        assert result.objective == 5
+        assert len(calls) == 4
+        assert result.objective == result.bound == 5
         assert [path.edges for path in result.flow.paths] == [
             ("e0", "e4", "e12", "e20"),
             ("e0", "e4", "e13", "e26"),
@@ -648,6 +664,75 @@ class TestColoringScan:
         assert scans >= 12
         assert equal_prunes
 
+    @pytest.mark.parametrize("family", ["layered", "fanout", "figures", "random"])
+    def test_root_stop_matches_the_reference_scan(self, family):
+        # the scan ends once its best cost reaches the cut bound; no later
+        # multiset is strictly cheaper, so the first least-cost one stands,
+        # under trf and under wd profiles with zero-mass layers too
+        rng = random.Random(43)
+        scans = stops = 0
+        for net, K, max_len in _scan_instances(family):
+            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SIGNATURES)
+            reference = _reference_candidates(net, max_len)
+            weights = tuple(1 / len(net.sinks) for _ in net.sinks)
+            mass = [0.0 if layer % 2 else rng.uniform(0.5, 2) for layer in range(K)]
+            zero_mass = tuple(m / sum(mass) for m in mass)
+            for objective, profile in (("trf", None), ("wd", None), ("wd", zero_mass)):
+                cfg = _cfg(
+                    K, Fraction(1, 2), max_path_len=max_len, objective=objective,
+                    weights=weights, profile=profile, strict=scans % 2 == 1,
+                )
+                if search._nothing_admissible(net, cfg):
+                    continue
+                levels, cost_weights = search._objective(cfg, net)
+                capacity_for = search._color_capacities(net, cfg)
+                bound = search._cut_bound(levels, cost_weights, search._sink_caps(net, cfg))
+                found = search._scan_colorings(
+                    candidates, capacity_for, K, levels, cost_weights, bound
+                )
+                score = _cost_score(levels, cost_weights)
+                assert found == oracles.reference_coloring_scan(
+                    reference, capacity_for, K, score, True
+                )
+                assert found[1] >= bound
+                scans += 1
+                stops += found[1] == bound
+        assert scans >= 15
+        assert stops
+
+    def test_root_stop_ends_the_layered_scan(self, monkeypatch):
+        # layered(3, 3, 0) at K=2, length 4: the completion bound leaves 357
+        # feasible pairs to cost; the third meets the cut bound and ends it
+        calls = []
+        cost = search._cost
+
+        def counted(levels, weights, counts):
+            calls.append(1)
+            return cost(levels, weights, counts)
+
+        net = helpers.document_network(helpers.layered_document(3, 3, 0))
+        cfg = _cfg(2, Fraction(1, 2), max_path_len=4)
+        candidates = _candidates(enumerate_path_masks(net, 4), search.MAX_SIGNATURES)
+        levels, weights = search._objective(cfg, net)
+        capacity_for = search._color_capacities(net, cfg)
+        bound = search._cut_bound(levels, weights, search._sink_caps(net, cfg))
+        monkeypatch.setattr(search, "_cost", counted)
+        full = search._scan_colorings(candidates, capacity_for, 2, levels, weights)
+        assert len(calls) == 357
+        calls.clear()
+        assert search._scan_colorings(candidates, capacity_for, 2, levels, weights, bound) == full
+        assert len(calls) == 3
+        assert full[1] == bound == -7
+
+    @pytest.mark.parametrize("width,depth", [(3, 3), (2, 4)])
+    def test_layered_optimum_meets_the_cut_bound(self, width, depth):
+        # on every layered family instance the exact optimum is the cut
+        # bound, so every one of these scans ends at the root bound
+        for seed in range(24):
+            net = helpers.document_network(helpers.layered_document(width, depth, seed))
+            result = exact_search(net, _cfg(2, Fraction(1, 2), max_path_len=depth + 1))
+            assert result.objective == result.bound
+
     def test_never_extends_an_overloaded_prefix(self, monkeypatch):
         # the empty union and 200 single-edge unions, of which only e0 has
         # room (for one color): of the ~1e53 multisets at K=50 two fit;
@@ -665,6 +750,87 @@ class TestColoringScan:
         best = search._scan_colorings(candidates, capacity_for, 50, range(2, -49, -1), (1,))
         assert best == ((0,) * 49 + (1,), 1)
         assert [sum(counts.values()) for counts in scored] == [0, 1]
+
+
+def _color_network(net, cfg):
+    """`net` with each edge's capacity replaced by its color capacity (at least 0)."""
+    capacity_for = search._color_capacities(net, cfg)
+    edges = tuple(
+        Edge(e.id, e.tail, e.head, Fraction(max(capacity_for[e.id], 0))) for e in net.edges
+    )
+    return Network(net.nodes, edges, net.sources, net.sinks)
+
+
+def _search_cost(cfg, result):
+    """A result's objective back in the search's cost units."""
+    return -result.objective / cfg.rate if cfg.objective == "trf" else result.objective
+
+
+class TestCutBound:
+    def test_integer_max_flow_matches_the_brute_min_cut(self):
+        # color capacities of the walk networks (a second source in a third
+        # of them, a sink that is also a source in another third), strict
+        # and not: the integer max-flow is the min cut, and a limit caps it
+        checked = sources_as_sinks = 0
+        for index, net in enumerate(helpers.walk_networks()):
+            cases = ((Fraction(1, 2), False), (Fraction(1), True), (Fraction(3, 2), index % 2 == 0))
+            for rate, strict in cases:
+                cfg = _cfg(2, rate, strict=strict)
+                capacity_for = search._color_capacities(net, cfg)
+                color_net = _color_network(net, cfg)
+                caps = search._sink_caps(net, cfg)
+                for sink, cap in zip(net.sinks, caps):
+                    if sink in net.sources:
+                        assert max_flow(net, sink, capacity_for) == math.inf
+                        assert max_flow(net, sink, capacity_for, 2) == cap == 2
+                        sources_as_sinks += 1
+                        continue
+                    value = max_flow(net, sink, capacity_for)
+                    assert isinstance(value, int)
+                    assert value == oracles.brute_min_cut(color_net, sink)
+                    for limit in (1, 2, 3):
+                        assert max_flow(net, sink, capacity_for, limit) == min(limit, value)
+                    assert cap == min(2, value)
+                    checked += 1
+        assert checked >= 150
+        assert sources_as_sinks >= 12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_colors=st.integers(1, 3),
+        max_len=st.integers(1, 3),
+        objective=st.sampled_from(["trf", "wd"]),
+        zeros=st.lists(st.booleans(), min_size=3, max_size=3),
+        strict=st.booleans(),
+        rate=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+    )
+    def test_no_search_costs_less_than_the_bound(
+        self, seed, num_colors, max_len, objective, zeros, strict, rate
+    ):
+        rng = random.Random(seed)
+        net = helpers.random_network(rng)
+        weights = profile = None
+        if objective == "wd":
+            raw = [rng.choice((0, 1, 2, 5)) for _ in net.sinks]
+            raw[0] += 1
+            weights = tuple(w / sum(raw) for w in raw)
+            # layers flagged in `zeros` carry no mass; the last always carries some
+            mass = [0.0 if zero else rng.uniform(0.5, 2) for zero in zeros[:num_colors]]
+            mass[-1] = mass[-1] or 1.0
+            profile = tuple(m / sum(mass) for m in mass)
+        cfg = _cfg(
+            num_colors, rate, max_path_len=max_len, objective=objective,
+            weights=weights, profile=profile, strict=strict,
+        )
+        levels, cost_weights = search._objective(cfg, net)
+        bound = search._cut_bound(levels, cost_weights, search._sink_caps(net, cfg))
+        exact = exact_search(net, cfg)
+        routed = route(net, cfg)
+        for result in (exact, greedy_search(net, cfg), routed):
+            assert _search_cost(cfg, result) >= bound
+        # a certified greedy flow is optimal, so route always meets exact
+        assert routed.objective == exact.objective
 
 
 class TestBaseline:
@@ -707,37 +873,44 @@ class TestBaseline:
         assert all(b >= o - 1e-12 for b, o in zip(baseline.distortions, optimized))
 
 
+def _uncertifiable():
+    """layered(3, 3, 11) at K=2, length 4: greedy is one description short of
+    the cut bound, which the exact search meets with another flow."""
+    net = helpers.document_network(helpers.layered_document(3, 3, 11))
+    return net, _cfg(2, Fraction(1, 2), max_path_len=4)
+
+
 class TestRoute:
     def test_guard_overflow_falls_back_to_greedy(self, monkeypatch):
         monkeypatch.setattr(search, "MAX_COLORINGS", 5)
-        net = helpers.fig1_network()
-        cfg = _cfg(2, 1, max_path_len=2)
+        net, cfg = _uncertifiable()
         with pytest.raises(SearchSizeError):
             exact_search(net, cfg)
         routed = route(net, cfg)
         greedy = greedy_search(net, cfg)
         assert routed.flow == greedy.flow
         assert routed.objective == greedy.objective
+        assert (routed.mode, routed.bound) == ("guard-greedy", Fraction(7, 2))
 
-    def test_guard_overflow_is_logged_before_greedy_runs(self, monkeypatch, caplog):
+    def test_guard_overflow_is_logged_and_greedy_runs_once(self, monkeypatch, caplog):
         monkeypatch.setattr(search, "MAX_COLORINGS", 5)
-        net = helpers.fig1_network()
-        cfg = _cfg(2, 1, max_path_len=2)
+        net, cfg = _uncertifiable()
         with pytest.raises(SearchSizeError) as guard:
             exact_search(net, cfg)
-        logged_before_greedy = []
+        greedy_runs = []
 
         def greedy(*args):
-            logged_before_greedy.append([record.getMessage() for record in caplog.records])
+            greedy_runs.append(1)
             return greedy_search(*args)
 
         monkeypatch.setattr(search, "greedy_search", greedy)
         with caplog.at_level(logging.DEBUG, logger="rainbownet"):
-            route(net, cfg)
-        assert len(logged_before_greedy) == 1
+            routed = route(net, cfg)
+        assert len(greedy_runs) == 1
         assert [(r.name, r.levelno) for r in caplog.records] == [("rainbownet", logging.DEBUG)]
-        assert logged_before_greedy[0] == [caplog.records[0].getMessage()]
         assert str(guard.value) in caplog.records[0].getMessage()
+        assert routed == greedy_search(net, cfg)
+        assert routed.mode == "guard-greedy"
 
     @pytest.mark.parametrize("objective", ["trf", "wd"])
     def test_strict_zero_capacity_edge_gives_every_search_the_empty_flow(self, objective):
@@ -761,13 +934,51 @@ class TestRoute:
         assert [path.edges for path in lenient.flow.paths] == [("e1",)]
 
     def test_fitting_instance_is_exact(self):
-        # greedy finds a different flow here, so this pins the exact branch
-        net = helpers.fig1_network()
-        cfg = _cfg(2, 1, max_path_len=2)
+        # greedy misses the cut bound here and finds another flow, so this
+        # pins the exact branch
+        net, cfg = _uncertifiable()
         routed = route(net, cfg)
         exact = exact_search(net, cfg)
-        assert routed.flow == exact.flow
-        assert routed.objective == exact.objective
+        greedy = greedy_search(net, cfg)
+        assert routed.flow == exact.flow != greedy.flow
+        assert routed.objective == exact.objective == routed.bound == Fraction(7, 2)
+        assert greedy.objective == 3
+        assert routed.mode == "exact"
+
+    def test_certified_greedy_skips_the_exact_search(self, monkeypatch):
+        # fig1 at K=2, length 2: greedy meets the cut bound with a flow
+        # other than the exact search's, of equal objective
+        net = helpers.fig1_network()
+        cfg = _cfg(2, 1, max_path_len=2)
+        exact = exact_search(net, cfg)
+
+        def refused(*args):
+            raise AssertionError("a certified route ran the exact search")
+
+        monkeypatch.setattr(search, "exact_search", refused)
+        routed = route(net, cfg)
+        greedy = greedy_search(net, cfg)
+        assert routed == greedy
+        assert routed.flow != exact.flow
+        assert routed.objective == routed.bound == exact.objective
+        assert routed.mode == "certified-greedy"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_layered_instance_is_certified_without_a_closure(self, seed, monkeypatch):
+        # layered(5, 4, 0) and (5, 4, 1) at K=2, length 5: the exact search
+        # spends seconds building the candidate closure before its coloring
+        # guard trips; greedy meets the cut bound in milliseconds
+        net = helpers.document_network(helpers.layered_document(5, 4, seed))
+        cfg = _cfg(2, Fraction(1, 2), max_path_len=5)
+
+        def refused(*args):
+            raise AssertionError("a certified route ran the exact search")
+
+        monkeypatch.setattr(search, "exact_search", refused)
+        routed = route(net, cfg)
+        assert routed.mode == "certified-greedy"
+        assert routed.objective == routed.bound == Fraction(11, 2)
+        assert is_admissible(routed.flow)
 
 
 class TestAlternation:
@@ -786,8 +997,10 @@ class TestAlternation:
         weights = (1.0, 0.0, 0.0, 0.0)
         cfg = _cfg(2, 1, max_path_len=2, objective="trf", weights=weights)
         result, profile, objective = alternating_search(net, cfg, rounds=1)
-        exact = exact_search(net, cfg)
-        assert result == exact
-        optimum = optimize_pet_profile(list(exact.rfv.values), weights, 2, Fraction(1))
+        assert result == route(net, cfg)
+        # a certified trf flow gives every sink its cut cap, as exact's does
+        assert result.rfv == exact_search(net, cfg).rfv
+        assert result.rfv != route(net, replace(cfg, objective="wd")).rfv
+        optimum = optimize_pet_profile(list(result.rfv.values), weights, 2, Fraction(1))
         assert profile == optimum.y
         assert objective == optimum.objective
