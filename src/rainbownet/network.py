@@ -243,80 +243,125 @@ def max_flow(net: Network, sink: str, capacities=None, limit=None):
 # Edge-simple paths grow exponentially with their length bound on dense
 # graphs (about x2.7 per step on a 12-node, 43-edge graph); past this many
 # the enumeration stops instead of running for hours. The walk counts every
-# partial path it extends, not only those ending at sinks, so a dense part
-# of the graph that leads to no sink is bounded too.
+# partial path it visits, not only those ending at sinks, but visits only
+# partial paths that can still reach a sink within the length bound, so a
+# part of the graph that leads to no sink costs nothing. Each counted path
+# costs at most its head's out-degree in arc tests.
 MAX_PATHS = 100_000
 
 
-def enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
-    """All edge-simple source-to-sink paths of length <= max_len.
+def _sink_distances(net: Network, limit: int) -> dict[str, int]:
+    """Fewest edges from each node to any sink, for the nodes within `limit` of one.
+
+    One breadth-first search backwards from all sinks at once.
+    """
+    into: dict[str, list[str]] = {node: [] for node in net.nodes}
+    for edge in net.edges:
+        into[edge.head].append(edge.tail)
+    distance = dict.fromkeys(net.sinks, 0)
+    frontier = list(net.sinks)
+    steps = 0
+    while frontier and steps < limit:
+        steps += 1
+        reached = []
+        for node in frontier:
+            for tail in into[node]:
+                if tail not in distance:
+                    distance[tail] = steps
+                    reached.append(tail)
+        frontier = reached
+    return distance
+
+
+def trail_ids(trail) -> tuple[str, ...]:
+    """The edge ids of a walk row's trail, first edge first.
+
+    A trail is () or a pair (the trail one edge shorter, the last edge id).
+    """
+    ids = []
+    while trail:
+        trail, edge_id = trail
+        ids.append(edge_id)
+    return tuple(reversed(ids))
+
+
+def enumerate_path_masks(net: Network, max_len: int) -> list[tuple[int, int, tuple]]:
+    """Edge-simple source-to-sink paths of length <= max_len as (edge mask, sink mask, trail).
 
     A path is emitted every time the walk stands on a sink, so prefixes that
     already end at sinks are included. Output order is lexicographic by the
-    edge-id sequence and duplicate-free. Raises SearchSizeError once the
-    walk has visited more than MAX_PATHS source-rooted partial paths.
-    """
-    return [FlowPath(edges) for edges, _, _ in enumerate_path_masks(net, max_len)]
+    edge-id sequence and duplicate-free. Bit i of an edge mask stands for
+    the i-th edge id in string order and bit t of a sink mask for
+    net.sinks[t]; a path's sinks are the sinks among its nodes (the tail of
+    its first edge and the head of every edge). `trail_ids(trail)` rebuilds
+    the edge ids, so a caller builds them only for the paths it uses.
 
-
-def enumerate_path_masks(net: Network, max_len: int) -> list[tuple[tuple[str, ...], int, int]]:
-    """The paths of `enumerate_paths`, in its order, as (edge ids, edge mask, sink mask).
-
-    Bit i of an edge mask stands for net.edges[i] and bit t of a sink mask
-    for net.sinks[t]; a path's sinks are the sinks among its nodes (the
-    tail of its first edge and the head of every edge). The walk keeps
-    both masks per trail node, so it tests edge-simplicity on the edge mask
-    and builds no path object.
+    The walk extends a partial path by an edge only when the edge's head
+    is close enough to a sink for the extended path to reach one within
+    `max_len` edges. That distance ignores edge-simplicity, so no path is
+    lost. Raises SearchSizeError once the walk has visited more than
+    MAX_PATHS such partial paths.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    edge_bit = {edge.id: 1 << i for i, edge in enumerate(net.edges)}
+    distance = _sink_distances(net, max_len)
+    edge_bit = {edge_id: 1 << i for i, edge_id in enumerate(sorted(net._by_id))}
     sink_bit = {sink: 1 << t for t, sink in enumerate(net.sinks)}
-    # per node, its out-edges in id order as (id, head, edge bit, head's sink bit)
-    arcs = {
-        node: tuple((e.id, e.head, edge_bit[e.id], sink_bit.get(e.head, 0)) for e in edges)
-        for node, edges in net._out.items()
-    }
-    sources = sorted(set(net.sources))
-    found: list[tuple[tuple[str, ...], int, int]] = []
+    # per node within reach of a sink: its out-edges in id order whose head
+    # is too, as (id, edge bit, head's sink bit, head's distance, head's
+    # entry), and the ones of those whose head is a sink
+    entry: dict[str, list[tuple]] = {node: [] for node in distance}
+    for node, arcs in entry.items():
+        arcs.append(tuple(
+            (e.id, edge_bit[e.id], sink_bit.get(e.head, 0), distance[e.head], entry[e.head])
+            for e in net._out[node]
+            if e.head in distance
+        ))
+        arcs.append(tuple(arc for arc in arcs[0] if arc[2]))
+    # one walk per first edge, in id order across the sources, so the rows
+    # need no sort: a walk records a path before its extensions, in id order
+    firsts = sorted(
+        (arc[0], sink_bit.get(source, 0), arc)
+        for source in set(net.sources) & distance.keys()
+        for arc in entry[source][0]
+    )
+    found: list[tuple[int, int, tuple]] = []
     visited = 0
 
-    # depth first with an explicit stack of out-edge iterators, one per
-    # trail node that may still grow, so path length is not bounded by the
-    # recursion limit; a full-length path is counted but never pushed
-    for source in sources:
-        trail: list[str] = []
-        masks = [(0, sink_bit.get(source, 0))]
-        stack = [iter(arcs[source])]
-        visited += 1
+    # depth first with an explicit stack, so path length is not bounded by
+    # the recursion limit. A stack entry holds the out-edge iterator of a
+    # partial path, its masks and trail, and `reach`: the most edges from a
+    # head to a sink that still fit. A path one edge short of the bound can
+    # only end at a sink, so its extensions are recorded at once
+    for _, source_sink, first in firsts:
+        stack = [(iter((first,)), 0, source_sink, (), max_len - 1)]
         while stack:
+            arcs, edge_mask, sink_mask, trail, reach = stack[-1]
+            arc = next(arcs, None)
+            if arc is None:
+                stack.pop()
+                continue
+            edge_id, bit, sink, steps, head = arc
+            if edge_mask & bit or steps > reach:
+                continue
+            visited += 1
+            edge_mask |= bit
+            sink_mask |= sink
+            trail = (trail, edge_id)
+            if sink:
+                found.append((edge_mask, sink_mask, trail))
+            if reach == 1:
+                for last_id, last_bit, last_sink, _, _ in head[1]:
+                    if not edge_mask & last_bit:
+                        visited += 1
+                        found.append(
+                            (edge_mask | last_bit, sink_mask | last_sink, (trail, last_id))
+                        )
+            elif reach and head[0]:
+                stack.append((iter(head[0]), edge_mask, sink_mask, trail, reach - 1))
             if visited > MAX_PATHS:
                 raise SearchSizeError(
                     f"path enumeration exceeded {MAX_PATHS} partial paths of length <= {max_len}; "
                     "reduce max_path_len"
                 )
-            arc = next(stack[-1], None)
-            if arc is None:
-                stack.pop()
-                masks.pop()
-                if trail:
-                    trail.pop()
-                continue
-            edge_id, head, bit, sink = arc
-            edge_mask, sink_mask = masks[-1]
-            if edge_mask & bit:
-                continue
-            visited += 1
-            edge_mask |= bit
-            sink_mask |= sink
-            if sink:
-                found.append(((*trail, edge_id), edge_mask, sink_mask))
-            if len(stack) < max_len:
-                trail.append(edge_id)
-                masks.append((edge_mask, sink_mask))
-                stack.append(iter(arcs[head]))
-    if len(sources) > 1:
-        # one source's walk is already in order: out-edges go in id order
-        # and a trail is recorded before its extensions
-        found.sort(key=lambda row: row[0])
     return found

@@ -1,27 +1,30 @@
 """Routing search: exact on small instances, greedy at scale, baselines.
 
 Both searches read the path walk's rows (`enumerate_path_masks`): each
-path as its edge ids, a bit mask over `net.edges` and a bit mask over
-`net.sinks`. A color is keyed by its edge union; its sinks (the sinks
-among the edges' endpoints) follow from it. A flow whose sink t holds c_t
-descriptions costs sum_t w_t * levels[c_t] (minus the description count
-for "trf", the weighted distortion for "wd"), and both searches minimize
-that one cost. Both grow a color only by a path that reaches a sink the
-color lacks, and both test an edge's room on the edge masks. The exact
-search builds the path unions that grow this way as OR-ed masks, reading
-for each union only the paths listed once for its sink set, keeps the
-minimal ones of each sink set (tested against all smaller kept unions at
-once, packed into one int), and scans multisets of K unions depth first
-(branch and bound). It skips every extension of a prefix that already
-overloads an edge, and every extension whose lower bound is no less than
-the best cost found: each sink that a later candidate reaches is costed as
-if it gained all the colors left, every other sink at its current count.
-A candidate's edge bits and sink positions are built on its first push.
-Candidate order and tie-breaking are fixed, so results are reproducible
-regardless of scheduling; guards refuse instances whose path, union or
-coloring count would exceed its bound, and the coloring guard counts every
-multiset, skipped or not. Both build a `FlowPath` only for the paths of
-the flow they return.
+path as a bit mask over the edges in id order, a bit mask over
+`net.sinks` and a trail that rebuilds its edge ids. A color is keyed by
+its edge union; its sinks (the sinks among the edges' endpoints) follow
+from it. A flow whose sink t holds c_t descriptions costs sum_t w_t *
+levels[c_t] (minus the description count for "trf", the weighted
+distortion for "wd"), and both searches minimize that one cost. Both
+grow a color only by a path that reaches a sink the color lacks, and
+both test an edge's room on the edge masks. Greedy groups the rows by
+sink set and scans only the first fitting row of each set that adds a
+sink. The exact search builds the path unions that grow this way as
+OR-ed masks, reading for each union only the paths listed once for its
+sink set, keeps the minimal ones of each sink set (tested against all
+smaller kept unions at once, packed into one int), and scans multisets
+of K unions depth first (branch and bound). It skips every extension of
+a prefix that already overloads an edge, and every extension whose lower
+bound is no less than the best cost found: each sink that a later
+candidate reaches is costed as if it gained all the colors left, every
+other sink at its current count. A candidate's edge bits and sink
+positions are built on its first push. Candidate order and tie-breaking
+are fixed, so results are reproducible regardless of scheduling; guards
+refuse instances whose path, union or coloring count would exceed its
+bound, and the coloring guard counts every multiset, skipped or not.
+Both build edge ids and a `FlowPath` only for the paths of the flow they
+return.
 
 The cut bound: sink t holds at most cap_t = min(K, λ_t) descriptions in
 any flow, where λ_t is the integer max-flow to t on the edges' color
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -49,7 +53,7 @@ from .distortion import (
 )
 from .errors import SearchSizeError
 from .flows import DiscreteRnf, RainbowFlowVector, rainbow_flow_vector
-from .network import FlowPath, Network, enumerate_path_masks, max_flow
+from .network import FlowPath, Network, enumerate_path_masks, max_flow, trail_ids
 
 # Guards of the exact search: distinct path unions the closure builds, and
 # K-multisets of minimal candidates scanned.
@@ -148,11 +152,12 @@ def _cost(levels, weights, counts):
 def _color_capacities(net: Network, cfg: SearchConfig) -> dict[str, int]:
     """Distinct colors each edge can carry: floor(capacity/rate), strict < variant.
 
-    The quotient is taken on the numerators and denominators, as integers.
+    Keyed by edge id, in id order: the order of the walk's edge bits. The
+    quotient is taken on the numerators and denominators, as integers.
     """
     out = {}
     num, den = cfg.rate.numerator, cfg.rate.denominator
-    for edge in net.edges:
+    for edge in sorted(net.edges, key=lambda e: e.id):
         colors, rest = divmod(edge.capacity.numerator * den, edge.capacity.denominator * num)
         out[edge.id] = colors - 1 if cfg.strict and not rest else colors
     return out
@@ -207,13 +212,13 @@ def _result(net: Network, cfg: SearchConfig, chosen, cost, mode=None, bound=None
 def _candidates(rows, limit: int):
     """Each minimal path union for the sinks it reaches, as (edges, sinks, rep).
 
-    `rows` are the walk's (edge ids, edge mask, sink mask) paths; a union's
+    `rows` are the walk's (edge mask, sink mask, trail) paths; a union's
     edges and sinks are the ORs of its paths' masks. A breadth-first
     closure from the empty union grows a union by a path only when the path
     reaches a sink the union lacks, so the unions of one sink set share
     their growers: the rows reaching a sink outside it, listed in row order
-    on the set's first visit. `rep` is the first path tuple that builds the
-    union, and its sinks travel with it. A minimal generating set has no
+    on the set's first visit. `rep` is the first tuple of row indices that
+    builds the union, and its sinks travel with it. A minimal generating set has no
     path whose sinks the others cover, so every union with no strict subset
     of equal sinks is built, by the same rep as in the closure over all path
     subsets. Of each sink set the minimal unions are kept, sorted by their
@@ -231,7 +236,7 @@ def _candidates(rows, limit: int):
             if grow is None:
                 grow = growers[sinks] = [
                     (index, path_edges, sinks | path_sinks)
-                    for index, (_, path_edges, path_sinks) in enumerate(rows)
+                    for index, (path_edges, path_sinks, _) in enumerate(rows)
                     if path_sinks & ~sinks
                 ]
             for index, path_edges, grown in grow:
@@ -247,7 +252,7 @@ def _candidates(rows, limit: int):
                     )
         frontier = added
     kept = _minimal(unions)
-    kept.sort(key=_id_order(rows, unions))
+    kept.sort(key=_id_order)
     return [(edges, *unions[edges]) for edges in kept]
 
 
@@ -280,27 +285,16 @@ def _minimal(unions):
 _MEMBERS_FIRST = str.maketrans("01", "10")
 
 
-def _id_order(rows, unions):
-    """A sort key that orders unions by their sorted edge ids.
+def _id_order(edges: int) -> str:
+    """A sort key that orders edge masks by their sorted edge ids.
 
-    Bit r of a row's rank mask stands for the r-th edge id in string order,
-    and a union's rank mask is the OR over its rep. Read from bit 0 up to
-    its last member, with members as "0" and the others as "1", it compares
-    as the sorted edge ids do: the first rank where two unions differ is a
-    member of the one that sorts first, unless the other has no later
-    member, and then the other is a prefix and ends first.
+    Bit r of an edge mask stands for the r-th edge id in string order. Read
+    from bit 0 up to its last member, with members as "0" and the others as
+    "1", a mask compares as the sorted edge ids do: the first bit where two
+    masks differ is a member of the one that sorts first, unless the other
+    has no later member, and then the other is a prefix and ends first.
     """
-    paths = [path[0] for path in rows]
-    rank = {edge: 1 << position for position, edge in enumerate(sorted(set().union(*paths)))}
-    row_ranks = [sum(map(rank.__getitem__, path)) for path in paths]
-
-    def key(edges):
-        ranks = 0
-        for index in unions[edges][1]:
-            ranks |= row_ranks[index]
-        return f"{ranks:b}"[::-1].translate(_MEMBERS_FIRST) if ranks else ""
-
-    return key
+    return f"{edges:b}"[::-1].translate(_MEMBERS_FIRST) if edges else ""
 
 
 def _edge_bits(capacity_for):
@@ -449,22 +443,32 @@ def exact_search(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
         candidates, _color_capacities(net, cfg), cfg.num_colors, levels, weights, bound
     )
     chosen = [
-        (FlowPath(rows[path_index][0]), color)
+        (FlowPath(trail_ids(rows[path_index][2])), color)
         for color, index in enumerate(best_key, start=1)
         for path_index in candidates[index][2]
     ]
     return _result(net, cfg, chosen, best_cost, "exact", bound)
 
 
-def _best_path(table, color_mask, sink_mask, full, counts, levels, weights):
-    """The path in `table` whose addition to a color lowers the cost most.
+def _sink_groups(table) -> dict[int, list[int]]:
+    """The indices of the walk's rows by their sink mask, in row order."""
+    groups = defaultdict(list)
+    for index, row in enumerate(table):
+        groups[row[1]].append(index)
+    return groups
 
-    Rows are (edge ids, edge mask, sink mask). A path fits when none of the
-    edges it adds to the color is full, and it must reach a sink the color
-    lacks; its gain adds the marginal cost decreases of those sinks in
-    ascending order, once per distinct set of them. A later path wins only
-    by more than 1e-15, so ties keep the first. Returns its index, or None
-    when no path gains.
+
+def _best_path(table, groups, color_mask, sink_mask, full, counts, levels, weights):
+    """The row whose path, added to a color, lowers the cost most: its index, or None.
+
+    `table` holds the walk's rows and `groups` their indices by sink mask
+    (`_sink_groups`). A path fits when none of the edges it adds to the
+    color is full, and it must reach a sink the color lacks; its gain adds the
+    marginal cost decreases of those sinks in ascending order, once per
+    distinct set of them. Rows are scanned in index order, and a later one
+    wins only by more than 1e-15, so ties keep the first. The rows of one
+    sink set gain alike, so a later one never beats the set's first fitting
+    row, and only those are scanned.
     """
     lacking, blocked = ~sink_mask, full & ~color_mask
     # a sink that every color reaches is never new, and has no next level
@@ -473,14 +477,21 @@ def _best_path(table, color_mask, sink_mask, full, counts, levels, weights):
         for w, c in zip(weights, counts)
     ]
     gains: dict[int, float] = {}
-    best_index, best_gain = None, 0.0
-    for index, (_, mask, path_sink_mask) in enumerate(table):
+    fits = []
+    for path_sink_mask, indices in groups.items():
         new = path_sink_mask & lacking
-        if not new or mask & blocked:
+        if not new:
             continue
-        gain = gains.get(new)
-        if gain is None:
-            gain = gains[new] = sum(drops[t] for t in range(new.bit_length()) if new >> t & 1)
+        for index in indices:
+            if not table[index][0] & blocked:
+                gain = gains.get(new)
+                if gain is None:
+                    gain = sum(drops[t] for t in range(new.bit_length()) if new >> t & 1)
+                    gains[new] = gain
+                fits.append((index, gain))
+                break
+    best_index, best_gain = None, 0.0
+    for index, gain in sorted(fits):
         if gain > best_gain + 1e-15:
             best_gain = gain
             best_index = index
@@ -508,8 +519,9 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     counts = [0] * len(weights)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, counts), "greedy")
-    # the walk and _edge_bits both give bit i to net.edges[i]
+    # the walk and _edge_bits both give bit i to the i-th edge id in string order
     table = enumerate_path_masks(net, cfg.max_path_len)
+    groups = _sink_groups(table)
     room, full = _edge_bits(_color_capacities(net, cfg))
     color_masks: list[int] = []
     color_sinks: list[int] = []
@@ -523,12 +535,14 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
                 color_masks.append(0)
                 color_sinks.append(0)
             color_mask, sink_mask = color_masks[color], color_sinks[color]
-            best_index = _best_path(table, color_mask, sink_mask, full, counts, levels, weights)
+            best_index = _best_path(
+                table, groups, color_mask, sink_mask, full, counts, levels, weights
+            )
             if best_index is None:
                 if not color_mask:
                     break  # an unused color: every later one sees this same state
                 continue
-            edges, mask, path_sink_mask = table[best_index]
+            mask, path_sink_mask, trail = table[best_index]
             for bit in _bits(mask & ~color_mask):
                 room[bit] -= 1
                 if not room[bit]:
@@ -537,7 +551,7 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
                 counts[bit.bit_length() - 1] += 1
             color_masks[color] = color_mask | mask
             color_sinks[color] = sink_mask | path_sink_mask
-            chosen.append((FlowPath(edges), color + 1))
+            chosen.append((FlowPath(trail_ids(trail)), color + 1))
             progress = True
 
     return _result(net, cfg, chosen, _cost(levels, weights, counts), "greedy")

@@ -10,12 +10,12 @@ from rainbownet import (
     DiscreteRnf,
     Edge,
     Network,
-    enumerate_paths,
     is_admissible,
     load_flow,
     load_scenario,
 )
 from rainbownet.data import bundled_text
+from oracles import enumerate_paths
 
 CAPACITY_CHOICES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
@@ -76,7 +76,8 @@ def walk_networks():
     second source and some with a source that is also a sink.
 
     The `x??` ids are shuffled against the edge order, so the string order
-    of a path's edge ids is not the order of their bits in an edge mask.
+    of the edge ids (the order of their bits in the walk's edge masks) is
+    not the order of `net.edges`.
     """
     rng = random.Random(41)
     for index in range(36):
@@ -175,6 +176,17 @@ def layered_document(width: int, depth: int, seed: int, fanout: int = 2) -> dict
         sinks.insert(0, rng.choice(layers[max(depth // 2 - 1, 0)]))
     nodes = ["s"] + [n for layer in layers for n in layer]
     return _document(nodes, edges, ["s"], sinks)
+
+
+def dense_document(num_nodes: int, num_edges: int, num_sinks: int, seed: int) -> dict:
+    """The benchmark's dense random digraph: node v0 is the source."""
+    rng = random.Random(f"dense:{num_nodes}:{num_edges}:{num_sinks}:{seed}")
+    nodes = [f"v{i}" for i in range(num_nodes)]
+    pairs = [(a, b) for a in nodes for b in nodes if a != b and b != "v0"]
+    chosen = sorted(rng.sample(pairs, num_edges))
+    edges = [(tail, head, rng.choice(BENCHMARK_CAPACITIES)) for tail, head in chosen]
+    sinks = sorted(rng.sample(nodes[1:], num_sinks))
+    return _document(nodes, edges, ["v0"], sinks)
 
 
 def fanout_document(num_sinks: int, num_relays: int, seed: int) -> dict:

@@ -19,13 +19,13 @@ from rainbownet import (
     Network,
     SearchConfig,
     SearchResult,
-    enumerate_paths,
     is_admissible,
     total_rainbow_flow,
 )
 from rainbownet import network
 from rainbownet.errors import SearchSizeError
 from rainbownet.gf256 import EXP, LOG, gf_mul
+from rainbownet.network import enumerate_path_masks, trail_ids
 from rainbownet.progressive import (
     _COUNT_CAP,
     _FIRST_THRESHOLD,
@@ -43,6 +43,11 @@ from rainbownet.search import (
     _objective,
     _result,
 )
+
+
+def enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
+    """The walk's paths (`enumerate_path_masks`) as `FlowPath`s, in its order."""
+    return [FlowPath(trail_ids(trail)) for _, _, trail in enumerate_path_masks(net, max_len)]
 
 
 def brute_min_cut(net: Network, sink: str) -> Fraction:
@@ -230,11 +235,11 @@ def reference_coloring_scan(candidates, capacity_for, K, score, minimize):
 
 
 def reference_enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
-    """The path walk as `network.enumerate_paths` was: a set of used edge
-    ids, a FlowPath per sink visit, and one sort at the end.
+    """The path walk before it skipped partial paths that reach no sink: a
+    set of used edge ids, a FlowPath per sink visit, and one sort at the end.
 
-    Reads `network.MAX_PATHS` at call time, so a test that lowers it moves
-    this guard and the walk's together.
+    Counts every partial path it visits against `network.MAX_PATHS`, read
+    at call time.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -267,6 +272,57 @@ def reference_enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
                 stack.append(visit(edge.head, trail))
     found.sort(key=lambda p: p.edges)
     return found
+
+
+def reference_walk_count(net: Network, max_len: int) -> int:
+    """The partial paths the pruned walk visits, by brute force.
+
+    Those are the nonempty edge-simple paths from a source, of length n <=
+    max_len, whose last head is at most max_len - n edges from a sink.
+    Sink distances come from relaxing every edge |nodes| times, and the
+    paths from an unpruned recursive walk.
+    """
+    distance = {node: 0 if node in net.sinks else math.inf for node in net.nodes}
+    for _ in net.nodes:
+        for edge in net.edges:
+            distance[edge.tail] = min(distance[edge.tail], distance[edge.head] + 1)
+
+    def count(node: str, used: frozenset, length: int) -> int:
+        if length == max_len:
+            return 0
+        total = 0
+        for edge in net.out_edges(node):
+            if edge.id not in used:
+                total += length + 1 + distance[edge.head] <= max_len
+                total += count(edge.head, used | {edge.id}, length + 1)
+        return total
+
+    return sum(count(source, frozenset(), 0) for source in net.sources)
+
+
+def reference_best_path(table, color_mask, sink_mask, full, counts, levels, weights):
+    """Greedy's choice as a scan of every row, as `search._best_path` was.
+
+    `table` holds the walk's (edge mask, sink mask, trail) rows. A row
+    fits when none of the edges it adds to the color is full and it reaches
+    a sink the color lacks; its gain adds the marginal cost decreases of
+    those sinks in ascending order. A later row wins only by more than
+    1e-15. Returns the winner's index, or None.
+    """
+    best_index, best_gain = None, 0.0
+    for index, (mask, path_sinks, _) in enumerate(table):
+        new = path_sinks & ~sink_mask
+        if not new or mask & full & ~color_mask:
+            continue
+        gain = sum(
+            weights[t] * (levels[counts[t]] - levels[counts[t] + 1])
+            for t in range(len(weights))
+            if new >> t & 1
+        )
+        if gain > best_gain + 1e-15:
+            best_gain = gain
+            best_index = index
+    return best_index
 
 
 def reference_greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:

@@ -123,22 +123,38 @@ class TestSearch:
         assert code == 1
         assert "guard" in err or "closure" in err
 
-    @pytest.mark.parametrize("sinks", [["v5", "v6", "v7", "v8"], ["t"]], ids=["dense", "dead-end"])
-    def test_path_enumeration_guard_maps_to_exit_one(self, capsys, tmp_path, sinks):
+    @staticmethod
+    def _digraph_document(dead_end: bool) -> dict:
+        """A complete digraph on v0..v8 (no edge into v0) and a node t.
+
+        Dense: v5..v8 are the sinks, and t hangs off v0. Dead end: t is the
+        only sink, v0 reaches it through h, h feeds v1..v8 and each of them
+        leads back to v0, so every digraph node is 3 edges from t, yet no
+        edge-simple path through the digraph gets there: it would need
+        v0's one out-edge twice.
+        """
+        nodes = [f"v{i}" for i in range(9)]
+        pairs = [(a, b) for a in nodes for b in nodes[1:] if a != b]
+        sinks = nodes[5:]
+        if dead_end:
+            pairs = [(a, b) for a, b in pairs if a != "v0"] + [(b, "v0") for b in nodes[1:]]
+            pairs += [("v0", "h"), ("h", "t")] + [("h", b) for b in nodes[1:]]
+            nodes.append("h")
+            sinks = ["t"]
+        else:
+            pairs.append(("v0", "t"))
+        edges = [{"id": f"{a}-{b}", "tail": a, "head": b, "capacity": "1"} for a, b in pairs]
+        return {"nodes": nodes + ["t"], "edges": edges, "sources": ["v0"], "sinks": sinks}
+
+    @pytest.mark.parametrize("dead_end", [False, True], ids=["dense", "dead-end"])
+    def test_path_enumeration_guard_maps_to_exit_one(self, capsys, tmp_path, dead_end):
         # a complete digraph has more edge-simple paths of length <= 20 than
         # could be enumerated in hours; the path guard stops the walk early,
         # also when (dead-end) no walk through the digraph reaches a sink
-        nodes = [f"v{i}" for i in range(9)]
-        edges = [
-            {"id": f"{a}-{b}", "tail": a, "head": b, "capacity": "1"}
-            for a in nodes
-            for b in nodes[1:]
-            if a != b
-        ]
-        edges.append({"id": "v0-t", "tail": "v0", "head": "t", "capacity": "1"})
-        doc = {"nodes": nodes + ["t"], "edges": edges, "sources": ["v0"], "sinks": sinks}
+        # although the sink distances, which ignore edge-simplicity, let
+        # the walk in
         scenario = tmp_path / "dense.json"
-        scenario.write_text(json.dumps(doc))
+        scenario.write_text(json.dumps(self._digraph_document(dead_end)))
         start = time.perf_counter()
         code, out, err = run(
             capsys, "search", str(scenario), "--K", "3", "--rate", "1/2",
@@ -148,6 +164,20 @@ class TestSearch:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "paths" in err
+
+    def test_dense_benchmark_graph_past_the_path_guard_exits_one(self, capsys, tmp_path):
+        # the benchmark's dense(12, 43, 4) graph at length 10: the walk
+        # visits more than MAX_PATHS partial paths that can reach a sink
+        scenario = tmp_path / "dense.json"
+        scenario.write_text(json.dumps(helpers.dense_document(12, 43, 4, 1144964661)))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "search", str(scenario), "--K", "3", "--rate", "1/2",
+            "--mode", "greedy", "--max-path-len", "10",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (1, "")
+        assert "path enumeration exceeded" in err
 
     @pytest.mark.parametrize("command", ["search", "pipeline"])
     def test_path_longer_than_the_recursion_limit(self, capsys, tmp_path, command):

@@ -13,12 +13,12 @@ from rainbownet import (
     Network,
     ScenarioError,
     SearchSizeError,
-    enumerate_paths,
     load_scenario,
     max_flow,
     network,
 )
-from rainbownet.network import enumerate_path_masks
+from rainbownet.network import enumerate_path_masks, trail_ids
+from oracles import enumerate_paths
 
 
 class TestLoadScenario:
@@ -194,38 +194,68 @@ class TestEnumeratePaths:
             enumerate_paths(helpers.fig1_network(), 0)
 
     def test_matches_the_reference_walk(self):
+        # cyclic graphs with shuffled ids, a second source in a third of
+        # them and a source that is also a sink in another third
         for net in helpers.walk_networks():
-            for max_len in (1, 2, 4, 6):
+            for max_len in range(1, 9):
+                assert enumerate_paths(net, max_len) == oracles.reference_enumerate_paths(
+                    net, max_len
+                )
+
+    @pytest.mark.parametrize("shape", [(12, 43, 4), (14, 48, 5)])
+    def test_matches_the_reference_walk_on_the_dense_family(self, shape):
+        # the benchmark's dense greedy instances and one length past them
+        for seed in (1144964661, 1654615998, 5):
+            net = helpers.document_network(helpers.dense_document(*shape, seed))
+            for max_len in (6, 7, 8):
                 assert enumerate_paths(net, max_len) == oracles.reference_enumerate_paths(
                     net, max_len
                 )
 
     def test_masks_are_the_edges_and_sinks_of_each_path(self):
+        # bit i of an edge mask is the i-th edge id in string order, which
+        # the walk networks' shuffled ids keep apart from the edges' order
         for net in helpers.walk_networks():
-            edge_position = {edge.id: i for i, edge in enumerate(net.edges)}
+            ids = sorted(edge.id for edge in net.edges)
+            edge_position = {edge_id: i for i, edge_id in enumerate(ids)}
             rows = enumerate_path_masks(net, 5)
-            assert [edges for edges, _, _ in rows] == [p.edges for p in enumerate_paths(net, 5)]
-            for edges, edge_mask, sink_mask in rows:
-                nodes = net.path_nodes(FlowPath(edges))
-                assert edge_mask == sum(1 << edge_position[e] for e in edges)
+            assert [trail_ids(trail) for _, _, trail in rows] == [
+                p.edges for p in oracles.reference_enumerate_paths(net, 5)
+            ]
+            for edge_mask, sink_mask, trail in rows:
+                nodes = net.path_nodes(FlowPath(trail_ids(trail)))
+                assert edge_mask == sum(1 << edge_position[e] for e in trail_ids(trail))
                 assert sink_mask == sum(1 << t for t, s in enumerate(net.sinks) if s in nodes)
 
-    def test_guard_counts_partial_paths_like_the_reference(self, monkeypatch):
-        # the guard counts every partial path the walk extends, full-length
-        # ones included, so each limit raises exactly where the reference does
+    def test_guard_counts_the_partial_paths_the_pruned_walk_visits(self, monkeypatch):
+        # the guard counts every partial path that can still reach a sink in
+        # the length left, full-length ones included: a limit of exactly
+        # that count passes and one less raises
         raised = 0
-        for net in list(helpers.walk_networks())[:12]:
-            for limit in (1, 3, 8, 20, 60):
-                monkeypatch.setattr(network, "MAX_PATHS", limit)
-                outcomes = []
-                for walk in (enumerate_paths, oracles.reference_enumerate_paths):
-                    try:
-                        outcomes.append([p.edges for p in walk(net, 4)])
-                    except SearchSizeError:
-                        outcomes.append("raised")
-                assert outcomes[0] == outcomes[1]
-                raised += outcomes[0] == "raised"
-        assert raised > 0
+        for net in list(helpers.walk_networks())[:18]:
+            for max_len in (1, 2, 4, 5):
+                rows = enumerate_path_masks(net, max_len)
+                count = oracles.reference_walk_count(net, max_len)
+                monkeypatch.setattr(network, "MAX_PATHS", count)
+                assert enumerate_path_masks(net, max_len) == rows
+                if count:
+                    monkeypatch.setattr(network, "MAX_PATHS", count - 1)
+                    with pytest.raises(SearchSizeError, match="path enumeration exceeded"):
+                        enumerate_path_masks(net, max_len)
+                    raised += 1
+                monkeypatch.undo()
+        assert raised > 50
+
+    def test_a_part_that_reaches_no_sink_is_not_walked(self):
+        # a complete digraph on 8 nodes hangs off the source, and no edge
+        # leads back: its billions of paths of length <= 20 are never visited
+        nodes = [f"v{i}" for i in range(9)]
+        edges = [Edge("v0-t", "v0", "t", Fraction(1))] + [
+            Edge(f"{a}-{b}", a, b, Fraction(1)) for a in nodes for b in nodes[1:] if a != b
+        ]
+        net = Network((*nodes, "t"), tuple(edges), ("v0",), ("t",))
+        assert [trail_ids(trail) for _, _, trail in enumerate_path_masks(net, 20)] == [("v0-t",)]
+        assert oracles.reference_walk_count(net, 2) == 1
 
 
 class TestPathValidation:

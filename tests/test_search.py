@@ -19,7 +19,6 @@ from rainbownet import (
     SearchSizeError,
     alternating_search,
     drnf_distortion,
-    enumerate_paths,
     exact_search,
     greedy_search,
     is_admissible,
@@ -33,6 +32,7 @@ from rainbownet import search
 from rainbownet.distortion import MAX_LAYERS, GAUSSIAN, DistortionModel, description_rates
 from rainbownet.network import enumerate_path_masks
 from rainbownet.search import _candidates
+from oracles import enumerate_paths
 
 
 def _cfg(num_colors, rate, **kw):
@@ -79,7 +79,7 @@ class TestExactSearch:
         checked = 0
         while checked < 4:
             net = helpers.random_network(rng, max_nodes=5)
-            if len(list(__import__("rainbownet").enumerate_paths(net, 2))) > 7:
+            if len(list(enumerate_paths(net, 2))) > 7:
                 continue
             result = exact_search(net, _cfg(2, Fraction(1, 2), max_path_len=2))
             assert result.objective == oracles.brute_best_total_flow(
@@ -187,7 +187,7 @@ class TestGreedySearch:
         best_path = search._best_path
 
         def counted(table, *args):
-            visits.extend(table)  # one visit per path the color scans
+            visits.extend(table)  # one visit per path the color may scan
             return best_path(table, *args)
 
         monkeypatch.setattr(search, "_best_path", counted)
@@ -198,6 +198,53 @@ class TestGreedySearch:
         assert len(visits) == small_visits
         assert (large.flow.paths, large.flow.colors) == (small.flow.paths, small.flow.colors)
         assert large.objective == small.objective
+
+
+def _walk_tables():
+    """(network, walk rows) pairs: the walk networks at length 4 and two dense graphs at 6."""
+    tables = [(net, enumerate_path_masks(net, 4)) for net in list(helpers.walk_networks())[:12]]
+    for shape in ((12, 43, 4), (14, 48, 5)):
+        net = helpers.document_network(helpers.dense_document(*shape, 1144964661))
+        tables.append((net, enumerate_path_masks(net, 6)))
+    return tables
+
+
+WALK_TABLES = _walk_tables()
+
+
+class TestBestPath:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        table_index=st.integers(0, len(WALK_TABLES) - 1),
+        seed=st.integers(0, 2**32 - 1),
+        num_colors=st.integers(1, 4),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+        nudges=st.lists(
+            st.sampled_from([0.0, 1e-16, 4e-16, 1e-15, 1.2e-15, 3e-15]), min_size=5, max_size=5
+        ),
+        wd=st.booleans(),
+    )
+    def test_matches_the_row_scan(self, table_index, seed, num_colors, density, nudges, wd):
+        # random greedy states: weights equal up to nudges of a few 1e-16,
+        # so gains of different sink sets tie within the 1e-15 margin, and
+        # sinks every color reaches (count K) sit in the color's sink mask
+        net, table = WALK_TABLES[table_index]
+        rng = random.Random(seed)
+        sinks = range(len(net.sinks))
+        counts = [rng.randint(0, num_colors) for _ in sinks]
+        sink_mask = sum(1 << t for t in sinks if counts[t] == num_colors or rng.random() < 0.3)
+        color_mask, full = (
+            sum(1 << i for i in range(len(net.edges)) if rng.random() < density) for _ in range(2)
+        )
+        weights = [1 + nudge for nudge in nudges[: len(net.sinks)]]
+        if wd:
+            levels = sorted((rng.random() for _ in range(num_colors + 1)), reverse=True)
+        else:
+            levels = list(range(0, -num_colors - 1, -1))
+        state = (color_mask, sink_mask, full, counts, levels, weights)
+        assert search._best_path(table, search._sink_groups(table), *state) == (
+            oracles.reference_best_path(table, *state)
+        )
 
 
 class TestWeightedObjective:
@@ -342,9 +389,13 @@ def _members(mask):
 
 
 def _decoded(net, candidates):
-    """Mask candidates as ((edge ids, sink positions), rep), the reference's form."""
+    """Mask candidates as ((edge ids, sink positions), rep), the reference's form.
+
+    Bit i of an edge mask stands for the i-th edge id in string order.
+    """
+    ids = sorted(edge.id for edge in net.edges)
     return [
-        ((frozenset(net.edges[i].id for i in _members(edges)), frozenset(_members(sinks))), rep)
+        ((frozenset(ids[i] for i in _members(edges)), frozenset(_members(sinks))), rep)
         for edges, sinks, rep in candidates
     ]
 
@@ -420,8 +471,8 @@ class TestPruning:
     def test_closure_walks_the_rows_once_per_sink_set(self):
         # a union grows only by the rows that reach a sink outside its sink
         # set, listed on the set's first visit: layered(3, 3, 0) at length 4
-        # builds 283 unions over 16 sink sets. One more walk ranks the edge
-        # ids for the candidates' order
+        # builds 283 unions over 16 sink sets. The candidates' order ranks
+        # edge ids from the network, not from the rows
         class CountedRows(list):
             walks = 0
 
@@ -434,7 +485,7 @@ class TestPruning:
             counted = CountedRows(rows)
             candidates = _candidates(counted, search.MAX_SIGNATURES)
             assert candidates == _candidates(rows, search.MAX_SIGNATURES)
-            assert counted.walks == len({sinks for _, sinks, _ in candidates}) + 1
+            assert counted.walks == len({sinks for _, sinks, _ in candidates})
 
     def test_packed_subset_test_matches_the_pairwise_one(self):
         # random unions of up to 90 edges over a few sink sets: kept masks
@@ -831,6 +882,35 @@ class TestCutBound:
             assert _search_cost(cfg, result) >= bound
         # a certified greedy flow is optimal, so route always meets exact
         assert routed.objective == exact.objective
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_colors=st.integers(1, 3),
+        max_len=st.integers(1, 4),
+        objective=st.sampled_from(["trf", "wd"]),
+        strict=st.booleans(),
+        rate=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+    )
+    def test_no_search_gives_a_sink_more_than_its_cap(
+        self, seed, num_colors, max_len, objective, strict, rate
+    ):
+        # c_t <= min(K, lambda_t): the colors whose paths touch sink t, in
+        # every flow the searches return
+        net = helpers.random_network(random.Random(seed))
+        weights = tuple(1 / len(net.sinks) for _ in net.sinks) if objective == "wd" else None
+        cfg = _cfg(
+            num_colors, rate, max_path_len=max_len, objective=objective,
+            weights=weights, strict=strict,
+        )
+        caps = search._sink_caps(net, cfg)
+        for result in (exact_search(net, cfg), greedy_search(net, cfg), route(net, cfg)):
+            flow = result.flow
+            touched = [set(net.path_nodes(path)) for path in flow.paths]
+            for sink, cap in zip(net.sinks, caps):
+                colors = {color for nodes, color in zip(touched, flow.colors) if sink in nodes}
+                assert len(colors) <= cap
 
 
 class TestBaseline:
