@@ -14,10 +14,10 @@ class FlowDocumentError(RainbowNetError):
 
 
 class SearchSizeError(RainbowNetError):
-    """A search refused an instance larger than one of its enumeration guards.
+    """A search stopped at one of its work guards.
 
-    The guards bound the paths enumerated, the exact search's signature
-    closure and its candidate colorings.
+    The guards bound the partial paths the walk visits, the unions the exact
+    search's closure builds and the candidates its coloring scan visits.
     """
 
 

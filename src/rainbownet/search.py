@@ -20,9 +20,9 @@ bound is no less than the best cost found: each sink that a later
 candidate reaches is costed as if it gained all the colors left, every
 other sink at its current count. A candidate's edge bits and sink
 positions are built on its first push. Candidate order and tie-breaking
-are fixed, so results are reproducible regardless of scheduling; guards
-refuse instances whose path, union or coloring count would exceed its
-bound, and the coloring guard counts every multiset, skipped or not.
+are fixed, so results are reproducible regardless of scheduling. Guards
+bound the work done: the walk's partial paths, and the unions the closure
+builds and the candidates the scan visits, at most `MAX_SEARCH_STEPS` each.
 Both build edge ids and a `FlowPath` only for the paths of the flow they
 return.
 
@@ -38,7 +38,6 @@ may differ from the exact search's flow of equal cost.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -55,10 +54,8 @@ from .errors import SearchSizeError
 from .flows import DiscreteRnf, RainbowFlowVector, rainbow_flow_vector
 from .network import FlowPath, Network, enumerate_path_masks, max_flow, trail_ids
 
-# Guards of the exact search: distinct path unions the closure builds, and
-# K-multisets of minimal candidates scanned.
-MAX_SIGNATURES = 200_000
-MAX_COLORINGS = 10_000_000
+# The exact search's guard: the most unions its closure builds, and candidates its scan visits.
+MAX_SEARCH_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -329,7 +326,8 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights, 
     the bound often ends the scan after pushing a few of them. `cut_bound`,
     when given, is a cost no multiset is below (the cut bound); the scan ends
     once the best cost reaches it, since no later multiset is strictly
-    cheaper.
+    cheaper. The scan raises SearchSizeError on its visit past
+    `MAX_SEARCH_STEPS`: every candidate it looks at counts, pushed or not.
 
     An iterative depth-first walk over nondecreasing candidate indices. It
     keeps the edges at their color capacity and the per-sink description
@@ -365,9 +363,15 @@ def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights, 
     counts = [0] * len(weights)
     combo: list[int] = []
     best_key = best_cost = None
-    index, size = 0, len(candidates)
+    index, size, steps = 0, len(candidates), 0
     while True:
         if index < size:
+            steps += 1
+            if steps > MAX_SEARCH_STEPS:
+                raise SearchSizeError(
+                    f"coloring scan exceeded its guard of {MAX_SEARCH_STEPS} steps; "
+                    "reduce K or max_path_len, or use greedy mode"
+                )
             if masks[index] & full:
                 index += 1
                 continue
@@ -424,20 +428,16 @@ def exact_search(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
     feasible multisets that might. It ends once the best cost reaches the
     cut bound of `caps` (`_sink_caps`, computed when not given). Returns an
     empty flow with objective 0 when nothing admissible exists. Raises
-    SearchSizeError when the sink-adding closure builds more than
-    `MAX_SIGNATURES` unions or the coloring count, every K-multiset of
-    candidates whether feasible or not, exceeds `MAX_COLORINGS`.
+    SearchSizeError, mid-run, when the sink-adding closure builds more than
+    `MAX_SEARCH_STEPS` unions or the scan visits more than `MAX_SEARCH_STEPS`
+    candidates, pushed or skipped; each pop undoes a push, so the guard
+    bounds the work done, however many multisets exist.
     """
     levels, weights = _objective(cfg, net)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, [0] * len(weights)), "exact")
     rows = enumerate_path_masks(net, cfg.max_path_len)
-    candidates = _candidates(rows, MAX_SIGNATURES)
-
-    count = math.comb(len(candidates) + cfg.num_colors - 1, cfg.num_colors)
-    if count > MAX_COLORINGS:
-        raise SearchSizeError(f"{count} candidate colorings exceed the guard of {MAX_COLORINGS}")
-
+    candidates = _candidates(rows, MAX_SEARCH_STEPS)
     bound = _cut_bound(levels, weights, _sink_caps(net, cfg) if caps is None else caps)
     best_key, best_cost = _scan_colorings(
         candidates, _color_capacities(net, cfg), cfg.num_colors, levels, weights, bound

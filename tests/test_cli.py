@@ -109,16 +109,19 @@ class TestSearch:
         assert code == 0
 
     def test_instance_guard_maps_to_exit_one(self, capsys, tmp_path):
+        # 8001 multisets, but the exact scan would visit O(K^2) candidates
         code, _, err = run(
             capsys,
             "search",
-            "fig1",
+            ONE_EDGE,
+            "--mode",
+            "exact",
             "--K",
-            "64",
+            "8000",
             "--rate",
-            "0.01",
+            "1/4000",
             "--max-path-len",
-            "2",
+            "1",
         )
         assert code == 1
         assert "guard" in err or "closure" in err
@@ -883,11 +886,11 @@ def test_route_fallback_leaves_the_output_streams_alone(capsys, monkeypatch):
     # record for the fallback is dropped
     argv = ["lemmas", "--scenario", "fig1", "--K", "2", "--rate", "1", "--max-path-len", "2"]
     script = (
-        "import sys; from rainbownet import cli, search; search.MAX_COLORINGS = 5; "
+        "import sys; from rainbownet import cli, search; search.MAX_SEARCH_STEPS = 5; "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
     fresh = run_interpreter("-c", script, *argv)
-    monkeypatch.setattr(search, "MAX_COLORINGS", 5)
+    monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 5)
     greedy_search, routed = search.greedy_search, []
 
     def greedy(*args):

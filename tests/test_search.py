@@ -62,9 +62,65 @@ class TestExactSearch:
         assert result.flow.paths == ()
 
     def test_guard_rejects_large_instances(self, monkeypatch):
-        monkeypatch.setattr(search, "MAX_COLORINGS", 5)
-        with pytest.raises(SearchSizeError, match="171 candidate colorings"):
+        # fig1 at length 2 builds 24 unions, past a guard of 5
+        monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 5)
+        with pytest.raises(SearchSizeError, match="closure exceeded 5 entries"):
             exact_search(helpers.fig1_network(), _cfg(2, 1, max_path_len=2))
+
+    def test_scan_guard_bounds_work_not_multisets(self):
+        # one edge of 4000 colors, K=8000: only 8001 multisets, but the
+        # depth-first scan reaches the 4000 ones only after O(K^2) steps
+        net = Network(
+            nodes=("s", "t"),
+            edges=(Edge("e0", "s", "t", Fraction(1)),),
+            sources=("s",),
+            sinks=("t",),
+        )
+        with pytest.raises(SearchSizeError, match="coloring scan exceeded its guard"):
+            exact_search(net, _cfg(8000, Fraction(1, 4000), max_path_len=1))
+
+    def test_scan_guard_counts_the_candidates_it_skips(self, monkeypatch):
+        # 40 paths to t share e0, which holds one color; a bypass longer than
+        # max_path_len puts the cut bound out of reach. The closure builds 41
+        # unions and the scan pushes about as many, but after each first push
+        # it skips every later candidate on the full e0: 864 steps in all
+        mids = [f"m{i:02d}" for i in range(40)]
+        bypass = (("s", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", "t"))
+        net = Network(
+            nodes=("s", "a", *mids, "b1", "b2", "b3", "t"),
+            edges=(
+                Edge("e0", "s", "a", Fraction(1, 2)),
+                *(Edge(f"a{m}", "a", m, Fraction(1)) for m in mids),
+                *(Edge(f"t{m}", m, "t", Fraction(1)) for m in mids),
+                *(Edge(f"b{i}", u, v, Fraction(1)) for i, (u, v) in enumerate(bypass)),
+            ),
+            sources=("s",),
+            sinks=("t",),
+        )
+        cfg = _cfg(2, Fraction(1, 2), max_path_len=3)
+        result = exact_search(net, cfg)
+        assert (result.objective, result.bound) == (Fraction(1, 2), 1)
+        monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 300)
+        with pytest.raises(SearchSizeError, match="coloring scan exceeded its guard of 300"):
+            exact_search(net, cfg)
+
+    def test_many_multisets_and_few_steps_are_searched(self):
+        # fanout(8, 4) at K=4 has about 1.8e8 K-multisets of candidates;
+        # the bounded scan takes 724 steps and meets the cut bound
+        net = helpers.document_network(helpers.fanout_document(8, 4, 0))
+        result = exact_search(net, _cfg(4, Fraction(1, 2), max_path_len=4))
+        assert result.objective == result.bound == 6
+        assert is_admissible(result.flow)
+
+    def test_scan_guard_trips_on_the_step_past_it(self, monkeypatch):
+        # fig1 at K=4, length 4: 24 unions, and the scan visits 2079 candidates
+        net, cfg = helpers.fig1_network(), _cfg(4, Fraction(1, 2), max_path_len=4)
+        unpatched = exact_search(net, cfg)
+        monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 2079)
+        assert exact_search(net, cfg) == unpatched
+        monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 2078)
+        with pytest.raises(SearchSizeError, match="coloring scan exceeded its guard of 2078 steps"):
+            exact_search(net, cfg)
 
     def test_matches_brute_force_on_fig1(self):
         net = helpers.fig1_network()
@@ -400,7 +456,7 @@ def _decoded(net, candidates):
     ]
 
 
-def _reference_candidates(net, max_len, limit=search.MAX_SIGNATURES):
+def _reference_candidates(net, max_len, limit=search.MAX_SEARCH_STEPS):
     """The frozenset closure's candidates over the walk's paths."""
     paths = enumerate_paths(net, max_len)
     return oracles.reference_candidates(oracles.reference_path_signatures(net, paths), limit)
@@ -444,7 +500,7 @@ class TestPruning:
         raised = 0
         for net, max_len in universes:
             rows = enumerate_path_masks(net, max_len)
-            for limit in (1, 5, 50, 282, 283, 284, search.MAX_SIGNATURES):
+            for limit in (1, 5, 50, 282, 283, 284, search.MAX_SEARCH_STEPS):
                 outcomes = []
                 for build in (
                     lambda: _decoded(net, _candidates(rows, limit)),
@@ -464,7 +520,7 @@ class TestPruning:
         net = helpers.document_network(helpers.layered_document(3, 3, 0))
         cfg = _cfg(2, Fraction(1, 2), max_path_len=4)
         unpatched = exact_search(net, cfg)
-        monkeypatch.setattr(search, "MAX_SIGNATURES", 500)
+        monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 500)
         patched = exact_search(net, cfg)
         assert (patched.flow, patched.objective) == (unpatched.flow, unpatched.objective)
 
@@ -483,8 +539,8 @@ class TestPruning:
         for net, max_len in self._path_universes():
             rows = enumerate_path_masks(net, max_len)
             counted = CountedRows(rows)
-            candidates = _candidates(counted, search.MAX_SIGNATURES)
-            assert candidates == _candidates(rows, search.MAX_SIGNATURES)
+            candidates = _candidates(counted, search.MAX_SEARCH_STEPS)
+            assert candidates == _candidates(rows, search.MAX_SEARCH_STEPS)
             assert counted.walks == len({sinks for _, sinks, _ in candidates})
 
     def test_packed_subset_test_matches_the_pairwise_one(self):
@@ -520,7 +576,7 @@ class TestPruning:
         ]
         rows = []
         for net, max_len in instances:
-            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SIGNATURES)
+            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SEARCH_STEPS)
             rows.append(
                 [[sorted(edges), sorted(net.sinks[t] for t in sinks), list(rep)]
                  for (edges, sinks), rep in _decoded(net, candidates)]
@@ -555,7 +611,7 @@ class TestColoringScan:
     def test_matches_the_reference_scan(self, family):
         scans = 0
         for net, K, max_len in _scan_instances(family):
-            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SIGNATURES)
+            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SEARCH_STEPS)
             reference = _reference_candidates(net, max_len)
             weights = tuple(1 / len(net.sinks) for _ in net.sinks)
             for objective in ("trf", "wd"):
@@ -589,7 +645,7 @@ class TestColoringScan:
 
         net = helpers.document_network(helpers.fanout_document(6, 3, 0))
         cfg = _cfg(3, Fraction(1, 2))
-        candidates = _candidates(enumerate_path_masks(net, 4), search.MAX_SIGNATURES)
+        candidates = _candidates(enumerate_path_masks(net, 4), search.MAX_SEARCH_STEPS)
         levels, weights = search._objective(cfg, net)
         capacity_for = search._color_capacities(net, cfg)
         bound = search._cut_bound(levels, weights, search._sink_caps(net, cfg))
@@ -616,7 +672,7 @@ class TestColoringScan:
             return bits(mask)
 
         net = helpers.document_network(helpers.layered_document(2, 4, 0))
-        candidates = _candidates(enumerate_path_masks(net, 5), search.MAX_SIGNATURES)
+        candidates = _candidates(enumerate_path_masks(net, 5), search.MAX_SEARCH_STEPS)
         cfg = _cfg(2, Fraction(1, 2), max_path_len=5)
         levels, weights = search._objective(cfg, net)
         capacity_for = search._color_capacities(net, cfg)
@@ -685,7 +741,7 @@ class TestColoringScan:
         monkeypatch.setattr(search, "_completion_bound", counted_bound)
         scans = 0
         for net, K, max_len in _scan_instances(family):
-            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SIGNATURES)
+            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SEARCH_STEPS)
             reference = _reference_candidates(net, max_len)
             raw = [rng.choice((0, 1, 2, 5)) for _ in net.sinks]
             raw[rng.randrange(len(raw))] += 1
@@ -723,7 +779,7 @@ class TestColoringScan:
         rng = random.Random(43)
         scans = stops = 0
         for net, K, max_len in _scan_instances(family):
-            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SIGNATURES)
+            candidates = _candidates(enumerate_path_masks(net, max_len), search.MAX_SEARCH_STEPS)
             reference = _reference_candidates(net, max_len)
             weights = tuple(1 / len(net.sinks) for _ in net.sinks)
             mass = [0.0 if layer % 2 else rng.uniform(0.5, 2) for layer in range(K)]
@@ -763,7 +819,7 @@ class TestColoringScan:
 
         net = helpers.document_network(helpers.layered_document(3, 3, 0))
         cfg = _cfg(2, Fraction(1, 2), max_path_len=4)
-        candidates = _candidates(enumerate_path_masks(net, 4), search.MAX_SIGNATURES)
+        candidates = _candidates(enumerate_path_masks(net, 4), search.MAX_SEARCH_STEPS)
         levels, weights = search._objective(cfg, net)
         capacity_for = search._color_capacities(net, cfg)
         bound = search._cut_bound(levels, weights, search._sink_caps(net, cfg))
@@ -962,9 +1018,10 @@ def _uncertifiable():
 
 class TestRoute:
     def test_guard_overflow_falls_back_to_greedy(self, monkeypatch):
-        monkeypatch.setattr(search, "MAX_COLORINGS", 5)
+        # the closure builds 310 unions, past a guard of 5
+        monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 5)
         net, cfg = _uncertifiable()
-        with pytest.raises(SearchSizeError):
+        with pytest.raises(SearchSizeError, match="closure"):
             exact_search(net, cfg)
         routed = route(net, cfg)
         greedy = greedy_search(net, cfg)
@@ -973,9 +1030,11 @@ class TestRoute:
         assert (routed.mode, routed.bound) == ("guard-greedy", Fraction(7, 2))
 
     def test_guard_overflow_is_logged_and_greedy_runs_once(self, monkeypatch, caplog):
-        monkeypatch.setattr(search, "MAX_COLORINGS", 5)
+        # the closure builds 310 unions and the scan takes 1384 steps, so a
+        # guard of 1000 trips in the scan
+        monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 1000)
         net, cfg = _uncertifiable()
-        with pytest.raises(SearchSizeError) as guard:
+        with pytest.raises(SearchSizeError, match="coloring scan") as guard:
             exact_search(net, cfg)
         greedy_runs = []
 
@@ -1046,8 +1105,8 @@ class TestRoute:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_large_layered_instance_is_certified_without_a_closure(self, seed, monkeypatch):
         # layered(5, 4, 0) and (5, 4, 1) at K=2, length 5: the exact search
-        # spends seconds building the candidate closure before its coloring
-        # guard trips; greedy meets the cut bound in milliseconds
+        # spends most of a second or more building the candidate closure;
+        # greedy meets the cut bound in milliseconds
         net = helpers.document_network(helpers.layered_document(5, 4, seed))
         cfg = _cfg(2, Fraction(1, 2), max_path_len=5)
 
