@@ -27,7 +27,6 @@ from fractions import Fraction
 from . import __version__
 from .data import BUNDLED, bundled_text
 from .distortion import (
-    _check_layer_count,
     drnf_distortion,
     minimize_balanced_average,
     more_descriptions_values,
@@ -360,8 +359,8 @@ def cmd_pipeline(args) -> CliOutput:
         weights=weights,
         strict=args.strict,
     )
-    # refuse before routing what the profile optimizer and PET refuse after it
-    _check_layer_count(args.K)
+    # SearchConfig has refused a K the profile optimizer would; refuse
+    # before routing the description size PET would refuse after it
     _description_byte_count(args.K, rate, args.n)
     result, profile_vec, _ = alternating_search(net, cfg, rounds=args.rounds)
     q = list(result.rfv.values)

@@ -6,13 +6,14 @@ bit-planes from coarse to fine; per plane it first codes significance
 significant sample) and then one refinement bit for every previously
 significant sample. All decisions go through one binary arithmetic coder,
 so every byte prefix of the stream is decodable: decoding simply stops
-when the prefix is exhausted. Each direction is one scan with the coder
-inlined: `_encode_scan` codes the known decisions until its bit budget
-runs out, `_decode_scan` reads them until its prefix runs out. Both keep
-the interval, the model counts and the renormalization in locals and walk
-index lists of the samples each pass visits. Reconstruction uses the
-conditional mean of the standard normal on each sample's surviving
-uncertainty interval.
+when the prefix is exhausted. The encoder knows every decision up front:
+`_plane_decisions` lists a plane's decisions in coding order with numpy,
+and `_encode_scan` codes the lists in one loop, the encoder's only copy
+of the arithmetic coder, until its bit budget runs out. The decoder
+learns each decision only by reading it: `_decode_scan` is one scan with
+the coder inlined, over index lists of the samples each pass visits,
+until its prefix runs out. Reconstruction uses the conditional mean of
+the standard normal on each sample's surviving uncertainty interval.
 
 The encoder makes every decision the decoder will make, so for prefix
 lengths marked in advance it also records where each such decoder stops:
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import length_hint
 
 import numpy as np
 
@@ -42,9 +44,10 @@ _QUARTER = 1 << 30
 _THREE_QUARTERS = 3 << 30
 _COUNT_CAP = 1024
 # Largest block `progressive_gaussian_source` codes: 64 times the CLI's
-# default n. The scans keep Python lists over the samples and the coded
-# bits, so memory and time grow linearly with n: at this cap `pipeline fig1
-# --K 2 --rate 1` peaks near 180 MB and takes 2-3 s on a 2-vCPU machine.
+# default n. The encoder keeps one plane's decisions and the coded bits in
+# Python lists, so memory and time grow linearly with n: at this cap
+# `pipeline fig1 --K 2 --rate 1` peaks near 110 MB and takes about 3 s on
+# a 2-vCPU machine.
 MAX_BLOCK_SYMBOLS = 1 << 20
 
 
@@ -113,6 +116,32 @@ def _late_sign(stream: bytes, mark: int, low: int, high: int, emitted: int, pend
     return int(value > low + ((high - low + 1) >> 1) - 1)
 
 
+def _plane_decisions(magnitudes: np.ndarray, negative: np.ndarray, threshold: float):
+    """The decisions of the plane of `threshold`, in coding order.
+
+    Returns its significance pass and then its refinement pass, each as
+    (refining, samples, decisions): an array of the sample each decision
+    is about, and a list of the decisions. The significance pass visits
+    the samples below 2 * threshold, in index order: each codes
+    magnitude >= threshold (0 or 1), and each 1 is followed by its raw
+    sign (2 positive, 3 negative). The refinement pass visits the others,
+    in index order, and codes the threshold's bit of each magnitude; the
+    threshold is a power of two, so the division is exact.
+    """
+    coarse = magnitudes < 2.0 * threshold
+    visited = np.flatnonzero(coarse)
+    significant = magnitudes[visited] >= threshold
+    # a row per sample, its bit then its sign; the sign is kept after a 1
+    rows = np.column_stack((significant, negative[visited].astype(np.int8) + 2))
+    kept = np.column_stack((np.ones_like(significant), significant))
+    refined = np.flatnonzero(~coarse)
+    bit = (magnitudes[refined] / threshold).astype(np.int64) & 1
+    return (
+        (False, np.repeat(visited, 1 + significant), rows[kept].tolist()),
+        (True, refined, bit.tolist()),
+    )
+
+
 def _encode_scan(magnitudes, signs, limit_bits: int, marks=()):
     """Encode the plane scan until `limit_bits` bits are out or the planes end.
 
@@ -127,13 +156,12 @@ def _encode_scan(magnitudes, signs, limit_bits: int, marks=()):
     encoder's renormalizations so far; a mark whose decoder would stop past
     the encoder's own stop is left out.
     """
+    magnitudes = np.asarray(magnitudes, dtype=float)
+    negative = np.asarray(signs, dtype=bool)
     n = len(magnitudes)
     bits: list[int] = []
     append = bits.append
     low, high, pending = 0, _MASK, 0
-    lower = [0.0] * n
-    insignificant = list(range(n))
-    earlier: list[int] = []
     threshold = _FIRST_THRESHOLD
     # Marks not reached yet, the next one last. One test before each
     # decision watches both the next mark and the limit; its slow branch
@@ -143,133 +171,66 @@ def _encode_scan(magnitudes, signs, limit_bits: int, marks=()):
     reached: dict = {}
     unchecked = None
     while len(bits) < limit_bits and threshold > 1e-12:
-        zero = one = 1
-        newly: list[int] = []
-        still: list[int] = []
-        for i in insignificant:
-            if len(bits) + pending >= watch:
-                shifts = len(bits) + pending
-                if waiting and shifts >= waiting[-1] - 31:
-                    _reach(reached, waiting, shifts, (threshold, i, 0), unchecked)
-                    watch = min(waiting[-1] - 31, limit_bits) if waiting else limit_bits
-                if len(bits) >= limit_bits:
-                    break
-            split = low + (high - low + 1) * zero // (zero + one) - 1
-            bit = magnitudes[i] >= threshold
-            if bit:
-                low = split + 1
-                one += 1
-            else:
-                high = split
-                zero += 1
-            if zero + one > _COUNT_CAP:
-                zero = (zero + 1) >> 1
-                one = (one + 1) >> 1
-            while True:
-                if high < _HALF:
-                    append(0)
-                    if pending:
-                        bits += [1] * pending
-                        pending = 0
-                elif low >= _HALF:
-                    append(1)
-                    if pending:
-                        bits += [0] * pending
-                        pending = 0
-                    low -= _HALF
-                    high -= _HALF
-                elif low >= _QUARTER and high < _THREE_QUARTERS:
-                    pending += 1
-                    low -= _QUARTER
-                    high -= _QUARTER
+        for refining, samples, decisions in _plane_decisions(magnitudes, negative, threshold):
+            zero = one = 1
+            left = iter(decisions)
+            for decision in left:
+                if len(bits) + pending >= watch:
+                    shifts = len(bits) + pending
+                    # the decision's sample, found from how many decisions
+                    # the iterator has left, so the fast path counts none
+                    i = int(samples[len(decisions) - length_hint(left) - 1])
+                    if waiting and shifts >= waiting[-1] - 31:
+                        if decision > 1:
+                            # a sign, with no overrun check before it: the
+                            # next mark's decoder reads it past its prefix,
+                            # and stops before the decision after it
+                            unchecked = (i, low, high, len(bits), pending)
+                        else:
+                            record = (threshold, n, i) if refining else (threshold, i, 0)
+                            _reach(reached, waiting, shifts, record, unchecked)
+                            watch = min(waiting[-1] - 31, limit_bits) if waiting else limit_bits
+                    if decision < 2 and len(bits) >= limit_bits:
+                        break
+                if decision > 1:
+                    # a raw sign: an even split, and no model to update
+                    split = low + ((high - low + 1) >> 1) - 1
+                    if decision == 3:
+                        low = split + 1
+                    else:
+                        high = split
                 else:
-                    break
-                low <<= 1
-                high = high << 1 | 1
-            if not bit:
-                still.append(i)
-                continue
-            newly.append(i)
-            if (
-                len(bits) + pending >= watch
-                and waiting
-                and len(bits) + pending >= waiting[-1] - 31
-            ):
-                # the next mark's decoder reads this sign past its prefix,
-                # and stops before the decision after it
-                unchecked = (i, low, high, len(bits), pending)
-            # the sign: one raw decision, with no overrun check before it
-            split = low + ((high - low + 1) >> 1) - 1
-            if signs[i]:
-                low = split + 1
-            else:
-                high = split
-            lower[i] = threshold
-            while True:
-                if high < _HALF:
-                    append(0)
-                    if pending:
-                        bits += [1] * pending
-                        pending = 0
-                elif low >= _HALF:
-                    append(1)
-                    if pending:
-                        bits += [0] * pending
-                        pending = 0
-                    low -= _HALF
-                    high -= _HALF
-                elif low >= _QUARTER and high < _THREE_QUARTERS:
-                    pending += 1
-                    low -= _QUARTER
-                    high -= _QUARTER
-                else:
-                    break
-                low <<= 1
-                high = high << 1 | 1
-        zero = one = 1
-        for i in earlier:
-            if len(bits) + pending >= watch:
-                shifts = len(bits) + pending
-                if waiting and shifts >= waiting[-1] - 31:
-                    _reach(reached, waiting, shifts, (threshold, n, i), unchecked)
-                    watch = min(waiting[-1] - 31, limit_bits) if waiting else limit_bits
-                if len(bits) >= limit_bits:
-                    break
-            split = low + (high - low + 1) * zero // (zero + one) - 1
-            midpoint = lower[i] + threshold
-            if magnitudes[i] >= midpoint:
-                lower[i] = midpoint
-                low = split + 1
-                one += 1
-            else:
-                high = split
-                zero += 1
-            if zero + one > _COUNT_CAP:
-                zero = (zero + 1) >> 1
-                one = (one + 1) >> 1
-            while True:
-                if high < _HALF:
-                    append(0)
-                    if pending:
-                        bits += [1] * pending
-                        pending = 0
-                elif low >= _HALF:
-                    append(1)
-                    if pending:
-                        bits += [0] * pending
-                        pending = 0
-                    low -= _HALF
-                    high -= _HALF
-                elif low >= _QUARTER and high < _THREE_QUARTERS:
-                    pending += 1
-                    low -= _QUARTER
-                    high -= _QUARTER
-                else:
-                    break
-                low <<= 1
-                high = high << 1 | 1
-        insignificant = still
-        earlier = sorted(earlier + newly)
+                    split = low + (high - low + 1) * zero // (zero + one) - 1
+                    if decision:
+                        low = split + 1
+                        one += 1
+                    else:
+                        high = split
+                        zero += 1
+                    if zero + one > _COUNT_CAP:
+                        zero = (zero + 1) >> 1
+                        one = (one + 1) >> 1
+                while True:
+                    if high < _HALF:
+                        append(0)
+                        if pending:
+                            bits += [1] * pending
+                            pending = 0
+                    elif low >= _HALF:
+                        append(1)
+                        if pending:
+                            bits += [0] * pending
+                            pending = 0
+                        low -= _HALF
+                        high -= _HALF
+                    elif low >= _QUARTER and high < _THREE_QUARTERS:
+                        pending += 1
+                        low -= _QUARTER
+                        high -= _QUARTER
+                    else:
+                        break
+                    low <<= 1
+                    high = high << 1 | 1
         threshold /= 2.0
     # Past the planes' end every decoder holds the end state; past the
     # limit, the decoders that stop before the next decision.
@@ -512,8 +473,7 @@ def progressive_gaussian_source(seed: int, n: int, max_rate, marks=()) -> Progre
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(n)
     clipped = _clip(samples)
-    signs = (clipped < 0).tolist()
-    stream, states = _encode_scan(np.abs(clipped).tolist(), signs, budget_bits, marks)
+    stream, states = _encode_scan(np.abs(clipped), clipped < 0, budget_bits, marks)
     # Above about 41 bit/sample the planes end before the budget; the
     # decoder reads zeros past a stream's end, so padding changes no prefix.
     # Its scan stops at the end of the bytes it is given, so a state for a

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import _Decoder, _Encoder, _Model, _scan, reference_reconstruction
 from rainbownet import PetProfile, pet_encode, progressive, progressive_gaussian_source
@@ -281,6 +283,41 @@ def test_encoder_states_match_the_decoder_at_every_mark(monkeypatch):
                 assert state == expected, (seed, n, budget, mark)
     # the grid must reach the sign a decoder reads past its prefix
     assert len(late_signs) > 0
+
+
+# Magnitudes on a dyadic grid: the plane thresholds 4, 2, ..., 2**-39
+# exactly, the clip edge, and multiples of 2**-e for e up to two planes
+# past the last, so a magnitude can land on any threshold or between the
+# last planes. Gaussian samples never land on a threshold.
+DYADIC_MAGNITUDES = (
+    st.sampled_from([0.0, 8 - 1e-9] + [2.0**-e for e in range(-2, 40)])
+    | st.integers(0, 41).flatmap(lambda e: st.integers(0, 2 ** (e + 3) - 1).map(lambda k: k / 2**e))
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(DYADIC_MAGNITUDES, st.booleans()), min_size=1, max_size=8),
+    st.integers(1, 40) | st.integers(1, 1500),
+)
+def test_dyadic_magnitudes_match_the_reference_coder_at_every_mark(values, budget):
+    magnitudes = [magnitude for magnitude, _ in values]
+    signs = [int(negative) for _, negative in values]
+    n = len(values)
+    encoder = _Encoder(budget)
+    _scan(encoder, magnitudes, signs)
+    expected = encoder.finish()
+    full = 8 * len(expected)
+    stream, states = _encode_scan(magnitudes, signs, budget, range(full + 1))
+    assert stream == expected
+    # every prefix up to the limit is reached; past the planes' end, all are
+    assert set(range(min(budget, full) + 1)) <= set(states)
+    # a zero magnitude is never significant, so its sign is never read
+    samples = np.where(signs, -np.array(magnitudes), magnitudes)
+    for mark, record in states.items():
+        state = _expanded(*progressive._scan_state(samples, *record))
+        significant, sign, lower, width = _decode_scan(stream, mark, n)
+        assert state == (bytes(significant), bytes(sign), lower, width), mark
 
 
 def test_decode_prefix_scans_what_the_encoder_did_not_record(monkeypatch):
