@@ -367,14 +367,9 @@ def cmd_pipeline(args) -> CliOutput:
     profile = PetProfile.quantize(profile_vec, rate, args.K, args.n)
     held_by_sink = [tuple(node_spectrum(result.flow, sink)) for sink in net.sinks]
     # Encode only the prefix PET reads: a byte-aligned budget stream is the
-    # same bytes as the head of any longer one. The encoder records where
-    # the decoder of each prefix a sink should recover stops, so a
-    # recovered prefix of the stream is not decoded again.
+    # same bytes as the head of any longer one.
     source = progressive_gaussian_source(
-        args.seed,
-        args.n,
-        Fraction(profile.prefix_bits(args.K), args.n),
-        marks={profile.prefix_bits(len(held)) for held in held_by_sink},
+        args.seed, args.n, Fraction(profile.prefix_bits(args.K), args.n)
     )
     encoded = pet_encode(source.bitstream, profile)
     analytic = drnf_distortion(q, profile.y, rate)

@@ -26,16 +26,7 @@ from rainbownet import network
 from rainbownet.errors import SearchSizeError
 from rainbownet.gf256 import EXP, LOG, gf_mul
 from rainbownet.network import enumerate_path_masks, trail_ids
-from rainbownet.progressive import (
-    _COUNT_CAP,
-    _FIRST_THRESHOLD,
-    _HALF,
-    _MASK,
-    _QUARTER,
-    _THREE_QUARTERS,
-    _TOP,
-    _normal_interval_mean,
-)
+from rainbownet.progressive import _FIRST_THRESHOLD, _TOP, _normal_interval_mean
 from rainbownet.search import (
     _color_capacities,
     _cost,
@@ -579,9 +570,16 @@ def reference_recover_block(shares: dict, k: int) -> np.ndarray:
     return data
 
 
-# The generic progressive coder `rainbownet.progressive` inlines: an
-# adaptive model, one arithmetic coder object per direction, and one plane
-# scan that drives either.
+# The rate-distortion reference for the progressive stream: the same plane
+# scan coded by an adaptive binary arithmetic coder (a model, one coder
+# object per direction, and one scan that drives either).
+_MASK = (1 << 32) - 1
+_HALF = 1 << 31
+_QUARTER = 1 << 30
+_THREE_QUARTERS = 3 << 30
+_COUNT_CAP = 1024
+
+
 class _Model:
     """Adaptive binary model: counts with halving to track nonstationarity."""
 
@@ -649,6 +647,11 @@ class _Encoder:
             model.update(bit)
         return bit
 
+    @property
+    def position(self) -> int:
+        """The bits coded so far, counting the deferred ones."""
+        return len(self._bits) + self._pending
+
     def finish(self) -> bytes:
         """Flush the interval and return the bits, zero-padded to whole bytes."""
         self._pending += 1
@@ -714,7 +717,7 @@ class _Decoder:
         return bit
 
 
-def _scan(coder, magnitudes, signs):
+def _scan(coder, magnitudes, signs, plane_ends=None):
     """The plane scan shared by the encoder and the decoder.
 
     Every decision is `coder.code(bit, model) -> bit`: the encoder writes
@@ -722,7 +725,8 @@ def _scan(coder, magnitudes, signs):
     ignores it and returns the bit it read (decoding passes zero magnitudes
     and signs). The scan stops before the first decision made once
     `coder.overrun` is set. Returns per-sample (significant, sign, lower,
-    width) state from which reconstructions are formed.
+    width) state from which reconstructions are formed. An encoder that
+    never overruns appends its position after each plane to `plane_ends`.
     """
     code = coder.code
     n = len(magnitudes)
@@ -755,6 +759,8 @@ def _scan(coder, magnitudes, signs):
             if code(1 if magnitudes[i] >= midpoint else 0, refinement_model):
                 lower[i] = midpoint
             width[i] = threshold
+        if plane_ends is not None and not coder.overrun:
+            plane_ends.append(coder.position)
         threshold /= 2.0
     return significant, sign, lower, width
 
@@ -776,3 +782,158 @@ def reference_reconstruction(significant, sign, lower, width) -> np.ndarray:
             cache[key] = value
         reconstruction[i] = value if sign[i] == 0 else -value
     return reconstruction
+
+
+# The progressive stream's Rice-coded format, one codeword at a time: the
+# loop reference `rainbownet.progressive`'s numpy encoder and decoder are
+# tested against.
+def _rice_length(run: int, k: int) -> int:
+    return (run >> k) + 1 + k
+
+
+def _rice_codeword(run: int, k: int) -> list[int]:
+    """run >> k ones, a zero, then the k low bits of run."""
+    return [1] * (run >> k) + [0] + [(run >> shift) & 1 for shift in range(k - 1, -1, -1)]
+
+
+def _cheapest_parameter(runs) -> tuple[int, int]:
+    """(bits, k) of the Rice parameter that codes `runs` in the fewest
+    bits, the smallest k on ties, over every 5-bit parameter."""
+    return min((sum(_rice_length(run, k) for run in runs), k) for k in range(32))
+
+
+def _pass_runs(hits) -> list[int]:
+    """The run of misses before each hit, then the tail run if it is not 0."""
+    runs, run = [], 0
+    for hit in hits:
+        if hit:
+            runs.append(run)
+            run = 0
+        else:
+            run += 1
+    return runs + [run] if run else runs
+
+
+def reference_rice_encode(magnitudes, signs, limit_bits: int, plane_ends=None) -> bytes:
+    """The progressive stream's whole planes until `limit_bits` bits are
+    out or the planes end, zero-padded to whole bytes. Appends the bit
+    count after each plane to `plane_ends`."""
+    n = len(magnitudes)
+    significant = [False] * n
+    lower = [0.0] * n
+    bits: list[int] = []
+    threshold = _FIRST_THRESHOLD
+    while len(bits) < limit_bits and threshold > 1e-12:
+        visited = [i for i in range(n) if not significant[i]]
+        earlier = [i for i in range(n) if significant[i]]
+        if visited:
+            hits = [magnitudes[i] >= threshold for i in visited]
+            runs = _pass_runs(hits)
+            _, k = _cheapest_parameter(runs)
+            bits += [(k >> shift) & 1 for shift in range(4, -1, -1)]
+            newly = [i for i, hit in zip(visited, hits) if hit]
+            for index, run in enumerate(runs):
+                bits += _rice_codeword(run, k)
+                if index < len(newly):
+                    bits.append(int(signs[newly[index]]))
+            for i in newly:
+                significant[i] = True
+                lower[i] = threshold
+        if earlier:
+            refinement = []
+            for i in earlier:
+                bit = int(magnitudes[i] >= lower[i] + threshold)
+                lower[i] += threshold * bit
+                refinement.append(bit)
+            rare = 1 if 2 * sum(refinement) <= len(refinement) else 0
+            runs = _pass_runs([bit == rare for bit in refinement])
+            cost, k = _cheapest_parameter(runs)
+            if 1 + 1 + 5 + cost < 1 + len(refinement):
+                bits += [1, rare] + [(k >> shift) & 1 for shift in range(4, -1, -1)]
+                for run in runs:
+                    bits += _rice_codeword(run, k)
+            else:
+                bits += [0] + refinement
+        if plane_ends is not None:
+            plane_ends.append(len(bits))
+        threshold /= 2.0
+    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+
+
+class _Incomplete(Exception):
+    """The prefix ends inside a codeword."""
+
+
+def reference_rice_decode(data: bytes, limit_bits: int, n: int):
+    """Per-sample (significant, sign, lower, width) after the codewords
+    complete in the first `limit_bits` bits of `data`.
+
+    Each codeword is read whole before it is applied, and a read past the
+    prefix ends the decode.
+    """
+    prefix = np.frombuffer(data[: (limit_bits + 7) // 8], dtype=np.uint8)
+    bits = np.unpackbits(prefix)[:limit_bits].tolist()
+    position = 0
+
+    def read(count: int) -> int:
+        nonlocal position
+        if position + count > len(bits):
+            raise _Incomplete
+        value = 0
+        for bit in bits[position : position + count]:
+            value = value << 1 | bit
+        position += count
+        return value
+
+    def read_run(k: int) -> int:
+        ones = 0
+        while read(1):
+            ones += 1
+        return ones << k | read(k)
+
+    significant = bytearray(n)
+    sign = bytearray(n)
+    lower = [0.0] * n
+    width = [0.0] * n
+    threshold = _FIRST_THRESHOLD
+    try:
+        while threshold > 1e-12:
+            visited = [i for i in range(n) if not significant[i]]
+            earlier = [i for i in range(n) if significant[i]]
+            if visited:
+                k = read(5)
+                offset = 0
+                while offset < len(visited):
+                    run = read_run(k)
+                    if offset + run >= len(visited):
+                        break
+                    negative = read(1)
+                    i = visited[offset + run]
+                    significant[i] = 1
+                    sign[i] = negative
+                    lower[i] = threshold
+                    width[i] = threshold
+                    offset += run + 1
+            if earlier:
+                if read(1):
+                    rare = read(1)
+                    k = read(5)
+                    decided = 0
+                    while decided < len(earlier):
+                        run = read_run(k)
+                        if decided + run >= len(earlier):
+                            codeword = [1 - rare] * (len(earlier) - decided)
+                        else:
+                            codeword = [1 - rare] * run + [rare]
+                        for i, bit in zip(earlier[decided:], codeword):
+                            lower[i] += threshold * bit
+                            width[i] = threshold
+                        decided += len(codeword)
+                else:
+                    for i in earlier:
+                        lower[i] += threshold * read(1)
+                        width[i] = threshold
+            threshold /= 2.0
+    except _Incomplete:
+        pass
+    return significant, sign, lower, width

@@ -602,22 +602,20 @@ class TestPipeline:
 
 
 def _record_codec_work(monkeypatch):
-    """Log every progressive encode's bit limit and marks, every prefix
-    reconstructed, every decoder scan's bit limit and the profile PET
-    encodes with."""
-    work = {"encode_bits": [], "marks": [], "decoded_prefixes": [], "scan_bits": [], "profiles": []}
-    encode_scan = progressive._encode_scan
-    decode_scan = progressive._decode_scan
+    """Log every progressive encode's bit limit, every prefix reconstructed,
+    every decoder's bit limit and the profile PET encodes with."""
+    work = {"encode_bits": [], "decoded_prefixes": [], "decoder_bits": [], "profiles": []}
+    encode_planes = progressive._encode
+    decode_planes = progressive._decode
     decode_prefix = progressive.ProgressiveGaussianSource.decode_prefix
 
-    def recording_encode_scan(magnitudes, signs, limit_bits, marks=()):
+    def recording_encode_planes(magnitudes, negative, limit_bits):
         work["encode_bits"].append(limit_bits)
-        work["marks"].append(set(marks))
-        return encode_scan(magnitudes, signs, limit_bits, marks)
+        return encode_planes(magnitudes, negative, limit_bits)
 
-    def recording_decode_scan(data, limit_bits, n):
-        work["scan_bits"].append(limit_bits)
-        return decode_scan(data, limit_bits, n)
+    def recording_decode_planes(data, limit_bits, n):
+        work["decoder_bits"].append(limit_bits)
+        return decode_planes(data, limit_bits, n)
 
     def recording_decode_prefix(self, prefix_bits, data=None):
         work["decoded_prefixes"].append(prefix_bits)
@@ -629,8 +627,8 @@ def _record_codec_work(monkeypatch):
         work["profiles"].append(profile)
         return encode(bitstream, profile)
 
-    monkeypatch.setattr(progressive, "_encode_scan", recording_encode_scan)
-    monkeypatch.setattr(progressive, "_decode_scan", recording_decode_scan)
+    monkeypatch.setattr(progressive, "_encode", recording_encode_planes)
+    monkeypatch.setattr(progressive, "_decode", recording_decode_planes)
     monkeypatch.setattr(
         progressive.ProgressiveGaussianSource, "decode_prefix", recording_decode_prefix
     )
@@ -658,12 +656,10 @@ class TestPipelineWork:
         rate = Fraction(rate)
         rows = parse_blocks(out)[("sink", "q", "analytic_d", "empirical_mse")]
         prefixes = {profile.prefix_bits(int(Fraction(q) / rate)) for _, q, _, _ in rows}
-        # the encoder marks each distinct sink prefix, each is reconstructed
-        # once, from the state the encoder recorded: no decoder scan runs
-        assert work["marks"] == [prefixes]
+        # each distinct sink prefix is decoded once
         assert sorted(work["decoded_prefixes"]) == sorted(prefixes)
+        assert sorted(work["decoder_bits"]) == sorted(prefixes)
         assert len(prefixes) == decodes
-        assert work["scan_bits"] == []
         # reference: the full rate*K stream, one un-shared decode per sink
         full = progressive_gaussian_source(seed, n, rate * K)
         for _, q, _, empirical in rows:
@@ -933,13 +929,13 @@ GOLDEN = [
     ),
     (
         ["pipeline", "fig1", "--K", "2", "--rate", "1", "--seed", "0"],
-        "3144d0d1c9a827e784cb1ebdda366cbae71357147e5613f962ffa9a1e1be7d86",
+        "e1fdf9f3f2e8a8b192ea75a8a88473f264cfa1e1c95c6184342f3c5299511850",
         None,
     ),
     (
         ["pipeline", "fig2", "--K", "3", "--rate", "1/2", "--rounds", "3",
          "--weights", "maxflow", "--n", "4096"],
-        "e10eaf281d248c0072a4076371b55929ace3ee9e95a4f73ce44e8c4f829b3f21",
+        "fc3e23b549733eb2d9872a180a2ce60898d4574266000a55aeabd8ee1d081c86",
         None,
     ),
     (
@@ -962,18 +958,18 @@ GOLDEN = [
     ),
     (
         ["pipeline", "fig1", "--K", "4", "--rate", "1/2", "--n", "16384", "--seed", "3"],
-        "3996fc2eba230fde7295df4f1790548ec8bb3a86c9803a9809dafec0918b8f5c",
+        "92f60525edee9350f169dc1275e5849535a3bec50bdf4c595d7d7eb6531f6661",
         None,
     ),
     (
         ["pipeline", "fig2", "--K", "2", "--rate", "1/2", "--seed", "1"],
-        "5e0d9cb0e91f351fc865e12a50fb739c7050c93b53d6e77c505fde7c2bbec1c8",
+        "6fb9827eb1d3b2acaefcbfa078fdca4bc73ef4c142a21e4d654ace8caa5887a3",
         None,
     ),
     (
         ["pipeline", "fig2", "--K", "3", "--rate", "1", "--n", "3000", "--weights", "maxflow",
          "--rounds", "2", "--seed", "2"],
-        "52a3d1287c0ecfe97d476cace1841cfa0316c34ed8cedcc6a8317152a0850e37",
+        "b7613e6ebd079c246227072534bcf70d3723cd948be7eb503cd2027f35b489ff",
         None,
     ),
     (

@@ -1,10 +1,13 @@
-"""Fuzzing the input contract: malformed documents and description files.
+"""Fuzzing the input contract: malformed documents, description files and
+progressive streams.
 
 Scenario and flow documents are mutated structurally (values replaced by
 arbitrary JSON or by tokens the parsers treat specially, entries deleted)
 and as text (truncated); description files are mutated bytewise. Loading
 them may succeed or fail with one of the errors the CLI maps to exit 1,
-and the CLI itself answers 0 or 1, never 3 or an escaped exception.
+and the CLI itself answers 0 or 1, never 3 or an escaped exception. The
+progressive decoder reads whatever bytes PET recovers, so it decodes
+arbitrary bytes without raising.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import os
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +29,7 @@ from rainbownet import (
     load_flow,
     load_scenario,
     pet_encode,
+    progressive_gaussian_source,
 )
 from rainbownet.cli import main
 from rainbownet.errors import RainbowNetError
@@ -152,3 +157,23 @@ def test_pet_decode_on_mutated_files_exits_zero_or_one(blob):
     files = {"a.d01": FIRST, "b.d02": blob}
     argv = ["pet", "decode", "{dir}/a.d01", "{dir}/b.d02", "--out", "{dir}/out.bin"]
     assert _run_cli(files, argv) in (0, 1)
+
+
+# a stream whose planes reach the refinement passes, to mutate
+STREAM = progressive_gaussian_source(0, 64, 4).bitstream
+
+
+@FUZZ
+@given(
+    st.integers(1, 64),
+    st.binary(max_size=256) | mutated_blobs(STREAM),
+    st.data(),
+)
+def test_progressive_decoder_on_arbitrary_bytes(n, data, draw):
+    # Rice parameters up to 31 and unary runs past the data's end must end
+    # the decode, never index past it
+    prefix_bits = draw.draw(st.integers(0, 8 * len(data) + 16))
+    source = progressive_gaussian_source(1, n, 1)
+    reconstruction = source.decode_prefix(prefix_bits, data=data)
+    assert reconstruction.shape == (n,)
+    assert np.all(np.abs(reconstruction) < 8)
