@@ -7,7 +7,8 @@ and as text (truncated); description files are mutated bytewise. Loading
 them may succeed or fail with one of the errors the CLI maps to exit 1,
 and the CLI itself answers 0 or 1, never 3 or an escaped exception. The
 progressive decoder reads whatever bytes PET recovers, so it decodes
-arbitrary bytes without raising.
+arbitrary bytes without raising, exactly as the per-codeword reference in
+`oracles.py` does.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from oracles import reference_reconstruction, reference_rice_decode
 from rainbownet import (
     PetProfile,
     description_from_bytes,
@@ -163,17 +165,33 @@ def test_pet_decode_on_mutated_files_exits_zero_or_one(blob):
 STREAM = progressive_gaussian_source(0, 64, 4).bitstream
 
 
+@st.composite
+def long_unary_streams(draw):
+    """A first header of k >= 24, then runs of ones of up to 400 bits
+    between arbitrary bits: unary parts whose runs, shifted by k, reach
+    past 2**31 samples."""
+    bits = [1, 1] + draw(st.lists(st.integers(0, 1), min_size=3, max_size=3))
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            bits += [1] * draw(st.integers(1, 400))
+        else:
+            bits += draw(st.lists(st.integers(0, 1), max_size=40))
+    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+
+
 @FUZZ
 @given(
     st.integers(1, 64),
-    st.binary(max_size=256) | mutated_blobs(STREAM),
+    st.binary(max_size=256) | mutated_blobs(STREAM) | long_unary_streams(),
     st.data(),
 )
 def test_progressive_decoder_on_arbitrary_bytes(n, data, draw):
     # Rice parameters up to 31 and unary runs past the data's end must end
-    # the decode, never index past it
-    prefix_bits = draw.draw(st.integers(0, 8 * len(data) + 16))
+    # the decode, never index past it; a prefix past 64 bits reads it all
+    prefix_bits = draw.draw(st.integers(0, 8 * len(data) + 16) | st.just(2**70))
     source = progressive_gaussian_source(1, n, 1)
     reconstruction = source.decode_prefix(prefix_bits, data=data)
     assert reconstruction.shape == (n,)
     assert np.all(np.abs(reconstruction) < 8)
+    expected = reference_reconstruction(*reference_rice_decode(data, prefix_bits, n))
+    assert reconstruction.tobytes() == expected.tobytes()

@@ -15,7 +15,7 @@ from oracles import (
     reference_rice_decode,
     reference_rice_encode,
 )
-from rainbownet import PetProfile, pet_encode, progressive_gaussian_source
+from rainbownet import PetProfile, pet_encode, progressive, progressive_gaussian_source
 from rainbownet.progressive import MAX_BLOCK_SYMBOLS, _clip, _decode, _encode
 
 
@@ -244,6 +244,18 @@ def test_inlined_scans_match_the_reference_coder():
                 assert reconstruction.tobytes() == reference_reconstruction(*expected).tobytes()
 
 
+def _assert_every_prefix_matches_the_reference(stream: bytes, n: int):
+    # up to a byte past the stream's end, which only repeats its state
+    for prefix in range(8 * len(stream) + 9):
+        state = _state(stream, prefix, n)
+        assert state == reference_rice_decode(stream, prefix, n), prefix
+        # the bits past the prefix, stream bits or ones, are never read
+        kept = min(prefix, 8 * len(stream))
+        filled = np.ones(8 * len(stream) + 8, dtype=np.uint8)
+        filled[:kept] = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:kept]
+        assert _state(np.packbits(filled).tobytes(), kept, n) == state
+
+
 @pytest.mark.parametrize("n", [1, 7, 50])
 def test_every_bit_prefix_decodes_exactly_its_complete_codewords(n):
     # Gaussian blocks at a rate that reaches the refinement passes (n=1
@@ -254,15 +266,82 @@ def test_every_bit_prefix_decodes_exactly_its_complete_codewords(n):
     blocks.append(rng.uniform(4, 6, n) * rng.choice([-1, 1], n))
     for block in blocks:
         stream = _encode(*_coded(block), 45 * n if n == 1 else 6 * n)
-        # up to a byte past the stream's end, which only repeats its state
-        for prefix in range(8 * len(stream) + 9):
-            state = _state(stream, prefix, n)
-            assert state == reference_rice_decode(stream, prefix, n), prefix
-            # the bits past the prefix, stream bits or ones, are never read
-            kept = min(prefix, 8 * len(stream))
-            filled = np.ones(8 * len(stream) + 8, dtype=np.uint8)
-            filled[:kept] = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:kept]
-            assert _state(np.packbits(filled).tobytes(), kept, n) == state
+        _assert_every_prefix_matches_the_reference(stream, n)
+
+
+# Streams written bit by bit, each a list of fields: a pass's 5-bit
+# parameter, then its codewords (unary ones, the terminating zero, the k
+# low bits, and a hit's sign). Every bit prefix of each is checked, so
+# the cuts fall inside every header, codeword and refinement flag. Each
+# case gives n and the state after the whole stream: significant samples
+# as {index: (sign, lower)}.
+HAND_BUILT_STREAMS = {
+    # k=0 and signed: a hit at run 0 with sign 0 is "00", so six hits are
+    # a run of zeros where every other zero ends a unary part
+    "k0-alternating-terminators": (6, [
+        "00000", "00", "00", "00", "01", "00", "00",  # T=4, no tail run
+        "0", "101100",  # T=2 refinement, raw
+        "0", "011010",  # T=1 refinement, raw
+    ], {0: (0, 6), 1: (0, 5), 2: (0, 7), 3: (1, 6), 4: (0, 5), 5: (0, 4)}),
+    # k=31: runs of 0 and 2, then a tail run whose 40 unary ones put it
+    # near 40 * 2**31 samples, far past the pass
+    "k31": (5, [
+        "11111", "0" + "0" * 31 + "1", "0" + format(2, "031b") + "0", "1" * 40 + "0" + "1" * 31,
+        "00000", "01", "110",  # T=2 over samples 1, 2, 4: a hit, then the tail run 2
+        "0", "10",  # T=2 refinement of samples 0 and 3, raw
+    ], {0: (1, 6), 1: (1, 2), 3: (0, 4)}),
+    # passes that end on a hit: significance at T=4 (k=1, runs 1 and 0)
+    # and T=2, and a run-coded refinement (flag 1, rarer bit 1, k=0) whose
+    # one run reaches its last sample
+    "ends-on-a-hit": (3, [
+        "00001", "010", "001",  # T=4
+        "00000", "01",  # T=2 over sample 0
+        "1", "1", "00000", "10",  # T=2 refinement of samples 1 and 2
+        "0", "111",  # T=1 refinement, raw
+    ], {0: (1, 3), 1: (0, 5), 2: (1, 7)}),
+    # the tail codeword of a signed pass ends at bit 9: the 9-bit prefix
+    # holds it whole, though a hit's codeword there would lack its sign
+    "complete-tail-at-the-cut": (2, [
+        "00000", "00", "10",  # T=4: a hit, then the tail run 1
+        "00000", "01",  # T=2 over sample 1
+        "0", "1",  # T=2 refinement of sample 0, raw
+    ], {0: (0, 6), 1: (1, 2)}),
+}
+
+
+def _pack(fields) -> bytes:
+    bits = [int(bit) for bit in "".join(fields)]
+    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+
+
+@pytest.mark.parametrize("name", HAND_BUILT_STREAMS)
+def test_hand_built_streams_decode_like_the_reference_at_every_prefix(name):
+    n, fields, significant = HAND_BUILT_STREAMS[name]
+    stream = _pack(fields)
+    _assert_every_prefix_matches_the_reference(stream, n)
+    state = _state(stream, 8 * len(stream), n)
+    assert {i: (state[1][i], state[2][i]) for i in range(n) if state[0][i]} == significant
+
+
+@pytest.mark.parametrize("window_bits", [1, 6, 40])
+def test_narrow_windows_parse_like_wide_ones(monkeypatch, window_bits):
+    # a pass continues from window to window at the codeword after the
+    # last one read, and across windows with no zero at all
+    monkeypatch.setattr(progressive, "_WINDOW_BITS", window_bits)
+    for n, fields, _ in HAND_BUILT_STREAMS.values():
+        _assert_every_prefix_matches_the_reference(_pack(fields), n)
+    block = np.random.default_rng(window_bits).standard_normal(20)
+    _assert_every_prefix_matches_the_reference(_encode(*_coded(block), 120), 20)
+
+
+def test_decode_prefix_reads_huge_prefixes_and_rejects_fractional_ones():
+    source = progressive_gaussian_source(4, 300, 3)
+    whole = source.decode_prefix(8 * len(source.bitstream))
+    assert np.array_equal(source.decode_prefix(2**70), whole)
+    assert np.array_equal(source.decode_prefix(np.int64(8 * len(source.bitstream))), whole)
+    for bad in (10.5, Fraction(21, 2), float("nan"), float("inf"), "8"):
+        with pytest.raises(ValueError, match="integer"):
+            source.decode_prefix(bad)
 
 
 # Magnitudes on a dyadic grid: the plane thresholds 4, 2, ..., 2**-39
