@@ -9,10 +9,14 @@ and systematic; field elements double as points, which caps `total` at
 one cached Lagrange coefficient matrix C per (sources, targets). Each
 evaluation gathers the rows of the product table `MUL` that C names, so
 one table pass per source row multiplies that row by all its target
-coefficients at once. Encoding is one evaluation; recovery is one
-evaluation per block, at the missing data points and the extra rows'
-points together, which yields the missing rows and the values the extra
-rows are checked against.
+coefficients at once. Encoding is one evaluation.
+
+Recovery works on a stacked (rows, width) byte matrix with one point per
+row: `pet_decode` stacks the received descriptions once and passes a
+column slice per segment, and `recover_block` stacks a dict of rows.
+`recover_rows` takes the k lowest points as sources and makes one
+evaluation, at the missing data points and then at the other rows'
+points; the latter are compared with those rows in one vectorized test.
 """
 
 from __future__ import annotations
@@ -75,11 +79,13 @@ def _evaluate(sources, rows: np.ndarray, targets) -> np.ndarray:
         return out
     # tables[u, t] = MUL[C[t, u]], (sources, targets, 256) bytes: one take per
     # source row multiplies it by all its target coefficients. Indices are
-    # converted to intp once here, not by every take.
+    # converted to intp once here, not by every take. They are bytes on a
+    # 256-wide axis, so "clip" never clips; it spares the copy of `part`
+    # that take makes in its default "raise" mode.
     tables = MUL[_coefficients(tuple(sources), targets).T]
     part = np.empty_like(out)
     for table, row in zip(tables, rows.astype(np.intp)):
-        table.take(row, axis=1, out=part)
+        table.take(row, axis=1, out=part, mode="clip")
         out ^= part
     return out
 
@@ -93,13 +99,52 @@ def encode_block(data: np.ndarray, total: int) -> np.ndarray:
     return np.concatenate([data, _evaluate(range(k), data, range(k, total))])
 
 
+def recover_rows(points, block: np.ndarray, k: int) -> np.ndarray:
+    """Recover the (k, width) data rows from a (rows, width) uint8 block.
+
+    Row i of `block` is the coded row at point `points[i]`. The caller
+    passes at least k distinct points, all below 255. The k lowest points
+    are the sources; the other rows are checked against the recovered data,
+    and a mismatch raises ValueError naming the first inconsistent row in
+    the order given.
+    """
+    order = sorted(range(len(points)), key=points.__getitem__)
+    chosen, extra = order[:k], sorted(order[k:])
+    sources = [points[i] for i in chosen]
+    known = set(sources)
+    missing = [point for point in range(k) if point not in known]
+    rows = block[chosen]
+    # one polynomial through the chosen rows gives both the missing data
+    # rows and the values the extra rows must hold
+    values = _evaluate(sources, rows, missing + [points[i] for i in extra])
+    present = k - len(missing)
+    data = np.empty_like(rows)
+    data[sources[:present]] = rows[:present]
+    data[missing] = values[: len(missing)]
+    inconsistent = (values[len(missing) :] != block[extra]).any(axis=1)
+    if inconsistent.any():
+        point = points[extra[int(inconsistent.argmax())]]
+        raise ValueError(f"parity row {point} is inconsistent with the recovered data")
+    return data
+
+
+def _is_byte_row(row, shape) -> bool:
+    """Whether `row` has `shape` and holds byte values only, so a uint8 cast
+    is exact; any other row cannot equal a coded row."""
+    row = np.asarray(row)
+    if row.shape != shape:
+        return False
+    return row.dtype == np.uint8 or bool(np.isin(row, np.arange(256)).all())
+
+
 def recover_block(shares: dict[int, np.ndarray], k: int, total: int) -> np.ndarray:
     """Recover the (k, width) data block from any >= k coded rows.
 
     `shares` maps row index (0-based point) to its byte row. The k lowest
     rows must be 1-D rows of one width. Extra rows beyond k are used to
     verify consistency; a mismatch raises ValueError naming the first
-    inconsistent row in the order given.
+    inconsistent row in the order given. The rows are stacked and handed
+    to `recover_rows`.
     """
     if not 1 <= k <= total <= 255:
         raise ValueError(f"need 1 <= k <= total <= 255, got k={k}, total={total}")
@@ -118,24 +163,15 @@ def recover_block(shares: dict[int, np.ndarray], k: int, total: int) -> np.ndarr
                 f"row {point} has shape {np.shape(shares[point])}, "
                 f"expected {shape} like row {chosen[0]}"
             )
-    rows = np.array([shares[point] for point in chosen], dtype=np.uint8)
-    present = [point for point in chosen if point < k]
-    missing = [point for point in range(k) if point not in shares]
     extras = [point for point in shares if point not in chosen]
-    # one polynomial through the chosen rows gives both the missing data
-    # rows and the values the extra rows must hold
-    values = _evaluate(chosen, rows, missing + extras)
-    data = np.empty_like(rows)
-    data[present] = rows[: len(present)]
-    data[missing] = values[: len(missing)]
-    # only extra rows of the block's shape are compared, and uncast: a row of
-    # another shape would broadcast, and a cast to uint8 would wrap
-    comparable = [i for i, point in enumerate(extras) if np.shape(shares[point]) == shape]
-    consistent = np.zeros(len(extras), dtype=bool)
-    if comparable:
-        stacked = np.array([shares[extras[i]] for i in comparable])
-        consistent[comparable] = (stacked == values[len(missing) :][comparable]).all(axis=1)
-    if not consistent.all():
-        point = extras[int(consistent.argmin())]
-        raise ValueError(f"parity row {point} is inconsistent with the recovered data")
+    # an extra row of another shape or with a non-byte value is inconsistent
+    # as it stands: it is never broadcast or cast, and only the extra rows
+    # given before it are checked
+    unlike = next(
+        (i for i, point in enumerate(extras) if not _is_byte_row(shares[point], shape)), None
+    )
+    kept = chosen + extras[:unlike]
+    data = recover_rows(kept, np.array([shares[point] for point in kept], dtype=np.uint8), k)
+    if unlike is not None:
+        raise ValueError(f"parity row {extras[unlike]} is inconsistent with the recovered data")
     return data

@@ -23,14 +23,14 @@ import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .distortion import description_rates
 from .errors import CodecError
-from .gf256 import encode_block, recover_block
+from .gf256 import encode_block, recover_rows
 
 MAGIC = b"RNF1"
 _U32_MAX = 2**32 - 1
@@ -90,7 +90,7 @@ class PetProfile:
         ):
             raise CodecError("profile parameters exceed the 32-bit header fields")
 
-    @property
+    @cached_property
     def description_bytes(self) -> int:
         bits = self.rate * self.block_symbols
         return bits.numerator // 8
@@ -204,6 +204,11 @@ def pet_decode(descriptions) -> bytes:
     length ``xi_l / 8`` bytes, independent of which l arrived. An empty
     subset yields an empty prefix. Raises CodecError on mismatched headers,
     duplicate indices, or parity that contradicts the recovered data.
+
+    The payloads are stacked once, in the order given, into a (received,
+    description_bytes) matrix; each segment is recovered from its column
+    slice by one `recover_rows` call, so an inconsistent row is named in
+    the order given.
     """
     if isinstance(descriptions, DescriptionSet):
         descriptions = descriptions.descriptions
@@ -218,18 +223,17 @@ def pet_decode(descriptions) -> bytes:
     if len(set(indices)) != len(indices):
         raise CodecError(f"duplicate description indices: {sorted(indices)}")
     received = len(subset)
-    payloads = {d.index - 1: np.frombuffer(d.payload, dtype=np.uint8) for d in subset}
+    points = [index - 1 for index in indices]
+    matrix = np.frombuffer(b"".join(d.payload for d in subset), dtype=np.uint8)
+    matrix = matrix.reshape(received, profile.description_bytes)
 
     out = bytearray()
     position = 0
-    for depth, size in enumerate(profile.segment_bytes, start=1):
-        if depth > received:
-            break
+    for depth, size in enumerate(profile.segment_bytes[:received], start=1):
         if size == 0:
             continue
-        shares = {point: payload[position : position + size] for point, payload in payloads.items()}
         try:
-            rows = recover_block(shares, depth, profile.num_descriptions)
+            rows = recover_rows(points, matrix[:, position : position + size], depth)
         except ValueError as exc:
             raise CodecError(f"segment {depth}: {exc}") from exc
         out += rows.tobytes()

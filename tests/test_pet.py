@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rainbownet import (
@@ -20,7 +22,7 @@ from rainbownet import (
     pet_encode,
 )
 from oracles import gf_inv
-from rainbownet.gf256 import EXP, LOG, encode_block, gf_mul, recover_block
+from rainbownet.gf256 import EXP, LOG, encode_block, gf_mul, recover_block, recover_rows
 
 
 class TestField:
@@ -394,6 +396,122 @@ class TestBlockCodeAgainstReference:
             assert str(raised.value) == str(expected.value)
             checked += 1
         assert checked >= 20
+
+
+def _outcome(fn, *args):
+    """What a call returns as bytes, or the type and message of what it raises."""
+    try:
+        result = fn(*args)
+    except (ValueError, CodecError) as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, bytes) else result.tobytes()
+
+
+def _reference_decode(descriptions) -> bytes:
+    """pet_decode's contract, segment by segment, through the reference recovery."""
+    profile = descriptions[0].profile
+    out, position = bytearray(), 0
+    for depth, size in enumerate(profile.segment_bytes[: len(descriptions)], start=1):
+        if size == 0:
+            continue
+        shares = {
+            d.index - 1: np.frombuffer(d.payload, dtype=np.uint8)[position : position + size]
+            for d in descriptions
+        }
+        try:
+            out += oracles.reference_recover_block(shares, depth).tobytes()
+        except ValueError as exc:
+            raise CodecError(f"segment {depth}: {exc}") from exc
+        position += size
+    return bytes(out)
+
+
+def _corruption(count: int, width: int):
+    """Nothing, or (received row, byte, nonzero xor mask) to corrupt one byte."""
+    return st.none() | st.tuples(
+        st.integers(0, count - 1), st.integers(0, width - 1), st.integers(1, 255)
+    )
+
+
+class TestRecoveryAgainstReference:
+    """Random subsets in random order, with at most one corrupted byte."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_block_recovery(self, data):
+        total = data.draw(st.integers(1, 8), label="K")
+        k = data.draw(st.integers(1, total), label="k")
+        width = data.draw(st.integers(1, 64), label="width")
+        block = data.draw(st.binary(min_size=k * width, max_size=k * width))
+        coded = encode_block(np.frombuffer(block, np.uint8).reshape(k, width), total)
+        order = data.draw(st.permutations(range(total)), label="order")
+        points = order[: data.draw(st.integers(k, total), label="received")]
+        received = coded[points]
+        corrupt = data.draw(_corruption(len(points), width), label="corrupt")
+        if corrupt is not None:
+            row, byte, mask = corrupt
+            received[row, byte] ^= mask
+        shares = dict(zip(points, received))
+        expected = _outcome(oracles.reference_recover_block, shares, k)
+        assert _outcome(recover_rows, points, received, k) == expected
+        assert _outcome(recover_block, shares, k, total) == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_pet_decode(self, data):
+        K = data.draw(st.integers(1, 8), label="K")
+        segments = data.draw(
+            st.lists(st.integers(0, 64), min_size=K, max_size=K).filter(any), label="segments"
+        )
+        profile = PetProfile(K, Fraction(1), 8 * sum(segments), tuple(segments))
+        size = profile.source_bytes_required
+        payload = data.draw(st.binary(min_size=size, max_size=size))
+        encoded = pet_encode(payload, profile).descriptions
+        order = data.draw(st.permutations(encoded), label="order")
+        subset = order[: data.draw(st.integers(1, K), label="received")]
+        corrupt = data.draw(_corruption(len(subset), profile.description_bytes), label="corrupt")
+        if corrupt is not None:
+            row, byte, mask = corrupt
+            tampered = bytearray(subset[row].payload)
+            tampered[byte] ^= mask
+            subset[row] = Description(profile, subset[row].index, bytes(tampered))
+        reordered = data.draw(st.permutations(subset), label="reordered")
+        outcomes = []
+        for given_order in (subset, reordered):
+            outcome = _outcome(pet_decode, given_order)
+            assert outcome == _outcome(_reference_decode, given_order)
+            outcomes.append(outcome)
+        if isinstance(outcomes[0], bytes):
+            # a corrupted byte that no extra row checks changes the decoded
+            # bytes, but the same way in every order
+            assert outcomes[1] == outcomes[0]
+            if corrupt is None:
+                assert outcomes[0] == payload[: profile.prefix_bytes(len(subset))]
+
+
+def test_pet_decode_evaluates_once_per_segment(monkeypatch):
+    calls = []
+
+    def spy(sources, rows, targets):
+        calls.append((tuple(sources), tuple(targets)))
+        return evaluate(sources, rows, targets)
+
+    profile = PetProfile(6, Fraction(1), 8 * 15, (3, 0, 2, 4, 1, 5))
+    payload = random.Random(9).randbytes(profile.source_bytes_required)
+    encoded = pet_encode(payload, profile).descriptions
+    subset = [encoded[i - 1] for i in (5, 2, 6, 1, 4)]
+    evaluate = gf256._evaluate
+    monkeypatch.setattr(gf256, "_evaluate", spy)
+    assert pet_decode(subset) == payload[: profile.prefix_bytes(5)]
+    # points 4, 1, 5, 0, 3 in the order given; segment 2 is empty and
+    # segment 6 needs a sixth description
+    expected = [
+        ((0,), (4, 1, 5, 3)),
+        ((0, 1, 3), (2, 4, 5)),
+        ((0, 1, 3, 4), (2, 5)),
+        ((0, 1, 3, 4, 5), (2,)),
+    ]
+    assert calls == expected
 
 
 # sha256 of the serialized descriptions of a seeded payload, and of the
