@@ -20,9 +20,19 @@ visits no sample codes nothing:
 
 A run r takes r >> k ones, a zero and the k low bits of r, and each pass
 takes the k that codes it in the fewest bits. Codewords are prefix-free
-and bit-aligned, so numpy builds a plane's bits without a per-decision
-loop, and the stream is the planes' bits until the budget is met. The
-decoder applies every codeword that is complete in its bit prefix and
+and bit-aligned, so numpy builds a pass's bits without a per-decision
+loop. The stream is the planes' bits until the budget is met, cut to
+whole bytes, with zeros after a plane that ends inside the last byte. The
+encoder builds a pass's codewords only up to the last kept byte (its runs
+and parameter still come from the whole pass) and skips the passes after
+it. It sorts the samples once, stably, by the plane in which each becomes
+significant, so a plane's hits are one slice in index order. Both sides
+hold the significant samples as one int32 list in index order and merge
+each plane's hits into it with one stable sort of two runs: how many
+listed samples precede a hit gives its offset among the visited samples,
+or, in the decoder, the index of the p-th insignificant one.
+
+The decoder applies every codeword that is complete in its bit prefix and
 stops at the first that is not: an incomplete codeword is dropped, never
 completed from padding. It parses a pass without a per-codeword loop
 either. In a pass of parameter k, each codeword's unary part ends at a
@@ -32,7 +42,9 @@ came before. These anchors split the pass's zeros into independent
 chains, which pointer doubling walks all at once; the runs, offsets and
 signs follow by cumulative sums and gathers. Reconstruction uses the
 conditional mean of the standard normal on each sample's surviving
-uncertainty interval.
+uncertainty interval. Its width is a power of two, so one integer names
+the interval, and a table indexed by it holds the distinct intervals'
+means (a sort finds them where the keys range wider than they are many).
 
 The stream is prefix-significant but not rate-distortion optimal; the
 measured gap against 2**(-2R) is pinned in the test-suite.
@@ -48,9 +60,11 @@ import numpy as np
 _TOP = 8.0  # magnitudes are clipped just below this; P(|N(0,1)| >= 8) ~ 1e-15
 _FIRST_THRESHOLD = 4.0
 _PARAMETER_BITS = 5  # a Rice parameter is 0..31
+_LAST_PARAMETER = (1 << _PARAMETER_BITS) - 1
+_PLANES = 42  # the thresholds 4, 2, ..., 2**-39 above 1e-12
 # Largest block `progressive_gaussian_source` codes: 64 times the CLI's
 # default n. Memory and time grow linearly with n: at this cap
-# `pipeline fig1 --K 2 --rate 1` peaks near 91 MB and takes about 0.5 s on
+# `pipeline fig1 --K 2 --rate 1` peaks near 83 MB and takes about 0.3 s on
 # a 2-vCPU machine.
 MAX_BLOCK_SYMBOLS = 1 << 20
 # Zero bits the decoder keeps past a prefix, so a codeword's fields can be
@@ -71,97 +85,122 @@ def _field(value: int, width: int) -> np.ndarray:
     return ((value >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def _runs(hits: np.ndarray) -> np.ndarray:
-    """The run of misses before each hit, then the tail run if it is not 0."""
-    at = np.flatnonzero(hits)
-    runs = np.diff(at, prepend=-1) - 1
-    tail = len(hits) - 1 - at[-1] if len(at) else len(hits)
-    return np.append(runs, tail) if tail else runs
+def _runs(at: np.ndarray, length: int) -> np.ndarray:
+    """The run of misses before each hit of a pass over `length` samples,
+    the hits at the ascending offsets `at`, then the tail run if it is not 0."""
+    edges = np.concatenate(([-1], at, [length]))
+    runs = edges[1:] - edges[:-1] - 1
+    return runs if runs[-1] else runs[:-1]
 
 
 def _rice_parameter(runs: np.ndarray) -> tuple[int, int]:
     """The smallest k that codes `runs` in the fewest bits, and that count.
 
-    A run r takes (r >> k) + 1 + k bits. The total is convex in k, so the
-    first k that does not improve on the one before ends the search.
+    A run r takes (r >> k) + 1 + k bits. The total is convex in k, so a
+    walk from about log2 of the mean run, down while the next k is no
+    worse, or else up while it is better, ends at the smallest minimizer.
     """
-    best = None
-    for k in range(1 << _PARAMETER_BITS):
-        cost = int(np.sum(runs >> k)) + (1 + k) * len(runs)
-        if best is not None and cost >= best[1]:
-            break
-        best = k, cost
-    return best
+
+    def cost(k: int) -> int:
+        return int((runs >> k).sum()) + (1 + k) * len(runs)
+
+    start = k = min(max(int(runs.sum()) // len(runs), 1).bit_length() - 1, _LAST_PARAMETER)
+    cheapest = cost(k)
+    while k > 0 and (below := cost(k - 1)) <= cheapest:
+        k, cheapest = k - 1, below
+    if k == start:
+        while k < _LAST_PARAMETER and (above := cost(k + 1)) < cheapest:
+            k, cheapest = k + 1, above
+    return k, cheapest
 
 
-def _rice_bits(runs: np.ndarray, k: int, signs: np.ndarray | None = None) -> np.ndarray:
-    """The Rice codewords of `runs`, each hit's sign after its codeword.
+def _rice_bits(runs: np.ndarray, k: int, room: int, signs: np.ndarray | None = None) -> np.ndarray:
+    """The Rice codewords of `runs`, each hit's sign after its codeword, up
+    to the first codeword that reaches `room` bits.
 
     `signs` holds one bit per hit; a run past them is the tail, unsigned.
     """
-    quotients = runs >> k
-    lengths = quotients + 1 + k
+    # each codeword's bits after its unary part, and its end as if the
+    # tail had a sign too
+    width = 1 + k + (signs is not None)
+    ends = np.cumsum((runs >> k) + width)
+    count = min(int(np.searchsorted(ends, room)) + 1, len(runs))
+    fields = runs[:count] & ((1 << k) - 1)
     if signs is not None:
-        lengths[: len(signs)] += 1
-    starts = np.cumsum(lengths) - lengths
-    total = int(starts[-1] + lengths[-1])
-    # the unary part: ones from each start up to its quotient's zero
-    edges = np.zeros(total + 1, dtype=np.int8)
-    edges[starts] = 1
-    edges[starts + quotients] -= 1
-    bits = np.cumsum(edges[:total], dtype=np.int8).view(np.uint8)
-    low = starts + quotients + 1
-    for shift in range(k):
-        bits[low + shift] = (runs >> (k - 1 - shift)) & 1
-    if signs is not None:
-        bits[low[: len(signs)] + k] = signs
-    return bits
+        fields <<= 1
+        fields[: len(signs)] |= signs[:count]
+    # ones, and after each unary part a zero and the field; then the
+    # tail's place for a sign is cut
+    bits = np.ones(int(ends[count - 1]), dtype=np.uint8)
+    at = ends[:count] - width + np.arange(width)[:, None]
+    bits[at] = (fields >> np.arange(width - 1, -1, -1)[:, None] & 1).astype(np.uint8)
+    return bits[:-1] if signs is not None and count > len(signs) else bits
 
 
-def _plane_bits(magnitudes: np.ndarray, negative: np.ndarray, threshold: float) -> list[np.ndarray]:
-    """The bits of the plane of `threshold`: its significance pass, then
-    its refinement pass. The threshold is a power of two, so the division
-    that finds a refinement bit is exact."""
-    coarse = magnitudes < 2.0 * threshold
-    chunks = []
-    visited = np.flatnonzero(coarse)
-    if len(visited):
-        newly = magnitudes[visited] >= threshold
-        runs = _runs(newly)
-        k, _ = _rice_parameter(runs)
-        chunks += [_field(k, _PARAMETER_BITS), _rice_bits(runs, k, negative[visited[newly]])]
-    refined = np.flatnonzero(~coarse)
-    if len(refined):
-        bits = ((magnitudes[refined] / threshold).astype(np.int64) & 1).astype(np.uint8)
-        rare = int(2 * int(bits.sum()) <= len(bits))
-        runs = _runs(bits == rare)
-        k, cost = _rice_parameter(runs)
-        # the flag and the rarer bit, the parameter and the runs; or the
-        # flag and the bits
-        if 2 + _PARAMETER_BITS + cost < 1 + len(bits):
-            chunks += [_field(2 | rare, 2), _field(k, _PARAMETER_BITS), _rice_bits(runs, k)]
-        else:
-            chunks += [_field(0, 1), bits]
-    return chunks
+def _merge(keys: np.ndarray, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How many of the ascending `keys` precede each of the ascending
+    `hits`, a key equal to a hit preceding it, and the permutation that
+    sorts the keys and the hits concatenated. Numpy's stable sort merges
+    the two runs in one pass."""
+    order = np.argsort(np.concatenate((keys, hits)), kind="stable")
+    return np.flatnonzero(order >= len(keys)) - np.arange(len(hits)), order
 
 
 def _encode(magnitudes, negative, limit_bits: int) -> bytes:
-    """The stream's planes until `limit_bits` bits are out or the planes end.
-
-    Returns whole planes, so the bits may run past the limit, zero-padded
-    to whole bytes. Accepts array-likes.
+    """The first ceil(limit_bits / 8) bytes of the stream of planes coded
+    until `limit_bits` bits are out or the planes end, zero-padded to whole
+    bytes: fewer only when the planes end first. Accepts array-likes.
     """
     magnitudes = np.asarray(magnitudes, dtype=float)
     negative = np.asarray(negative, dtype=bool)
+    n = len(magnitudes)
+    keep = 8 * ((limit_bits + 7) // 8)
+    # the plane a sample becomes significant in: T = 2**(2 - plane) <=
+    # magnitude < 2T, so frexp's exponent is 3 - plane; _PLANES for never
+    planes = np.clip(3 - np.frexp(magnitudes)[1], 0, _PLANES).astype(np.int8)
+    planes[magnitudes == 0] = _PLANES
+    # sorted stably by that plane, each plane's hits are one slice, in
+    # index order (n <= 2**20 fits int32)
+    order = np.argsort(planes, kind="stable").astype(np.int32)
+    bounds = np.searchsorted(planes[order], np.arange(_PLANES), "right").tolist()
+    earlier = order[:0]  # the samples significant before the plane, in index order
     chunks = []
     length = 0
     threshold = _FIRST_THRESHOLD
-    while length < limit_bits and threshold > 1e-12:
-        for chunk in _plane_bits(magnitudes, negative, threshold):
-            chunks.append(chunk)
-            length += len(chunk)
+    for plane in range(_PLANES):
+        hits = order[bounds[plane - 1] if plane else 0 : bounds[plane]]
+        # the significant samples before each hit: what sets its offset
+        # among the samples the significance pass visits
+        ranks, merge = _merge(earlier, hits)
+        # the next plane's list, and the permutation freed before the passes
+        later = np.concatenate((earlier, hits))[merge]
+        del merge
+        if len(earlier) < n:
+            runs = _runs(hits - ranks, n - len(earlier))
+            k, _ = _rice_parameter(runs)
+            room = keep - length - _PARAMETER_BITS
+            chunks += [_field(k, _PARAMETER_BITS), _rice_bits(runs, k, room, negative[hits])]
+            length += _PARAMETER_BITS + len(chunks[-1])
+        if len(earlier) and length < keep:
+            # the T bit of each magnitude; the division by T is exact
+            bits = ((magnitudes[earlier] / threshold).astype(np.int64) & 1).astype(np.uint8)
+            rare = int(2 * int(bits.sum()) <= len(bits))
+            runs = _runs(np.flatnonzero(bits == rare), len(bits))
+            k, cost = _rice_parameter(runs)
+            # the flag and the rarer bit, the parameter and the runs; or the
+            # flag and the bits
+            if 2 + _PARAMETER_BITS + cost < 1 + len(bits):
+                chunks += [_field(2 | rare, 2), _field(k, _PARAMETER_BITS)]
+                chunks.append(_rice_bits(runs, k, keep - length - 2 - _PARAMETER_BITS))
+                length += 2 + _PARAMETER_BITS + len(chunks[-1])
+            else:
+                chunks += [_field(0, 1), bits[: keep - length - 1]]
+                length += 1 + len(chunks[-1])
+        if length >= limit_bits:
+            break
+        earlier = later
         threshold /= 2.0
-    return np.packbits(np.concatenate(chunks)).tobytes()
+    return np.packbits(np.concatenate(chunks))[: keep // 8].tobytes()
 
 
 def _terminators(window: np.ndarray, width: int) -> np.ndarray:
@@ -217,6 +256,7 @@ def _read_runs(bits: np.ndarray, limit: int, position: int, k: int, length: int,
     width = k + signed
     cap = (length >> k) + 1  # a quotient this large makes a run past the pass
     weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    low = np.arange(1, k + 1)[:, None]  # a codeword's low bits after its zero
     hits, signs = [], []
     offset = 0
     scan = position
@@ -233,7 +273,7 @@ def _read_runs(bits: np.ndarray, limit: int, position: int, k: int, length: int,
             continue
         starts = terms + (1 + width)
         runs = np.minimum(terms - np.append(position, starts[:-1]), cap) << k
-        runs |= bits[terms[:, None] + np.arange(1, k + 1)] @ weights
+        runs |= weights @ bits[terms + low]
         # a run that reaches the pass's end ends it, so clipping it there
         # keeps the sums below from wrapping
         np.minimum(runs, length, out=runs)
@@ -286,24 +326,27 @@ def _decode(data: bytes, limit_bits: int, n: int):
     negative = np.zeros(n, dtype=bool)
     lower = np.zeros(n)
     width = np.zeros(n)
+    earlier = np.zeros(0, dtype=np.int32)  # the significant samples, in index order
     position = 0
     threshold = _FIRST_THRESHOLD
     while threshold > 1e-12:
-        visited = np.flatnonzero(~significant)
-        earlier = np.flatnonzero(significant)
-        if len(visited):
+        visited = n - len(earlier)
+        if visited:
             if position + _PARAMETER_BITS > limit:
                 break
             k = _read_field(bits, position, _PARAMETER_BITS)
             hits, signs, decided, position = _read_runs(
-                bits, limit, position + _PARAMETER_BITS, k, len(visited), True
+                bits, limit, position + _PARAMETER_BITS, k, visited, True
             )
-            newly = visited[hits]
+            # the p-th insignificant sample follows the significant ones
+            # that at most p insignificant ones precede
+            ranks, merge = _merge(earlier - np.arange(len(earlier), dtype=np.int32), hits)
+            newly = hits + ranks
             significant[newly] = True
             negative[newly] = signs
             lower[newly] = threshold
             width[newly] = threshold
-            if decided < len(visited):
+            if decided < visited:
                 break
         if len(earlier):
             if position == limit:
@@ -326,6 +369,8 @@ def _decode(data: bytes, limit_bits: int, n: int):
             width[earlier[:decided]] = threshold
             if decided < len(earlier):
                 break
+        if visited:
+            earlier = np.concatenate((earlier, newly), dtype=np.int32)[merge]
         threshold /= 2.0
     return significant, negative, lower, width
 
@@ -366,21 +411,31 @@ class ProgressiveGaussianSource:
         stream = self.bitstream if data is None else data
         significant, negative, lower, width = _decode(stream, whole, len(self.samples))
         held = np.flatnonzero(significant)
-        w = width[held]
-        # each (lower, width) pair as one integer, so one sort finds the
-        # distinct ones: lower is a multiple of width = 2**e, -39 <= e <= 2
-        keys = (lower[held] / w).astype(np.int64)
-        keys <<= 6
-        keys |= np.frexp(w)[1] + 40  # e + 41
-        keys, inverse = np.unique(keys, return_inverse=True)
-        widths = np.ldexp(1.0, (keys & 63) - 41)
-        lows = (keys >> 6) * widths
+        # width is 2**(2 - p) for the last plane p that split a sample's
+        # interval and lower a multiple of it below _TOP, so one integer in
+        # (2**(p + 1), 2**(p + 2)) names the interval: (lower + _TOP) / width
+        keys = lower[held]
+        keys += _TOP
+        keys /= width[held]
+        keys = keys.astype(np.int64)
+        # the distinct keys and each key's place among them: by a count over
+        # the keys' range, or by a sort where it is wider than they are many
+        top = int(keys.max(initial=0))
+        if top < len(keys):
+            seen = np.bincount(keys) > 0
+            distinct = np.flatnonzero(seen)
+            keys = (np.cumsum(seen) - 1)[keys]
+        else:
+            distinct, keys = np.unique(keys, return_inverse=True)
+        widths = np.ldexp(2 * _TOP, -np.frexp(distinct)[1])
+        lows = distinct * widths - _TOP
         pairs = zip(lows.tolist(), widths.tolist())
         means = np.array([_normal_interval_mean(a, min(a + b, _TOP)) for a, b in pairs])
-        values = means[inverse]
-        values[negative[held]] *= -1.0
+        # each mean, then its negation: the sign is the key's low bit
+        keys <<= 1
+        keys |= negative[held]
         reconstruction = np.zeros(len(significant))
-        reconstruction[held] = values
+        reconstruction[held] = np.column_stack((means, -means)).ravel()[keys]
         return reconstruction
 
     def empirical_mse(self, prefix_bits: int, data: bytes | None = None) -> float:
@@ -414,12 +469,12 @@ def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGauss
         raise ValueError("max_rate must be positive")
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(n)
-    clipped = _clip(samples)
-    stream = _encode(np.abs(clipped), clipped < 0, budget_bits)
+    magnitudes = _clip(samples)
+    negative = magnitudes < 0
+    stream = _encode(np.abs(magnitudes, out=magnitudes), negative, budget_bits)
     # Above about 41 bit/sample the planes end before the budget; the
     # decoder stops at the planes' end, so padding changes no prefix.
-    size = (budget_bits + 7) // 8
-    stream = stream[:size].ljust(size, b"\0")
+    stream = stream.ljust((budget_bits + 7) // 8, b"\0")
     return ProgressiveGaussianSource(
         seed=seed, samples=samples, bitstream=stream, max_rate_bits=budget_bits
     )

@@ -814,10 +814,13 @@ def _pass_runs(hits) -> list[int]:
     return runs + [run] if run else runs
 
 
-def reference_rice_encode(magnitudes, signs, limit_bits: int, plane_ends=None) -> bytes:
+def reference_rice_encode(
+    magnitudes, signs, limit_bits: int, plane_ends=None, significance_ends=None
+) -> bytes:
     """The progressive stream's whole planes until `limit_bits` bits are
     out or the planes end, zero-padded to whole bytes. Appends the bit
-    count after each plane to `plane_ends`."""
+    count after each plane to `plane_ends`, and after each plane's
+    significance pass to `significance_ends`."""
     n = len(magnitudes)
     significant = [False] * n
     lower = [0.0] * n
@@ -839,6 +842,8 @@ def reference_rice_encode(magnitudes, signs, limit_bits: int, plane_ends=None) -
             for i in newly:
                 significant[i] = True
                 lower[i] = threshold
+        if significance_ends is not None:
+            significance_ends.append(len(bits))
         if earlier:
             refinement = []
             for i in earlier:

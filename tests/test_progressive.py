@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _cheapest_parameter,
     _Decoder,
     _Encoder,
     _Model,
@@ -16,7 +17,15 @@ from oracles import (
     reference_rice_encode,
 )
 from rainbownet import PetProfile, pet_encode, progressive, progressive_gaussian_source
-from rainbownet.progressive import MAX_BLOCK_SYMBOLS, _clip, _decode, _encode
+from rainbownet.progressive import (
+    _PARAMETER_BITS,
+    MAX_BLOCK_SYMBOLS,
+    ProgressiveGaussianSource,
+    _clip,
+    _decode,
+    _encode,
+    _rice_parameter,
+)
 
 
 def _arithmetic_encode(bits, models, limit_bits=10**9) -> bytes:
@@ -233,15 +242,108 @@ def test_inlined_scans_match_the_reference_coder():
             source = progressive_gaussian_source(seed, n, Fraction(budget, n))
             magnitudes, signs = _coded(source.samples)
             stream = _encode(magnitudes, signs, budget)
-            assert stream == reference_rice_encode(magnitudes, signs, budget), (seed, n, budget)
+            # the reference codes whole planes; the encoder stops at the budget's last byte
+            whole = reference_rice_encode(magnitudes, signs, budget)
+            assert stream == whole[: (budget + 7) // 8], (seed, n, budget)
             assert source.bitstream == stream[: len(source.bitstream)]
-            full = 8 * len(stream)
+            # the decoder reads the whole planes, past the budget
+            full = 8 * len(whole)
             # full // 3 | 1: an odd length that ends inside a codeword
             for prefix in sorted({0, 1, 5, 31, 32, 33, full // 3 | 1, full - 1, full, full + 100}):
-                expected = reference_rice_decode(stream, prefix, n)
-                assert _state(stream, prefix, n) == expected, (seed, n, budget, prefix)
-                reconstruction = source.decode_prefix(prefix, data=stream)
+                expected = reference_rice_decode(whole, prefix, n)
+                assert _state(whole, prefix, n) == expected, (seed, n, budget, prefix)
+                reconstruction = source.decode_prefix(prefix, data=whole)
                 assert reconstruction.tobytes() == reference_reconstruction(*expected).tobytes()
+
+
+def _record_rice_bits(monkeypatch):
+    """Log, per `_rice_bits` call, the bits built and the longest codeword
+    the call could have built."""
+    built = []
+    rice_bits = progressive._rice_bits
+
+    def recording_rice_bits(runs, k, room, signs=None):
+        bits = rice_bits(runs, k, room, signs)
+        built.append((len(bits), (int(runs.max()) >> k) + 1 + k + (signs is not None)))
+        return bits
+
+    monkeypatch.setattr(progressive, "_rice_bits", recording_rice_bits)
+    return built
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_encoder_stops_at_the_last_kept_byte(monkeypatch, seed):
+    # budgets inside a significance pass, inside a refinement pass, at a
+    # plane's end and a bit either side, and past the last plane; few are
+    # whole bytes
+    n = 300
+    magnitudes, signs = _coded(np.random.default_rng(seed).standard_normal(n))
+    plane_ends, significance_ends = [], []
+    reference_rice_encode(magnitudes, signs, 64 * n, plane_ends, significance_ends)
+    budgets = {plane_ends[-1] + 1, plane_ends[-1] + 100}
+    for start, middle, end in zip(plane_ends, significance_ends[1:8], plane_ends[1:8]):
+        budgets |= {(start + middle) // 2, (middle + end) // 2, end - 1, end, end + 1}
+    built = _record_rice_bits(monkeypatch)
+    padded = 0
+    for budget in sorted(budgets):
+        keep = (budget + 7) // 8
+        built.clear()
+        stream = _encode(magnitudes, signs, budget)
+        # the reference's whole planes, zero-padded where a plane ends
+        # inside the last byte
+        assert stream == reference_rice_encode(magnitudes, signs, budget)[:keep], budget
+        padded += budget in plane_ends and budget % 8 != 0
+        # only the codeword that reaches the last kept byte, and the
+        # header of its pass, may lie past it
+        assert sum(bits for bits, _ in built) <= 8 * keep + built[-1][1] + 2 + _PARAMETER_BITS
+    assert padded
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 20).flatmap(lambda e: st.lists(st.integers(0, 2**e), min_size=1, max_size=40))
+    | st.integers(0, 2**20).map(lambda run: [run])
+    | st.integers(1, 40).map(lambda count: [0] * count)
+)
+def test_parameter_walk_finds_the_cheapest_parameter(runs):
+    # random runs at every scale, single tail runs and all-zero runs,
+    # against every 5-bit parameter
+    k, bits = _rice_parameter(np.array(runs, dtype=np.int64))
+    assert (bits, k) == _cheapest_parameter(runs)
+
+
+def _assert_reconstructions_match_the_reference(stream: bytes, n: int, prefixes):
+    source = ProgressiveGaussianSource(0, np.zeros(n), stream, 8 * len(stream))
+    for prefix in prefixes:
+        expected = reference_reconstruction(*reference_rice_decode(stream, prefix, n))
+        assert source.decode_prefix(prefix).tobytes() == expected.tobytes(), prefix
+
+
+def test_gaussian_reconstructions_match_the_reference(monkeypatch):
+    # at each plane end, and inside each plane, from 0.25 to 45 bit/sample:
+    # keys that a count finds and keys so sparse that a sort does, and
+    # widths down to the last plane's 2**-39
+    sorts = []
+    unique = np.unique
+
+    def recording_unique(*args, **kwargs):
+        sorts.append(len(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording_unique)
+    n = 400
+    magnitudes, signs = _coded(np.random.default_rng(11).standard_normal(n))
+    decodes = 0
+    for rate in (0.25, 1, 2.5, 8, 45):
+        plane_ends = []
+        stream = reference_rice_encode(magnitudes, signs, int(rate * n), plane_ends)
+        marks = {0, 8 * len(stream)} | set(plane_ends)
+        marks |= {(start + end) // 2 for start, end in zip(plane_ends, plane_ends[1:])}
+        _assert_reconstructions_match_the_reference(stream, n, sorted(marks))
+        decodes += len(marks)
+    assert 0 < len(sorts) < decodes
+    _, _, _, width = _decode(stream, 8 * len(stream), n)
+    assert width[width > 0].min() == 2.0**-39
 
 
 def _assert_every_prefix_matches_the_reference(stream: bytes, n: int):
@@ -363,11 +465,25 @@ def test_dyadic_magnitudes_match_the_reference_coder_at_every_mark(values, budge
     magnitudes = [magnitude for magnitude, _ in values]
     signs = [int(negative) for _, negative in values]
     n = len(values)
-    stream = _encode(magnitudes, signs, budget)
-    assert stream == reference_rice_encode(magnitudes, signs, budget)
-    # every bit prefix of the stream, and one past its end
-    for prefix in range(8 * len(stream) + 2):
-        assert _state(stream, prefix, n) == reference_rice_decode(stream, prefix, n), prefix
+    whole = reference_rice_encode(magnitudes, signs, budget)
+    assert _encode(magnitudes, signs, budget) == whole[: (budget + 7) // 8]
+    # every bit prefix of the reference's whole planes, and one past their end
+    for prefix in range(8 * len(whole) + 2):
+        assert _state(whole, prefix, n) == reference_rice_decode(whole, prefix, n), prefix
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(DYADIC_MAGNITUDES, st.booleans()), min_size=1, max_size=8),
+    st.integers(1, 40) | st.integers(1, 1500),
+)
+def test_dyadic_reconstructions_match_the_reference_at_every_mark(values, budget):
+    # few samples whose keys range wide: the sort finds their intervals,
+    # down to widths of 2**-39
+    magnitudes = [magnitude for magnitude, _ in values]
+    signs = [int(negative) for _, negative in values]
+    stream = reference_rice_encode(magnitudes, signs, budget)
+    _assert_reconstructions_match_the_reference(stream, len(values), range(8 * len(stream) + 2))
 
 
 @pytest.mark.parametrize("seed", range(2))
