@@ -40,9 +40,9 @@ from .flows import (
     check_admissibility,
     flow_to_document,
     load_flow,
-    node_spectrum,
     rainbow_flow_vector,
     refine,
+    sink_spectra,
 )
 from .network import load_scenario, max_flow
 from .pet import (
@@ -365,7 +365,7 @@ def cmd_pipeline(args) -> CliOutput:
     result, profile_vec, _ = alternating_search(net, cfg, rounds=args.rounds)
     q = list(result.rfv.values)
     profile = PetProfile.quantize(profile_vec, rate, args.K, args.n)
-    held_by_sink = [tuple(node_spectrum(result.flow, sink)) for sink in net.sinks]
+    held_by_sink = [tuple(spectrum) for spectrum in sink_spectra(result.flow)]
     # Encode only the prefix PET reads: a byte-aligned budget stream is the
     # same bytes as the head of any longer one.
     source = progressive_gaussian_source(
@@ -471,7 +471,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", required=True)
     p.add_argument("--weights", default="uniform")
     p.add_argument("--n", type=int, default=16384)
-    p.add_argument("--rounds", type=int, default=1)
+    p.add_argument(
+        "--rounds",
+        type=int,
+        default=1,
+        metavar="R",
+        help="at most R search/profile rounds; stops at the first whose weighted "
+        "distortion meets the cut-cap floor",
+    )
     p.add_argument("--seed", type=int, default=0, help="seed of the Gaussian source block")
     p.add_argument("--max-path-len", type=int, default=4)
     p.set_defaults(handler="pipeline")

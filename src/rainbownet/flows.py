@@ -158,6 +158,20 @@ def node_spectrum(rnf: RainbowFlow, node: str):
     return _combine(rnf, _paths_with_node(rnf, node))
 
 
+def sink_spectra(rnf: RainbowFlow) -> tuple:
+    """Every sink's node spectrum, in sink order, from one pass over the paths.
+
+    Each entry equals `node_spectrum(rnf, sink)`: the same union over the
+    same path indices in path order.
+    """
+    position = {sink: t for t, sink in enumerate(rnf.net.sinks)}
+    members = [[] for _ in position]
+    for i, path in enumerate(rnf.paths):
+        for t in {position[node] for node in rnf.net.path_nodes(path) if node in position}:
+            members[t].append(i)
+    return tuple(_combine(rnf, indices) for indices in members)
+
+
 def check_admissibility(rnf: RainbowFlow, strict: bool = False) -> AdmissibilityReport:
     """Per-edge capacity check with a slack report.
 
@@ -184,9 +198,7 @@ def is_admissible(rnf: RainbowFlow, strict: bool = False) -> bool:
 
 def rainbow_flow_vector(rnf: RainbowFlow) -> RainbowFlowVector:
     """q_t = measure of the node spectrum of sink t, in sink order."""
-    values = tuple(
-        spectrum_measure(rnf, node_spectrum(rnf, sink)) for sink in rnf.net.sinks
-    )
+    values = tuple(spectrum_measure(rnf, spectrum) for spectrum in sink_spectra(rnf))
     return RainbowFlowVector(rnf.net.sinks, values)
 
 

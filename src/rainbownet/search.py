@@ -606,7 +606,7 @@ def route(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
 
 
 def alternating_search(net: Network, cfg: SearchConfig, rounds: int = 1):
-    """Alternate flow search and layer-profile optimization.
+    """Alternate flow search and layer-profile optimization, for at most `rounds` rounds.
 
     Round 1 routes under `cfg` as given (its objective and profile); every
     later round routes for weighted distortion ("wd") under the profile the
@@ -616,15 +616,31 @@ def alternating_search(net: Network, cfg: SearchConfig, rounds: int = 1):
     profile for the flow vector it found, under `cfg.weights`. At least one
     round runs. Returns the final (SearchResult, profile, weighted
     objective).
+
+    The cut-cap floor, the profile optimum for the flow vector rate * caps,
+    bounds every (flow, profile) pair: no sink holds more than its cap, and
+    a sink never loses by holding more. So the first round whose weighted
+    distortion meets it is returned, before any later round. The floor is
+    computed only when another round is pending, and it is that round's
+    own optimum when its flow vector is rate * caps.
     """
     if cfg.weights is None:
         raise ValueError("alternating search needs a weight vector")
     caps = _sink_caps(net, cfg)
+    floor = None
     round_cfg = cfg
-    for _ in range(max(1, rounds)):
+    for left in range(max(1, rounds) - 1, -1, -1):
         result = route(net, round_cfg, caps)
-        optimum = optimize_pet_profile(
-            list(result.rfv), cfg.weights, cfg.num_colors, cfg.rate
-        )
+        q = list(result.rfv)
+        optimum = optimize_pet_profile(q, cfg.weights, cfg.num_colors, cfg.rate)
+        if not left:
+            break
+        if floor is None:
+            capped = [cfg.rate * cap for cap in caps]
+            floor = optimum if q == capped else optimize_pet_profile(
+                capped, cfg.weights, cfg.num_colors, cfg.rate
+            )
+        if optimum.objective <= floor.objective:
+            break
         round_cfg = replace(cfg, objective="wd", profile=optimum.y)
     return result, optimum.y, optimum.objective

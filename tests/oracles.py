@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,6 +21,8 @@ from rainbownet import (
     SearchConfig,
     SearchResult,
     is_admissible,
+    optimize_pet_profile,
+    route,
     total_rainbow_flow,
 )
 from rainbownet import network
@@ -28,11 +31,14 @@ from rainbownet.gf256 import EXP, LOG, gf_mul
 from rainbownet.network import enumerate_path_masks, trail_ids
 from rainbownet.progressive import _FIRST_THRESHOLD, _TOP, _normal_interval_mean
 from rainbownet.search import (
+    MAX_SEARCH_STEPS,
+    _candidates,
     _color_capacities,
     _cost,
     _nothing_admissible,
     _objective,
     _result,
+    _sink_caps,
 )
 
 
@@ -41,8 +47,11 @@ def enumerate_paths(net: Network, max_len: int) -> list[FlowPath]:
     return [FlowPath(trail_ids(trail)) for _, _, trail in enumerate_path_masks(net, max_len)]
 
 
-def brute_min_cut(net: Network, sink: str) -> Fraction:
-    """Minimum source-side cut by explicit subset enumeration."""
+def brute_min_cut(net: Network, sink: str, capacities=None) -> Fraction:
+    """Minimum source-side cut by explicit subset enumeration.
+
+    Edges weigh their own capacities or, when given, `capacities[edge.id]`.
+    """
     sources = set(net.sources)
     assert sink not in sources
     free = [n for n in net.nodes if n not in sources and n != sink]
@@ -53,7 +62,11 @@ def brute_min_cut(net: Network, sink: str) -> Fraction:
             if mask >> position & 1:
                 side.add(node)
         value = sum(
-            (e.capacity for e in net.edges if e.tail in side and e.head not in side),
+            (
+                e.capacity if capacities is None else capacities[e.id]
+                for e in net.edges
+                if e.tail in side and e.head not in side
+            ),
             Fraction(0),
         )
         if best is None or value < best:
@@ -370,6 +383,95 @@ def reference_greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
             progress = True
 
     return _result(net, cfg, chosen, _cost(levels, weights, counts))
+
+
+def reference_alternation(net: Network, cfg: SearchConfig, rounds: int = 1):
+    """`search.alternating_search` as it was before its floor stop: every round runs.
+
+    Round 1 routes under `cfg`, every later round for weighted distortion
+    under the previous round's profile; each re-optimizes the profile for
+    its flow vector. Returns the last (SearchResult, profile, objective).
+    """
+    caps = _sink_caps(net, cfg)
+    round_cfg = cfg
+    for _ in range(max(1, rounds)):
+        result = route(net, round_cfg, caps)
+        optimum = optimize_pet_profile(list(result.rfv), cfg.weights, cfg.num_colors, cfg.rate)
+        round_cfg = replace(cfg, objective="wd", profile=optimum.y)
+    return result, optimum.y, optimum.objective
+
+
+def cut_cap_floor(net: Network, cfg: SearchConfig) -> float:
+    """The profile optimum when each sink holds min(K, its color min cut) descriptions.
+
+    The cut is found by subset enumeration over the color capacities
+    (`brute_min_cut`), so keep networks to a dozen nodes or so.
+    """
+    capacities = _color_capacities(net, cfg)
+    caps = [min(cfg.num_colors, brute_min_cut(net, sink, capacities)) for sink in net.sinks]
+    return optimize_pet_profile(
+        [cfg.rate * cap for cap in caps], cfg.weights, cfg.num_colors, cfg.rate
+    ).objective
+
+
+def reachable_counts(net: Network, cfg: SearchConfig, limit: int = 200_000) -> set[tuple[int, ...]]:
+    """Every per-sink description count vector of a flow in the path universe.
+
+    Walks the exact search's candidates (`_candidates`, the minimal path
+    union of each sink set) depth first over nondecreasing K-multisets that
+    fit the color capacities. For any flow's color some candidate reaches
+    the same sinks on a subset of the color's edges, so every flow's
+    counts are reached, and each multiset is a flow. Raises SearchSizeError once more
+    than `limit` multiset prefixes are visited (and, as the exact search
+    does, when the closure builds more than `MAX_SEARCH_STEPS` unions).
+    """
+    if _nothing_admissible(net, cfg):
+        return {(0,) * len(net.sinks)}
+    candidates = _candidates(enumerate_path_masks(net, cfg.max_path_len), MAX_SEARCH_STEPS)
+    room = list(_color_capacities(net, cfg).values())  # in edge-bit order
+    edges = [[b for b in range(len(room)) if mask >> b & 1] for mask, _, _ in candidates]
+    sinks = [[t for t in range(len(net.sinks)) if mask >> t & 1] for _, mask, _ in candidates]
+    counts = [0] * len(net.sinks)
+    reached = set()
+    visited = 0
+
+    def walk(start: int, left: int):
+        nonlocal visited
+        if not left:
+            reached.add(tuple(counts))
+            return
+        for index in range(start, len(candidates)):
+            if any(room[b] < 1 for b in edges[index]):
+                continue
+            visited += 1
+            if visited > limit:
+                raise SearchSizeError(f"more than {limit} multisets of candidates")
+            for b in edges[index]:
+                room[b] -= 1
+            for t in sinks[index]:
+                counts[t] += 1
+            walk(index, left - 1)
+            for b in edges[index]:
+                room[b] += 1
+            for t in sinks[index]:
+                counts[t] -= 1
+
+    walk(0, cfg.num_colors)
+    return reached
+
+
+def joint_optimum(net: Network, cfg: SearchConfig, limit: int = 200_000) -> float:
+    """The least weighted distortion over every flow in the path universe and every profile.
+
+    The least profile optimum over `reachable_counts`, each count vector
+    given as the flow vector rate * counts, under `cfg.weights`.
+    """
+    return min(
+        optimize_pet_profile(
+            [cfg.rate * c for c in counts], cfg.weights, cfg.num_colors, cfg.rate
+        ).objective
+        for counts in reachable_counts(net, cfg, limit)
+    )
 
 
 def balanced_pair_bound(side: float, rate: float) -> float:

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from oracles import enumerate_paths
 from rainbownet import (
     ContinuousRnf,
     DiscreteRnf,
@@ -22,6 +25,7 @@ from rainbownet import (
     spectrum_measure,
     total_rainbow_flow,
 )
+from rainbownet.flows import sink_spectra
 
 
 class TestSpectra:
@@ -91,6 +95,50 @@ class TestSpectra:
                         else combined.union(spectrum)
                     )
                 assert combined == node_spectrum(flow, sink)
+
+
+def _spectra_network(choice: int):
+    """fig1, fig2, or a seeded layered DAG whose sinks include a relay."""
+    if choice == 0:
+        return helpers.fig1_network()
+    if choice == 1:
+        return helpers.fig2_network()
+    rng = random.Random(choice)
+    return helpers.layered_network(rng, rng.randint(2, 3), rng.randint(2, 4))
+
+
+@st.composite
+def _any_flows(draw):
+    """A discrete or continuous flow on `_spectra_network`, admissible or not.
+
+    Paths repeat and colors run past 8, so frozensets hold colors that
+    share hash slots and their iteration order depends on insertion order.
+    """
+    net = _spectra_network(draw(st.integers(0, 40)))
+    universe = enumerate_paths(net, 4)
+    paths = draw(st.lists(st.sampled_from(universe), max_size=12))
+    if draw(st.booleans()):
+        colors = draw(st.lists(st.integers(1, 40), min_size=len(paths), max_size=len(paths)))
+        return DiscreteRnf(net, paths, colors, 40, Fraction(1, 2))
+    ends = st.fractions(0, 4, max_denominator=6)
+    pairs = st.lists(st.tuples(ends, ends).map(sorted), min_size=1, max_size=2)
+    spectra = [IntervalSet(tuple(draw(pairs))) for _ in paths]
+    return ContinuousRnf(net, paths, spectra)
+
+
+class TestSinkSpectra:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_any_flows())
+    def test_one_pass_matches_each_sinks_node_spectrum(self, flow):
+        expected = [node_spectrum(flow, sink) for sink in flow.net.sinks]
+        spectra = sink_spectra(flow)
+        assert list(spectra) == expected
+        if isinstance(flow, DiscreteRnf):
+            # the pipeline's held colors, in the order it decodes them
+            assert [tuple(s) for s in spectra] == [tuple(s) for s in expected]
+        assert rainbow_flow_vector(flow).values == tuple(
+            spectrum_measure(flow, spectrum) for spectrum in expected
+        )
 
 
 class TestAdmissibility:

@@ -1143,3 +1143,106 @@ class TestAlternation:
         optimum = optimize_pet_profile(list(result.rfv.values), weights, 2, Fraction(1))
         assert profile == optimum.y
         assert objective == optimum.objective
+
+
+def _dense_alternation(seed, num_colors=3, max_path_len=4):
+    """dense_random(7, 14, 3, seed) at rate 1/2 under weights (0.6, 0.3, 0.1)."""
+    net = helpers.document_network(helpers.dense_document(7, 14, 3, seed))
+    cfg = _cfg(num_colors, Fraction(1, 2), max_path_len=max_path_len, weights=(0.6, 0.3, 0.1))
+    return net, cfg
+
+
+def _fanout_alternation(sinks, relays, num_colors, seed):
+    """A fanout-pipeline tree at rate 1/2 under uniform weights."""
+    net = helpers.document_network(helpers.fanout_document(sinks, relays, seed))
+    return net, _cfg(num_colors, Fraction(1, 2), weights=(1 / sinks,) * sinks)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The `route` and `optimize_pet_profile` calls alternating_search makes, by name."""
+    made = {"route": 0, "optimize_pet_profile": 0}
+    for name in made:
+        real = getattr(search, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            made[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(search, name, counting)
+    return made
+
+
+class TestFloorStop:
+    def test_floor_bounds_the_joint_optimum(self, calls):
+        stops = 0
+        for seed in range(60):
+            net, cfg = _dense_alternation(seed)
+            calls["route"] = 0
+            _, _, objective = alternating_search(net, cfg, rounds=3)
+            floor = oracles.cut_cap_floor(net, cfg)
+            optimum = oracles.joint_optimum(net, cfg)
+            assert floor <= optimum <= objective
+            if calls["route"] < 3:
+                stops += 1
+                assert floor == optimum == objective
+        assert stops == 56
+
+    @pytest.mark.parametrize("family", ["dense", "fanout"])
+    @pytest.mark.parametrize("rounds", [2, 3])
+    def test_stop_matches_the_old_loop(self, calls, family, rounds):
+        if family == "dense":
+            instances = [_dense_alternation(seed) for seed in range(60)]
+        else:
+            instances = [_fanout_alternation(6, 3, 3, seed) for seed in range(6)]
+            instances += [_fanout_alternation(8, 4, 4, seed) for seed in range(6)]
+        for net, cfg in instances:
+            calls["route"] = 0
+            result, profile, objective = alternating_search(net, cfg, rounds=rounds)
+            reference = oracles.reference_alternation(net, cfg, rounds=rounds)
+            assert objective == reference[2]
+            assert calls["route"] <= rounds
+            if calls["route"] == rounds:
+                assert (result, profile, objective) == reference
+
+    def test_fanout_tree_routes_and_solves_once(self, calls):
+        # round 1's trf flow gives every sink its cut cap: the floor is its own optimum
+        net, cfg = _fanout_alternation(6, 3, 3, 0)
+        result, profile, objective = alternating_search(net, cfg, rounds=3)
+        assert calls == {"route": 1, "optimize_pet_profile": 1}
+        caps = search._sink_caps(net, cfg)
+        assert list(result.rfv) == [cfg.rate * cap for cap in caps]
+        assert result == route(net, cfg)
+        # the old loop's round 3 has equal distortion on another flow vector
+        reference = oracles.reference_alternation(net, cfg, rounds=3)
+        assert (profile, objective) == reference[1:]
+        assert result.rfv != reference[0].rfv
+
+    def test_missed_caps_cost_one_more_solve(self, calls):
+        # K=4: round 1 leaves some sink below its cap, on layers the
+        # profile leaves empty, so its optimum still meets the floor
+        net, cfg = _dense_alternation(3, num_colors=4, max_path_len=3)
+        result, _, objective = alternating_search(net, cfg, rounds=3)
+        assert calls == {"route": 1, "optimize_pet_profile": 2}
+        assert list(result.rfv) != [cfg.rate * cap for cap in search._sink_caps(net, cfg)]
+        assert objective == oracles.cut_cap_floor(net, cfg)
+
+    def test_stall_runs_every_round(self, calls):
+        # the floor is missed on every round, and the alternation stalls
+        # above the joint optimum
+        net, cfg = _dense_alternation(15)
+        outputs = alternating_search(net, cfg, rounds=3)
+        assert calls["route"] == 3
+        assert outputs == oracles.reference_alternation(net, cfg, rounds=3)
+        assert outputs[2] > oracles.joint_optimum(net, cfg) > oracles.cut_cap_floor(net, cfg)
+
+    def test_one_round_computes_no_floor(self, calls):
+        for net, cfg in (_dense_alternation(15), _dense_alternation(3, 4, 3)):
+            calls.update(route=0, optimize_pet_profile=0)
+            alternating_search(net, cfg, rounds=1)
+            assert calls == {"route": 1, "optimize_pet_profile": 1}
+
+    def test_joint_oracle_guards_its_multiset_count(self):
+        net, cfg = _dense_alternation(0)
+        with pytest.raises(SearchSizeError, match="multisets"):
+            oracles.reachable_counts(net, cfg, limit=5)
