@@ -16,11 +16,8 @@ from .distortion import (
     description_rates,
     drnf_distortion,
     minimize_balanced_average,
-    more_descriptions_values,
     optimize_pet_profile,
     ozarow_joint_bound,
-    rate_split_values,
-    refinement_sweep,
     profile_objective,
     weighted_distortion,
 )
@@ -122,12 +119,9 @@ __all__ = [
     "load_scenario",
     "max_flow",
     "minimize_balanced_average",
-    "more_descriptions_values",
     "node_spectrum",
     "optimize_pet_profile",
     "ozarow_joint_bound",
-    "rate_split_values",
-    "refinement_sweep",
     "pet_decode",
     "pet_encode",
     "profile_objective",

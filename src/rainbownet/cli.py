@@ -27,12 +27,10 @@ from fractions import Fraction
 from . import __version__
 from .data import BUNDLED, bundled_text
 from .distortion import (
+    MAX_LAYERS,
     drnf_distortion,
     minimize_balanced_average,
-    more_descriptions_values,
     optimize_pet_profile,
-    rate_split_values,
-    refinement_sweep,
 )
 from .errors import CodecError, RainbowNetError, ScenarioError
 from .flows import (
@@ -177,7 +175,7 @@ def cmd_validate(args) -> CliOutput:
 
 def _search_config(args, net) -> SearchConfig:
     weights = None
-    if args.objective == "wd" or args.weights is not None:
+    if args.objective == "wd":
         weights = _parse_weights(args.weights or "uniform", net)
     profile = _parse_vector(args.y, "profile entries") if args.y else None
     return SearchConfig(
@@ -192,6 +190,8 @@ def _search_config(args, net) -> SearchConfig:
 
 
 def cmd_search(args) -> CliOutput:
+    if args.objective == "trf" and (args.y is not None or args.weights is not None):
+        raise ValueError("--y and --weights apply only to --objective wd")
     net = _load_net(args.scenario)
     cfg = _search_config(args, net)
     result = exact_search(net, cfg) if args.mode == "exact" else greedy_search(net, cfg)
@@ -301,31 +301,39 @@ def _lemma_rows(name: str, net, args):
     result = route(net, cfg)
     q = list(result.rfv.values)
     weights = tuple(1.0 / len(q) for _ in q)
-    rows = []
+    # Every suite re-optimizes the profile for the routed flow vector at
+    # some (descriptions, rate) shape; each distinct shape is solved once.
+    objective = {}
 
-    counts = [args.K, args.K + 1, args.K + 2]
-    values = more_descriptions_values(q, weights, rate, counts)
-    ok = all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
-    rows.append(["more-descriptions", name, ok, " ".join(repr(v) for v in values)])
+    def values(shapes):
+        for shape in shapes:
+            if shape not in objective:
+                objective[shape] = optimize_pet_profile(q, weights, *shape).objective
+        return [objective[shape] for shape in shapes]
 
+    def nonincreasing(series):
+        return all(b <= a + 1e-9 for a, b in zip(series, series[1:]))
+
+    K = args.K
+    more = values([(K, rate), (K + 1, rate), (K + 2, rate)])
+    splits = values([(K * i, rate / i) for i in (2, 3)])
+    rows = [["more-descriptions", name, nonincreasing(more), " ".join(map(repr, more))]]
     # refine() keeps the flow vector, so splitting reduces to re-optimizing
     # the profile at (i*K, rate/i); assert that on the refined flow too
-    base, split_values = rate_split_values(q, weights, args.K, rate, (2, 3))
-    for factor, split in zip((2, 3), split_values):
-        refined = refine(result.flow, factor)
-        same_vector = list(rainbow_flow_vector(refined).values) == q
-        rows.append(
-            [
-                f"rate-splitting-{factor}",
-                name,
-                same_vector and split <= base + 1e-9,
-                f"{base!r} -> {split!r}",
-            ]
-        )
+    for factor, split in zip((2, 3), splits):
+        same_vector = list(rainbow_flow_vector(refine(result.flow, factor)).values) == q
+        ok = same_vector and nonincreasing([more[0], split])
+        rows.append([f"rate-splitting-{factor}", name, ok, f"{more[0]!r} -> {split!r}"])
 
-    sweep = refinement_sweep(q, weights, args.K, rate, steps=args.steps)
-    ok = all(b <= a + 1e-9 for a, b in zip(sweep, sweep[1:]))
-    rows.append(["rate-shrink-trend", name, ok, " ".join(repr(v) for v in sweep)])
+    # the finest step has K * 2**(steps - 1) layers; the exponent is clamped
+    # so a huge --steps is never materialized (2**63 already exceeds the limit)
+    if K * 2 ** (min(args.steps, 64) - 1) > MAX_LAYERS:
+        raise ValueError(
+            f"a refinement sweep of {args.steps} steps at K={K} needs "
+            f"K * 2**(steps - 1) layers, more than the limit of {MAX_LAYERS}"
+        )
+    sweep = values([(K * 2**n, rate / 2**n) for n in range(args.steps)])
+    rows.append(["rate-shrink-trend", name, nonincreasing(sweep), " ".join(map(repr, sweep))])
     return rows
 
 
@@ -373,21 +381,17 @@ def cmd_pipeline(args) -> CliOutput:
     )
     encoded = pet_encode(source.bitstream, profile)
     analytic = drnf_distortion(q, profile.y, rate)
-    # Sinks holding the same colors recover the same bytes, and
-    # reconstruction depends only on those bytes: each color set is
-    # PET-decoded once and each prefix reconstructed once.
-    recovered_by_colors: dict[tuple[int, ...], bytes] = {}
-    mse_by_prefix: dict[bytes, float] = {}
+    # PET is balanced: any l descriptions recover the same prefix_bytes(l)
+    # bytes, and reconstruction depends only on those bytes, so each
+    # distinct prefix is PET-decoded and reconstructed once.
+    mse_by_prefix: dict[int, float] = {}
     rows = []
     for position, (sink, held) in enumerate(zip(net.sinks, held_by_sink)):
-        if held not in recovered_by_colors:
-            recovered_by_colors[held] = pet_decode(
-                [encoded.descriptions[color - 1] for color in held]
-            )
-        recovered = recovered_by_colors[held]
-        if recovered not in mse_by_prefix:
-            mse_by_prefix[recovered] = source.empirical_mse(8 * len(recovered), data=recovered)
-        rows.append([sink, q[position], analytic[position], mse_by_prefix[recovered]])
+        size = profile.prefix_bytes(len(held))
+        if size not in mse_by_prefix:
+            recovered = pet_decode([encoded.descriptions[color - 1] for color in held])
+            mse_by_prefix[size] = source.empirical_mse(8 * len(recovered), data=recovered)
+        rows.append([sink, q[position], analytic[position], mse_by_prefix[size]])
     table = Table("pipeline", ["sink", "q", "analytic_d", "empirical_mse"], rows)
     return CliOutput([table])
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 # Largest layer count a profile may have: the solve, the "wd" search's level
-# table and a refinement sweep's finest step (K=2 allows 20 steps).
+# table and the finest step of `lemmas`' refinement sweep (K=2 allows 20 steps).
 MAX_LAYERS = 2**20
 # Bracket width at which the balanced two-description search stops, and
 # the same bound relative to the bracket's low end (side distortions shrink
@@ -433,63 +433,3 @@ def optimize_pet_profile(
     # `max_iter` and `iterations` remain only for perfbench/tracing.py's hit_max_iter counter
     return ProfileOptimum(y=tuple(float(v) for v in y), objective=objective, iterations=1)
 
-
-def more_descriptions_values(
-    q: Sequence,
-    weights: Sequence[float],
-    rate,
-    description_counts: Sequence[int],
-    model: DistortionModel = GAUSSIAN,
-) -> list[float]:
-    """Optimal weighted distortion for a fixed flow vector as K grows.
-
-    Every K solves the same reduced problem, so the values agree up to float noise.
-    """
-    return [optimize_pet_profile(q, weights, k, rate, model).objective for k in description_counts]
-
-
-def rate_split_values(
-    q: Sequence,
-    weights: Sequence[float],
-    num_descriptions: int,
-    rate,
-    factors: Sequence[int],
-    model: DistortionModel = GAUSSIAN,
-) -> tuple[float, list[float]]:
-    """Optimal weighted distortion before and after splitting the rate.
-
-    Splitting by `i` turns K descriptions of rate r into i*K of rate r/i;
-    the flow vector is unchanged, and so is the reduced problem. Returns
-    (base value, per-factor values).
-    """
-    base = optimize_pet_profile(q, weights, num_descriptions, rate, model).objective
-    return base, [
-        optimize_pet_profile(q, weights, num_descriptions * i, Fraction(rate) / i, model).objective
-        for i in factors
-    ]
-
-
-def refinement_sweep(
-    q: Sequence,
-    weights: Sequence[float],
-    num_descriptions: int,
-    rate,
-    steps: int = 7,
-    model: DistortionModel = GAUSSIAN,
-) -> list[float]:
-    """Optimal weighted distortion along rate halvings r, r/2, r/4, ...
-
-    Step n optimizes the profile at (2**n * K, rate / 2**n), the same
-    reduced problem at every step, so the sweep is flat up to float noise.
-    The finest profile has K * 2**(steps - 1) layers, at most
-    `MAX_LAYERS`.
-    """
-    # the exponent is clamped so a huge `steps` is never materialized;
-    # 2**63 already exceeds the limit
-    if steps > 0 and num_descriptions * 2 ** (min(steps, 64) - 1) > MAX_LAYERS:
-        raise ValueError(
-            f"a refinement sweep of {steps} steps at K={num_descriptions} needs "
-            f"K * 2**(steps - 1) layers, more than the limit of {MAX_LAYERS}"
-        )
-    shapes = [(num_descriptions * 2**n, Fraction(rate) / 2**n) for n in range(steps)]
-    return [optimize_pet_profile(q, weights, k, r, model).objective for k, r in shapes]

@@ -13,10 +13,10 @@ coefficients at once. Encoding is one evaluation.
 
 Recovery works on a stacked (rows, width) byte matrix with one point per
 row: `pet_decode` stacks the received descriptions once and passes a
-column slice per segment, and `recover_block` stacks a dict of rows.
-`recover_rows` takes the k lowest points as sources and makes one
-evaluation, at the missing data points and then at the other rows'
-points; the latter are compared with those rows in one vectorized test.
+column slice per segment. `recover_rows` takes the k lowest points as
+sources and makes one evaluation, at the missing data points and then at
+the other rows' points; the latter are compared with those rows in one
+vectorized test.
 """
 
 from __future__ import annotations
@@ -127,51 +127,3 @@ def recover_rows(points, block: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"parity row {point} is inconsistent with the recovered data")
     return data
 
-
-def _is_byte_row(row, shape) -> bool:
-    """Whether `row` has `shape` and holds byte values only, so a uint8 cast
-    is exact; any other row cannot equal a coded row."""
-    row = np.asarray(row)
-    if row.shape != shape:
-        return False
-    return row.dtype == np.uint8 or bool(np.isin(row, np.arange(256)).all())
-
-
-def recover_block(shares: dict[int, np.ndarray], k: int, total: int) -> np.ndarray:
-    """Recover the (k, width) data block from any >= k coded rows.
-
-    `shares` maps row index (0-based point) to its byte row. The k lowest
-    rows must be 1-D rows of one width. Extra rows beyond k are used to
-    verify consistency; a mismatch raises ValueError naming the first
-    inconsistent row in the order given. The rows are stacked and handed
-    to `recover_rows`.
-    """
-    if not 1 <= k <= total <= 255:
-        raise ValueError(f"need 1 <= k <= total <= 255, got k={k}, total={total}")
-    if len(shares) < k:
-        raise ValueError(f"need at least {k} rows to recover, got {len(shares)}")
-    for point in shares:
-        if not 0 <= point < total:
-            raise ValueError(f"row index {point} outside 0..{total - 1}")
-    chosen = sorted(shares)[:k]
-    shape = np.shape(shares[chosen[0]])
-    if len(shape) != 1:
-        raise ValueError(f"row {chosen[0]} has shape {shape}, expected a 1-D byte row")
-    for point in chosen[1:]:
-        if np.shape(shares[point]) != shape:
-            raise ValueError(
-                f"row {point} has shape {np.shape(shares[point])}, "
-                f"expected {shape} like row {chosen[0]}"
-            )
-    extras = [point for point in shares if point not in chosen]
-    # an extra row of another shape or with a non-byte value is inconsistent
-    # as it stands: it is never broadcast or cast, and only the extra rows
-    # given before it are checked
-    unlike = next(
-        (i for i, point in enumerate(extras) if not _is_byte_row(shares[point], shape)), None
-    )
-    kept = chosen + extras[:unlike]
-    data = recover_rows(kept, np.array([shares[point] for point in kept], dtype=np.uint8), k)
-    if unlike is not None:
-        raise ValueError(f"parity row {extras[unlike]} is inconsistent with the recovered data")
-    return data

@@ -13,6 +13,7 @@ from rainbownet import (
     is_admissible,
     load_flow,
     load_scenario,
+    optimize_pet_profile,
 )
 from rainbownet.data import bundled_text
 from oracles import enumerate_paths
@@ -204,3 +205,13 @@ def fanout_document(num_sinks: int, num_relays: int, seed: int) -> dict:
 
 def document_network(document: dict) -> Network:
     return load_scenario(json.dumps(document))
+
+
+def profile_objectives(q, weights, shapes) -> list[float]:
+    """Optimal weighted distortion of flow vector `q` at each (K, rate) shape."""
+    return [optimize_pet_profile(q, weights, k, rate).objective for k, rate in shapes]
+
+
+def halvings(num_descriptions: int, rate: Fraction, steps: int) -> list[tuple[int, Fraction]]:
+    """The refinement sweep's shapes (2**n * K, rate / 2**n), n = 0..steps-1."""
+    return [(num_descriptions * 2**n, Fraction(rate) / 2**n) for n in range(steps)]

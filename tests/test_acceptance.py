@@ -25,14 +25,11 @@ from rainbownet import (
     exact_search,
     greedy_search,
     minimize_balanced_average,
-    more_descriptions_values,
     optimize_pet_profile,
     pet_decode,
     pet_encode,
     profile_objective,
     rainbow_flow_vector,
-    rate_split_values,
-    refinement_sweep,
     route,
     separate_coding_baseline,
 )
@@ -151,17 +148,17 @@ def test_criterion_5_lemma_suites():
         q = list(result.rfv.values)
         weights = tuple(1.0 / len(q) for _ in q)
 
-        values = more_descriptions_values(q, weights, rate, [2, 3, 4])
+        values = helpers.profile_objectives(q, weights, [(k, rate) for k in (2, 3, 4)])
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:])), name
 
-        base, split_values = rate_split_values(q, weights, 2, rate, (2, 3))
-        for split in split_values:
+        base = values[0]
+        for split in helpers.profile_objectives(q, weights, [(4, rate / 2), (6, rate / 3)]):
             assert split <= base + 1e-9, name
 
     fig1 = helpers.fig1_network()
     result = exact_search(fig1, SearchConfig(num_colors=2, rate=Fraction(1), max_path_len=2))
-    trend = refinement_sweep(
-        list(result.rfv.values), (0.25,) * 4, 2, Fraction(1), steps=7
+    trend = helpers.profile_objectives(
+        list(result.rfv.values), (0.25,) * 4, helpers.halvings(2, Fraction(1), 7)
     )
     assert all(b <= a + 1e-9 for a, b in zip(trend, trend[1:]))
     _report(

@@ -268,6 +268,17 @@ def test_huge_layer_counts_exit_one_quickly(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--y", "0.9,0.1"], ["--weights", "1,0,0,0"], ["--mode", "greedy", "--weights", "uniform"],
+     ["--objective", "trf", "--y", "0.9,0.1", "--weights", "1,0,0,0"]],
+    ids=["y", "weights", "greedy-weights", "both"],
+)
+def test_trf_search_refuses_wd_only_options(capsys, extra):
+    code, out, err = run(capsys, "search", "fig1", "--K", "2", "--rate", "1", *extra)
+    assert (code, out, err) == (1, "", "error: --y and --weights apply only to --objective wd\n")
+
+
 def test_trf_search_is_open_up_to_the_layer_limit(capsys):
     # greedy's work grows with the colors in use, not with K
     code, out, _ = run(
@@ -504,6 +515,80 @@ class TestLemmas:
         assert (code, out, err) == (1, "", f"error: --steps must be at least 1, got {steps}\n")
 
 
+_EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+_SWEEP_LIMIT = "needs K * 2**(steps - 1) layers, more than the limit of 1048576\n"
+# (lemmas arguments, exit code, stdout sha256, stderr) away from the defaults
+# the golden covers: each description count, rate, sweep length and scenario
+# set, and the order in which the layer cap refuses an oversized suite.
+LEMMA_PINS = [
+    (["--K", "1"], 0, "cd05c7080ecfdb970d599790b9bd7df0be256057dac5b1a431939d144c067305", ""),
+    (["--K", "3"], 0, "842771e8e191201e7779a2b3a8e12edadd570b8ff444b56bfe7ba3c3bf56a6f6", ""),
+    (["--rate", "1"], 0, "b509e07661f13b43d957dbf7053ea2370f307a73cf710af9954c464f258eee59", ""),
+    (["--rate", "1/3"], 0, "bb1fef7555dc90e40706313f66e710ef1045898d29f5d61f6d1bb49e99122f9b", ""),
+    (["--steps", "1"], 0, "69f8ffacd9b7efffd8ba575f2c44ac93ca2ff05ea8937e0bdbb5e33d414d77c1", ""),
+    (["--steps", "5"], 0, "b7bd94b2ee3387840c88f29ae34a3e2fc8926e001ad9bbb880ec0e310ceec011", ""),
+    (["--steps", "20"], 0, "d1857613f70d31d19e4e25a0e25167c3effab77ccdf2ec68d4379f936a78431b", ""),
+    (
+        ["--scenario", "fig2"],
+        0,
+        "67900a06452f49c1f75c3ffd220d263a7e82edbcb4d35ee90b5ad4f0d5eb4cfc",
+        "",
+    ),
+    (["--strict"], 0, "a24ecb1b15ceef15659bdcab7c09065fbc8ad2a7d305ac7f71bca22214258e9b", ""),
+    (
+        ["--K", "3", "--rate", "1/3", "--steps", "5"],
+        0,
+        "7d9f41f292d7a99c8c0bf868feaca9303030110a73a51547462defb3ea676d9c",
+        "",
+    ),
+    (
+        ["--scenario", "fig2", "--K", "1", "--rate", "1", "--max-path-len", "2"],
+        0,
+        "3ec8e5debb005158e40084de75a8b2cca0535ad5026d9ad72d1cdb9058cdc53a",
+        "",
+    ),
+    (
+        ["--steps", "21", "--scenario", "fig1"],
+        1,
+        _EMPTY_SHA256,
+        "error: a refinement sweep of 21 steps at K=2 " + _SWEEP_LIMIT,
+    ),
+    (
+        ["--steps", "64"],
+        1,
+        _EMPTY_SHA256,
+        "error: a refinement sweep of 64 steps at K=2 " + _SWEEP_LIMIT,
+    ),
+    # K+2 descriptions pass the cap before the sweep is checked
+    (
+        ["--K", "1048575", "--steps", "1"],
+        1,
+        _EMPTY_SHA256,
+        "error: 1048577 description layers exceed the limit of 1048576\n",
+    ),
+    (
+        ["--K", "1048576", "--steps", "2"],
+        1,
+        _EMPTY_SHA256,
+        "error: 1048577 description layers exceed the limit of 1048576\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stdout_sha256, stderr",
+    LEMMA_PINS,
+    ids=[" ".join(argv) for argv, _, _, _ in LEMMA_PINS],
+)
+def test_lemmas_output_is_pinned(capsys, argv, exit_code, stdout_sha256, stderr):
+    code, out, err = run(capsys, "lemmas", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (
+        exit_code,
+        stdout_sha256,
+        stderr,
+    )
+
+
 class TestPipeline:
     def test_uniform_weights_match_baseline(self, capsys):
         code, out, _ = run(
@@ -667,7 +752,7 @@ class TestPipelineWork:
             reference = full.empirical_mse(profile.prefix_bits(received))
             assert float(empirical) == reference
 
-    def test_one_pet_decode_per_distinct_color_set(self, capsys, monkeypatch, tmp_path):
+    def test_one_pet_decode_per_distinct_prefix_size(self, capsys, monkeypatch, tmp_path):
         scenario = tmp_path / "fanout.json"
         document = helpers.fanout_document(6, 3, 0)
         scenario.write_text(json.dumps(document))
@@ -675,8 +760,9 @@ class TestPipelineWork:
         decode = cli.pet_decode
 
         def recording_decode(descriptions):
-            decoded.append(tuple(d.index for d in descriptions))
-            return decode(descriptions)
+            recovered = decode(descriptions)
+            decoded.append((descriptions[0].profile, len(recovered)))
+            return recovered
 
         monkeypatch.setattr(cli, "pet_decode", recording_decode)
         code, _, _ = run(
@@ -688,8 +774,11 @@ class TestPipelineWork:
         cfg = SearchConfig(3, Fraction(1, 2), weights=(1 / 6,) * 6)
         result, _, _ = alternating_search(net, cfg, rounds=2)
         held = {tuple(node_spectrum(result.flow, sink)) for sink in net.sinks}
-        assert sorted(decoded) == sorted(held)
-        assert len(held) < len(net.sinks)
+        [profile] = {profile for profile, _ in decoded}
+        # any l descriptions recover the same prefix_bytes(l) bytes
+        prefixes = {profile.prefix_bytes(len(colors)) for colors in held}
+        assert sorted(size for _, size in decoded) == sorted(prefixes)
+        assert len(prefixes) < len(held)
 
 
 class TestOutputDiscipline:

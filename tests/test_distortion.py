@@ -18,13 +18,11 @@ from rainbownet import (
     drnf_distortion,
     exact_search,
     minimize_balanced_average,
-    more_descriptions_values,
     optimize_pet_profile,
     ozarow_joint_bound,
     pet_decode,
     pet_encode,
     profile_objective,
-    refinement_sweep,
     weighted_distortion,
     SearchConfig,
 )
@@ -441,7 +439,9 @@ class TestProfileSolveOracles:
     def test_refinement_sweep_is_one_reduced_problem(self):
         # 2**13 * K layers at the last step; the solve only sees the 4 sinks
         q = [Fraction(1), Fraction(2), Fraction(2), Fraction(1)]
-        values = refinement_sweep(q, (0.1, 0.2, 0.3, 0.4), 2, Fraction(1), steps=14)
+        values = helpers.profile_objectives(
+            q, (0.1, 0.2, 0.3, 0.4), helpers.halvings(2, Fraction(1), 14)
+        )
         assert max(values) - min(values) <= 1e-15
 
 
@@ -476,7 +476,8 @@ class TestMonotonicitySuites:
 
             q = list(rainbow_flow_vector(flow).values)
             weights = tuple(1.0 / len(q) for _ in q)
-            values = more_descriptions_values(q, weights, Fraction(1, 2), [2, 3, 4])
+            shapes = [(k, Fraction(1, 2)) for k in (2, 3, 4)]
+            values = helpers.profile_objectives(q, weights, shapes)
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_rate_splitting_never_hurts(self):
@@ -486,18 +487,18 @@ class TestMonotonicitySuites:
         weights = (0.25,) * 4
         base = optimize_pet_profile(q, weights, 2, Fraction(1)).objective
         for factor in (2, 3):
-            split = more_descriptions_values(q, weights, Fraction(1, factor), [2 * factor])[0]
+            split = optimize_pet_profile(q, weights, 2 * factor, Fraction(1, factor)).objective
             assert split <= base + 1e-9
 
     def test_refinement_sweep_nonincreasing(self):
         q = [Fraction(1), Fraction(1), Fraction(2), Fraction(2)]
-        values = refinement_sweep(q, (0.25,) * 4, 2, Fraction(1), steps=7)
+        values = helpers.profile_objectives(q, (0.25,) * 4, helpers.halvings(2, Fraction(1), 7))
         assert len(values) == 7
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_refinement_sweep_decays_no_faster_than_the_rate(self):
         q = [Fraction(1), Fraction(2)]
-        values = refinement_sweep(q, (0.7, 0.3), 2, Fraction(1), steps=7)
+        values = helpers.profile_objectives(q, (0.7, 0.3), helpers.halvings(2, Fraction(1), 7))
         drops = [a - b for a, b in zip(values, values[1:])]
         early = max(drops[:2]) if max(drops[:2]) > 0 else 1.0
         for step, drop in enumerate(drops[2:], start=2):

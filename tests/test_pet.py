@@ -18,11 +18,18 @@ from rainbownet import (
     description_from_bytes,
     description_to_bytes,
     gf256,
+    pet,
     pet_decode,
     pet_encode,
 )
 from oracles import gf_inv
-from rainbownet.gf256 import EXP, LOG, encode_block, gf_mul, recover_block, recover_rows
+from rainbownet.gf256 import EXP, LOG, encode_block, gf_mul, recover_rows
+
+
+def _recover(shares: dict, k: int) -> np.ndarray:
+    """`recover_rows` on {point: row}, the rows stacked in the order given."""
+    points = list(shares)
+    return recover_rows(points, np.array([shares[point] for point in points]), k)
 
 
 class TestField:
@@ -46,21 +53,34 @@ class TestField:
             coded = encode_block(data, total)
             assert np.array_equal(coded[:k], data)
             for kept in itertools.combinations(range(total), k):
-                shares = {p: coded[p] for p in kept}
-                assert np.array_equal(recover_block(shares, k, total), data)
+                assert np.array_equal(recover_rows(kept, coded[list(kept)], k), data)
 
     def test_recover_detects_corruption(self):
         rng = np.random.default_rng(3)
         data = rng.integers(0, 256, size=(2, 9), dtype=np.uint8)
         coded = encode_block(data, 5)
-        shares = {0: coded[0], 1: coded[1], 4: coded[4].copy()}
-        shares[4][3] ^= 0x5A
-        with pytest.raises(ValueError, match="inconsistent"):
-            recover_block(shares, 2, 5)
+        received = coded[[0, 1, 4]]
+        received[2, 3] ^= 0x5A
+        with pytest.raises(ValueError, match="parity row 4 is inconsistent"):
+            recover_rows([0, 1, 4], received, 2)
 
-    def test_too_few_shares(self):
-        with pytest.raises(ValueError, match="at least"):
-            recover_block({0: np.zeros(4, dtype=np.uint8)}, 2, 4)
+    def test_too_few_shares(self, monkeypatch):
+        # pet_decode recovers only the segments whose depth the received
+        # count reaches, so no recovery is asked for from fewer than k rows
+        depths = []
+
+        def spy(points, block, k):
+            depths.append((len(points), k))
+            return recover(points, block, k)
+
+        recover = pet.recover_rows
+        monkeypatch.setattr(pet, "recover_rows", spy)
+        profile = PetProfile(3, Fraction(1), 8 * 12, (3, 4, 5))
+        payload = bytes(range(profile.source_bytes_required))
+        descriptions = pet_encode(payload, profile).descriptions
+        assert pet_decode(descriptions[2:]) == payload[:3]
+        assert pet_decode(descriptions[:2]) == payload[:11]
+        assert depths == [(1, 1), (2, 1), (2, 2)]
 
     def test_one_evaluation_recovers_and_checks(self, monkeypatch):
         calls = []
@@ -73,8 +93,8 @@ class TestField:
         coded = encode_block(data, 7)
         evaluate = gf256._evaluate
         monkeypatch.setattr(gf256, "_evaluate", spy)
-        shares = {point: coded[point] for point in (6, 1, 5, 4)}
-        assert np.array_equal(recover_block(shares, 3, 7), data)
+        points = [6, 1, 5, 4]
+        assert np.array_equal(recover_rows(points, coded[points], 3), data)
         # missing data rows 0 and 2, then the extra row 6
         assert calls == [((1, 4, 5), (0, 2, 6))]
 
@@ -107,55 +127,6 @@ class TestField:
         info = gf256._coefficients.cache_info()
         assert info.misses > info.maxsize == 4096
         assert info.currsize <= 4096
-
-
-class TestShareShapes:
-    """Rows of another shape or value are named, never broadcast or wrapped."""
-
-    @staticmethod
-    def _constant_code():
-        # the polynomial through a constant block is constant, so every
-        # parity byte equals the data byte
-        coded = encode_block(np.full((2, 8), 7, dtype=np.uint8), 4)
-        assert (coded == 7).all()
-        return coded
-
-    @pytest.mark.parametrize(
-        "make_row",
-        [lambda row: row[:1], lambda row: row[:-1], lambda row: row[None]],
-        ids=["one-byte", "short", "two-dimensional"],
-    )
-    def test_extra_row_of_another_shape_is_inconsistent(self, make_row):
-        coded = self._constant_code()
-        shares = {0: coded[0], 1: coded[1], 2: make_row(coded[2]), 3: coded[3]}
-        with pytest.raises(ValueError) as raised:
-            recover_block(shares, 2, 4)
-        assert str(raised.value) == "parity row 2 is inconsistent with the recovered data"
-
-    def test_extra_int_row_past_255_is_inconsistent(self):
-        coded = self._constant_code()
-        wide = coded[3].astype(np.int64)
-        wide[0] += 256  # 263: equal to the parity byte modulo 256
-        shares = {0: coded[0], 1: coded[1], 2: coded[2], 3: wide}
-        with pytest.raises(ValueError) as raised:
-            recover_block(shares, 2, 4)
-        assert str(raised.value) == "parity row 3 is inconsistent with the recovered data"
-        shares[3] = coded[3].astype(np.int64)
-        assert np.array_equal(recover_block(shares, 2, 4), coded[:2])
-
-    def test_short_chosen_row_is_named(self):
-        coded = self._constant_code()
-        shares = {3: coded[3], 0: coded[0], 2: coded[2][:-1]}
-        with pytest.raises(ValueError) as raised:
-            recover_block(shares, 2, 4)
-        assert str(raised.value) == "row 2 has shape (7,), expected (8,) like row 0"
-
-    def test_chosen_row_must_be_one_dimensional(self):
-        coded = self._constant_code()
-        shares = {1: coded[1][None], 2: coded[2]}
-        with pytest.raises(ValueError) as raised:
-            recover_block(shares, 2, 4)
-        assert str(raised.value) == "row 1 has shape (1, 8), expected a 1-D byte row"
 
 
 class TestProfile:
@@ -372,7 +343,7 @@ class TestBlockCodeAgainstReference:
             coded = oracles.reference_encode_block(data, total)
             kept = [int(p) for p in rng.permutation(total)[: int(rng.integers(k, total + 1))]]
             shares = {point: coded[point] for point in kept}
-            recovered = recover_block(shares, k, total)
+            recovered = _recover(shares, k)
             assert np.array_equal(recovered, oracles.reference_recover_block(shares, k))
             assert np.array_equal(recovered, data)
 
@@ -392,7 +363,7 @@ class TestBlockCodeAgainstReference:
             with pytest.raises(ValueError) as expected:
                 oracles.reference_recover_block(shares, k)
             with pytest.raises(ValueError, match="inconsistent") as raised:
-                recover_block(shares, k, total)
+                _recover(shares, k)
             assert str(raised.value) == str(expected.value)
             checked += 1
         assert checked >= 20
@@ -454,7 +425,6 @@ class TestRecoveryAgainstReference:
         shares = dict(zip(points, received))
         expected = _outcome(oracles.reference_recover_block, shares, k)
         assert _outcome(recover_rows, points, received, k) == expected
-        assert _outcome(recover_block, shares, k, total) == expected
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
