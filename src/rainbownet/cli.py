@@ -536,13 +536,14 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a cmd_* patched after the first call runs
         output = globals()[f"cmd_{args.handler}"](args)
+        # rendering refuses an integer of more than 4,300 digits
+        text = _render_json(output.tables) if args.json else _render_csv(output.tables)
     except (RainbowNetError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    text = _render_json(output.tables) if args.json else _render_csv(output.tables)
     sys.stdout.write(text)
     try:
         for path, blob in output.files.items():

@@ -235,6 +235,18 @@ def refine(rnf: DiscreteRnf, i: int) -> DiscreteRnf:
     )
 
 
+def _whole_number(value, what: str) -> int:
+    """`value`, an int, an integral float or a numeral string, as an int;
+    anything else, a boolean included, is refused with `what` named."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or isinstance(value, bool) or isinstance(value, float) and whole != value:
+        raise FlowDocumentError(f"{what} must be a whole number, got {value!r}")
+    return whole
+
+
 def load_flow(text_or_doc, net: Network) -> RainbowFlow:
     """Parse a flow document (discrete or continuous) against a network.
 
@@ -268,8 +280,9 @@ def load_flow(text_or_doc, net: Network) -> RainbowFlow:
                 if "edges" not in entry or "color" not in entry:
                     raise FlowDocumentError(f"path #{position}: needs 'edges' and 'color'")
                 paths.append(FlowPath(tuple(str(e) for e in entry["edges"])))
-                colors.append(int(entry["color"]))
-            return DiscreteRnf(net, tuple(paths), tuple(colors), int(doc["K"]), rate)
+                colors.append(_whole_number(entry["color"], f"path #{position}: color"))
+            num_colors = _whole_number(doc["K"], "K")
+            return DiscreteRnf(net, tuple(paths), tuple(colors), num_colors, rate)
         paths, spectra = [], []
         for position, entry in enumerate(entries):
             if "edges" not in entry or "intervals" not in entry:

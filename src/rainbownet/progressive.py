@@ -43,8 +43,9 @@ chains, which pointer doubling walks all at once; the runs, offsets and
 signs follow by cumulative sums and gathers. Reconstruction uses the
 conditional mean of the standard normal on each sample's surviving
 uncertainty interval. Its width is a power of two, so one integer names
-the interval, and a table indexed by it holds the distinct intervals'
-means (a sort finds them where the keys range wider than they are many).
+the interval; the decoder keeps only that integer per sample, and a table
+indexed by it holds the distinct intervals' means (a sort finds them
+where the integers range wider than they are many).
 
 The stream is prefix-significant but not rate-distortion optimal; the
 measured gap against 2**(-2R) is pinned in the test-suite.
@@ -67,6 +68,10 @@ _PLANES = 42  # the thresholds 4, 2, ..., 2**-39 above 1e-12
 # `pipeline fig1 --K 2 --rate 1` peaks near 83 MB and takes about 0.3 s on
 # a 2-vCPU machine.
 MAX_BLOCK_SYMBOLS = 1 << 20
+# Largest stream budget `progressive_gaussian_source` pads to, in bits (128
+# MiB): four times the 255 * 2**20 that a K=255, rate-1 pipeline at
+# MAX_BLOCK_SYMBOLS can ask for.
+MAX_STREAM_BITS = 1 << 30
 # Zero bits the decoder keeps past a prefix, so a codeword's fields can be
 # gathered before its end is checked against the prefix: more than a
 # parameter's 31 bits and a sign.
@@ -315,21 +320,22 @@ def _read_field(bits: np.ndarray, position: int, width: int) -> int:
 def _decode(data: bytes, limit_bits: int, n: int):
     """Decode the codewords complete in the first `limit_bits` bits of `data`.
 
-    Returns per-sample (significant, negative, lower, width) arrays from
-    which reconstructions are formed.
+    Returns per-sample (interval, negative) arrays. `interval` is 0 until a
+    sample is significant, then (lower + _TOP) / width of its interval
+    [lower, lower + width): a hit in plane p opens [T, 2T) as 2**(p + 1) + 1,
+    and a refinement bit b keeps a half, 2 * interval + b. So the width is
+    2**(2 - p) for the last plane p that split the interval, and the
+    integer has p + 2 bits.
     """
     limit = min(limit_bits, 8 * len(data))
     bits = np.zeros(limit + _PAD_BITS, dtype=np.uint8)
     prefix = np.frombuffer(data, dtype=np.uint8, count=(limit + 7) // 8)
     bits[:limit] = np.unpackbits(prefix)[:limit]
-    significant = np.zeros(n, dtype=bool)
+    interval = np.zeros(n, dtype=np.int64)
     negative = np.zeros(n, dtype=bool)
-    lower = np.zeros(n)
-    width = np.zeros(n)
     earlier = np.zeros(0, dtype=np.int32)  # the significant samples, in index order
     position = 0
-    threshold = _FIRST_THRESHOLD
-    while threshold > 1e-12:
+    for plane in range(_PLANES):
         visited = n - len(earlier)
         if visited:
             if position + _PARAMETER_BITS > limit:
@@ -342,10 +348,8 @@ def _decode(data: bytes, limit_bits: int, n: int):
             # that at most p insignificant ones precede
             ranks, merge = _merge(earlier - np.arange(len(earlier), dtype=np.int32), hits)
             newly = hits + ranks
-            significant[newly] = True
+            interval[newly] = (1 << plane + 1) + 1
             negative[newly] = signs
-            lower[newly] = threshold
-            width[newly] = threshold
             if decided < visited:
                 break
         if len(earlier):
@@ -365,14 +369,13 @@ def _decode(data: bytes, limit_bits: int, n: int):
                 decided = min(len(earlier), limit - position - 1)
                 refined = bits[position + 1 : position + 1 + decided]
                 position += 1 + decided
-            lower[earlier[:decided]] += threshold * refined
-            width[earlier[:decided]] = threshold
+            split = earlier[:decided]
+            interval[split] = 2 * interval[split] + refined
             if decided < len(earlier):
                 break
         if visited:
             earlier = np.concatenate((earlier, newly), dtype=np.int32)[merge]
-        threshold /= 2.0
-    return significant, negative, lower, width
+    return interval, negative
 
 
 def _normal_interval_mean(a: float, b: float) -> float:
@@ -409,15 +412,9 @@ class ProgressiveGaussianSource:
         if whole < 0:
             raise ValueError("prefix_bits must be nonnegative")
         stream = self.bitstream if data is None else data
-        significant, negative, lower, width = _decode(stream, whole, len(self.samples))
-        held = np.flatnonzero(significant)
-        # width is 2**(2 - p) for the last plane p that split a sample's
-        # interval and lower a multiple of it below _TOP, so one integer in
-        # (2**(p + 1), 2**(p + 2)) names the interval: (lower + _TOP) / width
-        keys = lower[held]
-        keys += _TOP
-        keys /= width[held]
-        keys = keys.astype(np.int64)
+        interval, negative = _decode(stream, whole, len(self.samples))
+        held = np.flatnonzero(interval)
+        keys = interval[held]
         # the distinct keys and each key's place among them: by a count over
         # the keys' range, or by a sort where it is wider than they are many
         top = int(keys.max(initial=0))
@@ -434,7 +431,7 @@ class ProgressiveGaussianSource:
         # each mean, then its negation: the sign is the key's low bit
         keys <<= 1
         keys |= negative[held]
-        reconstruction = np.zeros(len(significant))
+        reconstruction = np.zeros(len(interval))
         reconstruction[held] = np.column_stack((means, -means)).ravel()[keys]
         return reconstruction
 
@@ -459,7 +456,8 @@ def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGauss
     bitstream has ceil(n * max_rate) bits in ceil(n * max_rate / 8) bytes
     (exact for a `Fraction`), and any prefix of it decodes to a
     reconstruction whose MSE shrinks as the prefix grows. A stream with a
-    budget of B whole bytes is the first B bytes of any longer one.
+    budget of B whole bytes is the first B bytes of any longer one. A
+    budget above MAX_STREAM_BITS is refused.
     """
     _check_block_size(n)
     if not math.isfinite(max_rate):
@@ -467,6 +465,10 @@ def progressive_gaussian_source(seed: int, n: int, max_rate) -> ProgressiveGauss
     budget_bits = math.ceil(n * max_rate)
     if budget_bits < 1:
         raise ValueError("max_rate must be positive")
+    if budget_bits > MAX_STREAM_BITS:
+        raise ValueError(
+            f"stream budget n * max_rate must be at most {MAX_STREAM_BITS} bits, got {budget_bits}"
+        )
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(n)
     magnitudes = _clip(samples)

@@ -9,13 +9,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# Largest decimal exponent magnitude a string may carry, the digit limit
+# Python puts on int literals. Exact arithmetic grows quadratically in the
+# digits: "1e10000000" alone takes seconds to parse.
+MAX_DECIMAL_EXPONENT = 4300
+
 
 def parse_rational(value, *, what: str = "number") -> Fraction:
     """Parse a scalar from a JSON document ("0.5", "3/4", 2, 0.25) exactly.
 
     Floats are interpreted through their shortest decimal representation so
     that a literal ``0.1`` in a document means one tenth, not the nearest
-    binary double.
+    binary double. A string whose decimal exponent exceeds
+    MAX_DECIMAL_EXPONENT in magnitude is refused.
     """
     if isinstance(value, bool):
         raise ValueError(f"{what}: expected a number, got a boolean")
@@ -24,10 +30,17 @@ def parse_rational(value, *, what: str = "number") -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
+        text = value.strip()
+        # a rational string holds an "e" only as its exponent marker
+        _, marker, exponent = text.lower().partition("e")
         try:
-            return Fraction(value.strip())
+            if not marker or abs(int(exponent)) <= MAX_DECIMAL_EXPONENT:
+                return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{what}: cannot parse {value!r} as a rational") from exc
+        raise ValueError(
+            f"{what}: the exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+        )
     raise ValueError(f"{what}: unsupported type {type(value).__name__}")
 
 

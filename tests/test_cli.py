@@ -78,6 +78,24 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "--strict", "fig1", "fig1_flow")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("K", 2.9, "K"), ("K", True, "K"), ("color", 1.7, "path #0: color"),
+         ("color", True, "path #0: color")],
+    )
+    def test_non_integral_K_or_color_exits_one(self, capsys, tmp_path, field, value, message):
+        # int() would read 2.9 as 2 and 1.7 as colour 1, and the flow would pass
+        doc = json.loads(helpers.bundled_text("fig1_flow"))
+        if field == "K":
+            doc["K"] = value
+        else:
+            doc["paths"][0]["color"] = value
+        flow_path = tmp_path / "flow.json"
+        flow_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "fig1", str(flow_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message} must be a whole number, got {value!r}\n"
+
     def test_missing_file_is_a_validation_error(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-scenario.json", "fig1_flow")
         assert code == 1
@@ -266,6 +284,32 @@ def test_huge_layer_counts_exit_one_quickly(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "limit of 1048576" in err
     assert "Traceback" not in err
+
+
+def test_huge_decimal_exponents_exit_one_quickly(capsys, tmp_path):
+    # 10**30000 as an exact Fraction would make every capacity comparison
+    # and the rendering cost seconds
+    scenario = json.loads(helpers.bundled_text("fig1"))
+    scenario["edges"][0]["capacity"] = "1e100000"
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    for argv, message in [
+        (["search", "fig1", "--K", "2", "--rate", "1e-30000"], "rate: the exponent of '1e-30000'"),
+        (["search", str(scenario_path), "--K", "2", "--rate", "1"], "capacity: the exponent"),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and "exceeds 4300" in err
+
+
+def test_an_unprintable_result_exits_one_without_a_traceback(capsys):
+    # 1e4300 parses, but the rate column's 4,301 digits exceed what str()
+    # renders; the error comes before any output
+    code, out, err = run(capsys, "search", "fig1", "--K", "2", "--rate", "1e4300")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "4300 digits" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -590,6 +634,20 @@ def test_lemmas_output_is_pinned(capsys, argv, exit_code, stdout_sha256, stderr)
 
 
 class TestPipeline:
+    def test_huge_stream_budget_exits_one_before_encoding(self, capsys, monkeypatch):
+        # 16384 samples at 4e6 bit/sample would pad an 8.2 GB stream
+        def refuse(*args):
+            raise AssertionError("the encoder ran")
+
+        monkeypatch.setattr(progressive, "_encode", refuse)
+        code, out, err = run(
+            capsys, "pipeline", "fig1", "--K", "1", "--rate", "4000000", "--n", "16384"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: stream budget n * max_rate must be at most 1073741824 bits, got 65536000000\n"
+        )
+
     def test_uniform_weights_match_baseline(self, capsys):
         code, out, _ = run(
             capsys, "pipeline", "fig1", "--K", "2", "--rate", "1", "--n", "4096"

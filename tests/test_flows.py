@@ -278,6 +278,27 @@ class TestFlowDocuments:
         with pytest.raises(FlowDocumentError, match="color"):
             load_flow(doc, net)
 
+    @pytest.mark.parametrize("value", [2.9, True, None, float("inf"), "two"])
+    def test_non_integral_K_rejected(self, value):
+        doc = json.loads(helpers.bundled_text("fig1_flow"))
+        doc["K"] = value
+        with pytest.raises(FlowDocumentError, match=r"^K must be a whole number"):
+            load_flow(doc, helpers.fig1_network())
+
+    @pytest.mark.parametrize("value", [1.7, False, [1]])
+    def test_non_integral_color_rejected(self, value):
+        doc = json.loads(helpers.bundled_text("fig1_flow"))
+        doc["paths"][1]["color"] = value
+        with pytest.raises(FlowDocumentError, match=r"^path #1: color must be a whole number"):
+            load_flow(doc, helpers.fig1_network())
+
+    def test_integral_floats_and_numerals_read_as_integers(self):
+        net = helpers.fig1_network()
+        doc = json.loads(helpers.bundled_text("fig1_flow"))
+        doc["K"] = "2"
+        doc["paths"][0]["color"] = 1.0
+        assert load_flow(doc, net) == helpers.fig1_flow(net)
+
     def test_unknown_edge_rejected(self):
         net = helpers.fig1_network()
         doc = {"rate": "1", "K": 1, "paths": [{"edges": ["zz"], "color": 1}]}

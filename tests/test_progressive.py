@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,10 @@ from oracles import (
 from rainbownet import PetProfile, pet_encode, progressive, progressive_gaussian_source
 from rainbownet.progressive import (
     _PARAMETER_BITS,
+    _PLANES,
+    _TOP,
     MAX_BLOCK_SYMBOLS,
+    MAX_STREAM_BITS,
     ProgressiveGaussianSource,
     _clip,
     _decode,
@@ -157,6 +161,17 @@ class TestGaussianSource:
         with pytest.raises(ValueError):
             source.decode_prefix(-1)
 
+    def test_refuses_a_budget_over_the_stream_cap_before_encoding(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the encoder ran")
+
+        monkeypatch.setattr(progressive, "_encode", refuse)
+        assert MAX_STREAM_BITS == 1 << 30
+        over = [(16384, 4_000_000), (1, Fraction(MAX_STREAM_BITS + 1)), (3, 2.0**30 / 3 + 1)]
+        for n, rate in over:
+            with pytest.raises(ValueError, match=f"at most {MAX_STREAM_BITS} bits"):
+                progressive_gaussian_source(0, n, rate)
+
 
 # sha256 of the bitstream and of the concatenated reconstructions over
 # `_pinned_prefixes`. The grid covers n=1, budgets shorter than a plane's
@@ -224,10 +239,21 @@ def _coded(samples):
     return np.abs(clipped).tolist(), (clipped < 0).astype(int).tolist()
 
 
+def _lower_and_width(interval: np.ndarray):
+    """The float (lower, width) each interval integer names, 0 and 0 where
+    it is 0: the width is 2 * _TOP / 2**(its bit length) and the lower end
+    interval * width - _TOP, both exact for integers of up to 43 bits."""
+    width = np.where(interval > 0, np.ldexp(2 * _TOP, -np.frexp(interval)[1]), 0.0)
+    lower = np.where(interval > 0, interval * width - _TOP, 0.0)
+    return lower, width
+
+
 def _state(data: bytes, prefix_bits: int, n: int):
-    """The numpy decoder's state in the loop reference's types."""
-    significant, negative, lower, width = _decode(data, prefix_bits, n)
-    return bytearray(significant), bytearray(negative), lower.tolist(), width.tolist()
+    """The numpy decoder's state in the loop reference's types:
+    (significant, sign, lower, width)."""
+    interval, negative = _decode(data, prefix_bits, n)
+    lower, width = _lower_and_width(interval)
+    return bytearray(interval > 0), bytearray(negative), lower.tolist(), width.tolist()
 
 
 # (n, budget bits): n=1, budgets shorter than a plane's first pass, and
@@ -342,8 +368,36 @@ def test_gaussian_reconstructions_match_the_reference(monkeypatch):
         _assert_reconstructions_match_the_reference(stream, n, sorted(marks))
         decodes += len(marks)
     assert 0 < len(sorts) < decodes
-    _, _, _, width = _decode(stream, 8 * len(stream), n)
+    _, width = _lower_and_width(_decode(stream, 8 * len(stream), n)[0])
     assert width[width > 0].min() == 2.0**-39
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_interval_integer_has_p_plus_2_bits_for_the_last_plane_p_that_touched_it(seed):
+    n = 300
+    magnitudes, signs = _coded(np.random.default_rng(seed).standard_normal(n))
+    plane_ends = []
+    stream = reference_rice_encode(magnitudes, signs, 45 * n, plane_ends)
+    assert len(plane_ends) == _PLANES
+    magnitudes = np.array(magnitudes)
+    # at plane p's end every significant sample was hit or refined in p:
+    # its interval is the multiple of T = 2**(2 - p) below its magnitude,
+    # so the integer is floor(magnitude / T) + _TOP / T
+    for plane, end in enumerate(plane_ends):
+        interval, _ = _decode(stream, end, n)
+        below = np.floor(np.ldexp(magnitudes, plane - 2)).astype(np.int64)
+        assert np.array_equal(interval, np.where(below > 0, below + (1 << plane + 1), 0)), plane
+        assert {value.bit_length() for value in interval[interval > 0].tolist()} <= {plane + 2}
+    # inside a plane, the reference's width 2**(2 - p) names the last plane
+    # p that touched each sample
+    for start, end in zip(plane_ends, plane_ends[1:]):
+        middle = (start + end) // 2
+        interval, _ = _decode(stream, middle, n)
+        significant, _, _, width = reference_rice_decode(stream, middle, n)
+        lengths = [value.bit_length() for value in interval.tolist()]
+        expected = [4 - int(math.log2(w)) if w else 0 for w in width]
+        assert lengths == expected, middle
+        assert bytearray(interval > 0) == significant
 
 
 def _assert_every_prefix_matches_the_reference(stream: bytes, n: int):
