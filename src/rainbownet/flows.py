@@ -21,7 +21,7 @@ from typing import Union
 from .errors import FlowDocumentError
 from .intervals import IntervalSet
 from .network import FlowPath, Network
-from .rationals import format_rational, parse_rational
+from .rationals import _whole_number, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,13 @@ class DiscreteRnf:
 
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        try:
+            colors = tuple(_whole_number(c, "color") for c in self.colors)
+            num_colors = _whole_number(self.num_colors, "num_colors")
+        except ValueError as exc:
+            raise FlowDocumentError(str(exc)) from exc
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "num_colors", num_colors)
         object.__setattr__(self, "rate", Fraction(self.rate))
         if len(self.paths) != len(self.colors):
             raise FlowDocumentError("paths and colors differ in length")
@@ -235,18 +241,6 @@ def refine(rnf: DiscreteRnf, i: int) -> DiscreteRnf:
     )
 
 
-def _whole_number(value, what: str) -> int:
-    """`value`, an int, an integral float or a numeral string, as an int;
-    anything else, a boolean included, is refused with `what` named."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or isinstance(value, bool) or isinstance(value, float) and whole != value:
-        raise FlowDocumentError(f"{what} must be a whole number, got {value!r}")
-    return whole
-
-
 def load_flow(text_or_doc, net: Network) -> RainbowFlow:
     """Parse a flow document (discrete or continuous) against a network.
 
@@ -280,8 +274,9 @@ def load_flow(text_or_doc, net: Network) -> RainbowFlow:
                 if "edges" not in entry or "color" not in entry:
                     raise FlowDocumentError(f"path #{position}: needs 'edges' and 'color'")
                 paths.append(FlowPath(tuple(str(e) for e in entry["edges"])))
-                colors.append(_whole_number(entry["color"], f"path #{position}: color"))
-            num_colors = _whole_number(doc["K"], "K")
+                color = _whole_number(entry["color"], f"path #{position}: color", numerals=True)
+                colors.append(color)
+            num_colors = _whole_number(doc["K"], "K", numerals=True)
             return DiscreteRnf(net, tuple(paths), tuple(colors), num_colors, rate)
         paths, spectra = [], []
         for position, entry in enumerate(entries):

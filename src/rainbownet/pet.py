@@ -31,6 +31,7 @@ import numpy as np
 from .distortion import description_rates
 from .errors import CodecError
 from .gf256 import encode_block, recover_rows
+from .rationals import _whole_number
 
 MAGIC = b"RNF1"
 _U32_MAX = 2**32 - 1
@@ -73,7 +74,11 @@ class PetProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "rate", Fraction(self.rate))
-        object.__setattr__(self, "segment_bytes", tuple(int(s) for s in self.segment_bytes))
+        try:
+            segments = tuple(_whole_number(s, "segment size") for s in self.segment_bytes)
+        except ValueError as exc:
+            raise CodecError(str(exc)) from exc
+        object.__setattr__(self, "segment_bytes", segments)
         total = _description_byte_count(self.num_descriptions, self.rate, self.block_symbols)
         if len(self.segment_bytes) != self.num_descriptions:
             raise CodecError("segment_bytes must have one entry per description")

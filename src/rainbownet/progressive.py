@@ -58,6 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rationals import _whole_number
+
 _TOP = 8.0  # magnitudes are clipped just below this; P(|N(0,1)| >= 8) ~ 1e-15
 _FIRST_THRESHOLD = 4.0
 _PARAMETER_BITS = 5  # a Rice parameter is 0..31
@@ -404,11 +406,9 @@ class ProgressiveGaussianSource:
         to reconstruct from a transported prefix instead.
         """
         try:
-            whole = int(prefix_bits)
-        except (TypeError, ValueError, OverflowError):
-            whole = None
-        if whole is None or whole != prefix_bits:
-            raise ValueError(f"prefix_bits must be an integer, got {prefix_bits!r}")
+            whole = _whole_number(prefix_bits, "prefix_bits")
+        except ValueError:
+            raise ValueError(f"prefix_bits must be an integer, got {prefix_bits!r}") from None
         if whole < 0:
             raise ValueError("prefix_bits must be nonnegative")
         stream = self.bitstream if data is None else data

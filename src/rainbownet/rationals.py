@@ -13,6 +13,8 @@ from fractions import Fraction
 # Python puts on int literals. Exact arithmetic grows quadratically in the
 # digits: "1e10000000" alone takes seconds to parse.
 MAX_DECIMAL_EXPONENT = 4300
+# The least whole number whose numeral has more digits than that.
+_UNPRINTABLE = 10**MAX_DECIMAL_EXPONENT
 
 
 def parse_rational(value, *, what: str = "number") -> Fraction:
@@ -44,12 +46,40 @@ def parse_rational(value, *, what: str = "number") -> Fraction:
     raise ValueError(f"{what}: unsupported type {type(value).__name__}")
 
 
+def _whole_number(value, what: str, *, numerals: bool = False) -> int:
+    """`value` as an int when it equals one: an int, a float or Fraction with
+    no fractional part, or, with `numerals`, a numeral string.
+
+    Anything else, a boolean included, raises ValueError naming `what`.
+    """
+    try:
+        whole = int(value) if numerals or not isinstance(value, str) else None
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or isinstance(value, bool) or not isinstance(value, str) and whole != value:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return whole
+
+
+def _digits(whole: int) -> str:
+    """str(whole), refused when it would take more than MAX_DECIMAL_EXPONENT digits."""
+    if abs(whole) >= _UNPRINTABLE:
+        raise ValueError(
+            f"a result of more than {MAX_DECIMAL_EXPONENT} digits is too large to print"
+        )
+    return str(whole)
+
+
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as a terminating decimal when one exists, else p/q."""
+    """Render a Fraction as a terminating decimal when one exists, else p/q.
+
+    Raises ValueError when a numeral would take more than
+    MAX_DECIMAL_EXPONENT digits, the most Python renders by default.
+    """
     value = Fraction(value)
     num, den = value.numerator, value.denominator
     if den == 1:
-        return str(num)
+        return _digits(num)
     twos = fives = 0
     rest = den
     while rest % 2 == 0:
@@ -59,9 +89,9 @@ def format_rational(value: Fraction) -> str:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{num}/{den}"
+        return f"{_digits(num)}/{_digits(den)}"
     places = max(twos, fives)
     scaled = abs(num) * 10**places // den
-    digits = str(scaled).rjust(places + 1, "0")
+    digits = _digits(scaled).rjust(places + 1, "0")
     sign = "-" if num < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

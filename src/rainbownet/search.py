@@ -1,30 +1,30 @@
 """Routing search: exact on small instances, greedy at scale, baselines.
 
-Both searches read the path walk's rows (`enumerate_path_masks`): each
-path as a bit mask over the edges in id order, a bit mask over
+The exact search reads the path walk's rows (`enumerate_path_masks`):
+each path as a bit mask over the edges in id order, a bit mask over
 `net.sinks` and a trail that rebuilds its edge ids. A color is keyed by
 its edge union; its sinks (the sinks among the edges' endpoints) follow
 from it. A flow whose sink t holds c_t descriptions costs sum_t w_t *
 levels[c_t] (minus the description count for "trf", the weighted
 distortion for "wd"), and both searches minimize that one cost. Both
-grow a color only by a path that reaches a sink the color lacks, and
-both test an edge's room on the edge masks. Greedy groups the rows by
-sink set and scans only the first fitting row of each set that adds a
-sink. The exact search builds the path unions that grow this way as
-OR-ed masks, reading for each union only the paths listed once for its
-sink set, keeps the minimal ones of each sink set (tested against all
-smaller kept unions at once, packed into one int), and scans multisets
-of K unions depth first (branch and bound). It skips every extension of
-a prefix that already overloads an edge, and every extension whose lower
-bound is no less than the best cost found: each sink that a later
-candidate reaches is costed as if it gained all the colors left, every
-other sink at its current count. A candidate's edge bits and sink
-positions are built on its first push. Candidate order and tie-breaking
-are fixed, so results are reproducible regardless of scheduling. Guards
-bound the work done: the walk's partial paths, and the unions the closure
-builds and the candidates the scan visits, at most `MAX_SEARCH_STEPS` each.
-Both build edge ids and a `FlowPath` only for the paths of the flow they
-return.
+grow a color only by a path that reaches a sink the color lacks. Greedy
+walks no path list: each color and round takes its paths from one
+breadth-first search (`_shortest_paths`). The exact search builds the
+path unions that grow this way as OR-ed masks, reading for each union
+only the paths listed once for its sink set, keeps the minimal ones of
+each sink set (tested against all smaller kept unions at once, packed
+into one int), and scans multisets of K unions depth first (branch and
+bound), testing an edge's room on the edge masks. It skips every
+extension of a prefix that already overloads an edge, and every
+extension whose lower bound is no less than the best cost found: each
+sink that a later candidate reaches is costed as if it gained all the
+colors left, every other sink at its current count. A candidate's edge
+bits and sink positions are built on its first push. Candidate order and
+tie-breaking are fixed, so results are reproducible regardless of
+scheduling. Guards bound the exact search's work: the walk's partial
+paths, and the unions the closure builds and the candidates the scan
+visits, at most `MAX_SEARCH_STEPS` each. It builds edge ids only for
+the paths of the flow it returns.
 
 The cut bound: sink t holds at most cap_t = min(K, λ_t) descriptions in
 any flow, where λ_t is the integer max-flow to t on the edges' color
@@ -38,7 +38,6 @@ may differ from the exact search's flow of equal cost.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -304,6 +303,14 @@ def _edge_bits(capacity_for):
     return room, sum(bit for bit, left in room.items() if left <= 0)
 
 
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first, each as an int with that one bit."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
 def _completion_bound(floor, weights, counts, reach, left):
     """A lower bound on the cost of any completion of a prefix.
 
@@ -450,80 +457,62 @@ def exact_search(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
     return _result(net, cfg, chosen, best_cost, "exact", bound)
 
 
-def _sink_groups(table) -> dict[int, list[int]]:
-    """The indices of the walk's rows by their sink mask, in row order."""
-    groups = defaultdict(list)
-    for index, row in enumerate(table):
-        groups[row[1]].append(index)
-    return groups
+def _shortest_paths(arcs, starts, color_edges, room, max_len: int):
+    """The best allowed path to each node: {node: (new edges, edge ids, sink mask)}.
 
-
-def _best_path(table, groups, color_mask, sink_mask, full, counts, levels, weights):
-    """The row whose path, added to a color, lowers the cost most: its index, or None.
-
-    `table` holds the walk's rows and `groups` their indices by sink mask
-    (`_sink_groups`). A path fits when none of the edges it adds to the
-    color is full, and it must reach a sink the color lacks; its gain adds the
-    marginal cost decreases of those sinks in ascending order, once per
-    distinct set of them. Rows are scanned in index order, and a later one
-    wins only by more than 1e-15, so ties keep the first. The rows of one
-    sink set gain alike, so a later one never beats the set's first fitting
-    row, and only those are scanned.
+    One breadth-first search from `starts` (source -> sink bit) over `arcs`
+    (node -> out-edges as (id, head, head's sink bit)), at most `max_len`
+    layers deep, that stops at the first layer reaching no new node. An
+    edge is allowed when the color holds it or it has room. A node keeps a
+    path with the fewest edges, then fewest new edges, then least edge ids:
+    it extends the best path to a predecessor, so one search serves all.
     """
-    lacking, blocked = ~sink_mask, full & ~color_mask
-    # a sink that every color reaches is never new, and has no next level
-    drops = [
-        w * (levels[c] - levels[c + 1]) if c + 1 < len(levels) else None
-        for w, c in zip(weights, counts)
-    ]
-    gains: dict[int, float] = {}
-    fits = []
-    for path_sink_mask, indices in groups.items():
-        new = path_sink_mask & lacking
-        if not new:
-            continue
-        for index in indices:
-            if not table[index][0] & blocked:
-                gain = gains.get(new)
-                if gain is None:
-                    gain = sum(drops[t] for t in range(new.bit_length()) if new >> t & 1)
-                    gains[new] = gain
-                fits.append((index, gain))
-                break
-    best_index, best_gain = None, 0.0
-    for index, gain in sorted(fits):
-        if gain > best_gain + 1e-15:
-            best_gain = gain
-            best_index = index
-    return best_index
-
-
-def _bits(mask: int):
-    """The set bits of `mask`, lowest first, each as an int with that one bit."""
-    while mask:
-        bit = mask & -mask
-        yield bit
-        mask ^= bit
+    best = {source: (0, (), bit) for source, bit in starts.items()}
+    frontier = starts
+    for _ in range(max_len):
+        reached = {}
+        for node in frontier:
+            new, ids, sinks = best[node]
+            for edge_id, head, bit in arcs[node]:
+                if head in best:
+                    continue
+                held = edge_id in color_edges
+                if held or room[edge_id] > 0:
+                    path = (new + (not held), ids + (edge_id,), sinks | bit)
+                    if head not in reached or path < reached[head]:
+                        reached[head] = path
+        if not reached:
+            break
+        best.update(reached)
+        frontier = reached
+    return best
 
 
 def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     """Deterministic greedy flow: grow each color's forwarding tree in turn.
 
-    Round-robin over colors, each round adding the path with the best
-    marginal cost decrease that fits the residual per-edge color budget;
-    stops when a full round adds nothing. Used colors form a prefix, and a
-    round ends at the first unused color that places nothing, since every
-    later color would see the same state.
+    Round-robin over colors, each round adding, of the color's best paths
+    to the sinks (`_shortest_paths`), the one whose new sinks (its first
+    tail included) lower the cost most; paths are scanned by new edges,
+    then edge ids, and a later one wins only by more than 1e-15. Stops when
+    a full round adds nothing. Used colors form a prefix, and a round ends
+    at the first unused color that places nothing, since every later color
+    would see the same state.
     """
     levels, weights = _objective(cfg, net)
     counts = [0] * len(weights)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, counts), "greedy")
-    # the walk and _edge_bits both give bit i to the i-th edge id in string order
-    table = enumerate_path_masks(net, cfg.max_path_len)
-    groups = _sink_groups(table)
-    room, full = _edge_bits(_color_capacities(net, cfg))
-    color_masks: list[int] = []
+    room = _color_capacities(net, cfg)
+    sink_bit = {sink: 1 << t for t, sink in enumerate(net.sinks)}
+    arcs = {
+        node: [(edge.id, edge.head, sink_bit.get(edge.head, 0)) for edge in net.out_edges(node)]
+        for node in net.nodes
+    }
+    starts = {source: sink_bit.get(source, 0) for source in net.sources}
+    # each sink's cost decrease on its next description (kept while it has one)
+    drops = [w * (levels[0] - levels[1]) for w in weights]
+    color_edges: list[set[str]] = []
     color_sinks: list[int] = []
     chosen: list[tuple[FlowPath, int]] = []
 
@@ -531,27 +520,35 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     while progress:
         progress = False
         for color in range(cfg.num_colors):
-            if color == len(color_masks):
-                color_masks.append(0)
+            if color == len(color_edges):
+                color_edges.append(set())
                 color_sinks.append(0)
-            color_mask, sink_mask = color_masks[color], color_sinks[color]
-            best_index = _best_path(
-                table, groups, color_mask, sink_mask, full, counts, levels, weights
+            edges, lacking = color_edges[color], ~color_sinks[color]
+            paths = _shortest_paths(arcs, starts, edges, room, cfg.max_path_len)
+            offers = sorted(
+                path for path in map(paths.get, net.sinks) if path and path[1] and path[2] & lacking
             )
-            if best_index is None:
-                if not color_mask:
+            best = None
+            best_gain = 0.0
+            for path in offers:
+                gain = sum(drops[bit.bit_length() - 1] for bit in _bits(path[2] & lacking))
+                if gain > best_gain + 1e-15:
+                    best, best_gain = path, gain
+            if best is None:
+                if not edges:
                     break  # an unused color: every later one sees this same state
                 continue
-            mask, path_sink_mask, trail = table[best_index]
-            for bit in _bits(mask & ~color_mask):
-                room[bit] -= 1
-                if not room[bit]:
-                    full |= bit
-            for bit in _bits(path_sink_mask & ~sink_mask):
-                counts[bit.bit_length() - 1] += 1
-            color_masks[color] = color_mask | mask
-            color_sinks[color] = sink_mask | path_sink_mask
-            chosen.append((FlowPath(trail_ids(trail)), color + 1))
+            _, ids, sinks = best
+            for edge_id in set(ids) - edges:
+                room[edge_id] -= 1
+            edges.update(ids)
+            for bit in _bits(sinks & lacking):
+                t = bit.bit_length() - 1
+                counts[t] += 1
+                if counts[t] < cfg.num_colors:
+                    drops[t] = weights[t] * (levels[counts[t]] - levels[counts[t] + 1])
+            color_sinks[color] |= sinks
+            chosen.append((FlowPath(ids), color + 1))
             progress = True
 
     return _result(net, cfg, chosen, _cost(levels, weights, counts), "greedy")
@@ -580,10 +577,11 @@ def route(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
     bound of `caps` (`_sink_caps`, computed when not given) no flow in any
     path universe costs less, so it is returned as "certified-greedy".
     Otherwise returns ``exact_search(net, cfg, caps)``, or, when the
-    instance overflows the exact search's guard (SearchSizeError), the
-    greedy result already in hand as "guard-greedy"; that fallback is also
-    logged as a DEBUG record of the "rainbownet" logger that carries the
-    guard's message. A certified flow may differ from the exact search's,
+    instance overflows one of the exact search's guards (SearchSizeError),
+    its path walk's included, the greedy result already in hand as
+    "guard-greedy": greedy walks no path list, so no guard stops it. That
+    fallback is also logged as a DEBUG record of the "rainbownet" logger
+    that carries the guard's message. A certified flow may differ from the exact search's,
     at equal cost.
     """
     if caps is None:

@@ -113,8 +113,8 @@ def _path_sinks(net: Network, paths: Sequence[FlowPath]) -> list[list[int]]:
 def reference_path_signatures(net: Network, paths: Sequence[FlowPath]):
     """(edge set, positions in net.sinks of the sinks it visits) per path.
 
-    The frozenset path representation `search.exact_search` read before
-    both searches moved to the walk's bit-mask rows.
+    The frozenset path representation `search.exact_search` read before it
+    moved to the walk's bit-mask rows.
     """
     return [
         (frozenset(path.edges), frozenset(sinks))
@@ -304,44 +304,27 @@ def reference_walk_count(net: Network, max_len: int) -> int:
     return sum(count(source, frozenset(), 0) for source in net.sources)
 
 
-def reference_best_path(table, color_mask, sink_mask, full, counts, levels, weights):
-    """Greedy's choice as a scan of every row, as `search._best_path` was.
-
-    `table` holds the walk's (edge mask, sink mask, trail) rows. A row
-    fits when none of the edges it adds to the color is full and it reaches
-    a sink the color lacks; its gain adds the marginal cost decreases of
-    those sinks in ascending order. A later row wins only by more than
-    1e-15. Returns the winner's index, or None.
-    """
-    best_index, best_gain = None, 0.0
-    for index, (mask, path_sinks, _) in enumerate(table):
-        new = path_sinks & ~sink_mask
-        if not new or mask & full & ~color_mask:
-            continue
-        gain = sum(
-            weights[t] * (levels[counts[t]] - levels[counts[t] + 1])
-            for t in range(len(weights))
-            if new >> t & 1
-        )
-        if gain > best_gain + 1e-15:
-            best_gain = gain
-            best_index = index
-    return best_index
-
-
 def reference_greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
-    """The greedy search on frozensets, as `search.greedy_search` was.
+    """The greedy search by brute force over every path of the walk.
 
-    Tests each path's edge room with `any(residual[e] < 1 ...)` over the
-    edges the color lacks and sums the gains over `sorted(new_sinks)`; the
-    search keeps the same additions and tie rule on bit masks.
+    Each step offers a color, per sink, the allowed path among
+    `enumerate_paths` that ends there with the least (length, new edges,
+    edge ids); a path is allowed when each edge the color lacks has
+    `residual[e] >= 1`, and a sink that is a source has the empty path as
+    its least, so it is offered none. A path gains the cost decreases of
+    `sorted(new_sinks)`, the sinks it visits that the color lacks. The
+    offers are scanned by (new edges, edge ids), and a later one wins only
+    by more than 1e-15.
     """
     levels, weights = _objective(cfg, net)
     counts = [0] * len(weights)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, counts))
     paths = enumerate_paths(net, cfg.max_path_len)
-    infos = reference_path_signatures(net, paths)
+    infos = [
+        (path, frozenset(path.edges), frozenset(sinks), net.edge(path.edges[-1]).head)
+        for path, sinks in zip(paths, _path_sinks(net, paths))
+    ]
     residual = _color_capacities(net, cfg)
     color_edges: list[frozenset] = []
     color_sinks: list[frozenset] = []
@@ -354,32 +337,36 @@ def reference_greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
             if color == len(color_edges):
                 color_edges.append(frozenset())
                 color_sinks.append(frozenset())
-            best_index, best_gain = None, 0.0
-            for index, (path_edges, path_sinks) in enumerate(infos):
-                if any(residual[e] < 1 for e in path_edges - color_edges[color]):
+            least = {}
+            for path, path_edges, path_sinks, end in infos:
+                new_edges = path_edges - color_edges[color]
+                if end in net.sources or any(residual[e] < 1 for e in new_edges):
                     continue
-                new_sinks = path_sinks - color_sinks[color]
-                if not new_sinks:
-                    continue
+                key = (len(path.edges), len(new_edges), path.edges)
+                if end not in least or key < least[end][0]:
+                    least[end] = (key, path, path_edges, path_sinks)
+            best, best_gain = None, 0.0
+            for offer in sorted(least.values(), key=lambda offer: offer[0][1:]):
+                new_sinks = offer[3] - color_sinks[color]
                 gain = sum(
                     weights[t] * (levels[counts[t]] - levels[counts[t] + 1])
                     for t in sorted(new_sinks)
                 )
                 if gain > best_gain + 1e-15:
                     best_gain = gain
-                    best_index = index
-            if best_index is None:
+                    best = offer
+            if best is None:
                 if not color_edges[color]:
                     break  # an unused color: every later one sees this same state
                 continue
-            path_edges, path_sinks = infos[best_index]
+            _, path, path_edges, path_sinks = best
             for edge_id in path_edges - color_edges[color]:
                 residual[edge_id] -= 1
             for t in path_sinks - color_sinks[color]:
                 counts[t] += 1
             color_edges[color] |= path_edges
             color_sinks[color] |= path_sinks
-            chosen.append((paths[best_index], color + 1))
+            chosen.append((path, color + 1))
             progress = True
 
     return _result(net, cfg, chosen, _cost(levels, weights, counts))

@@ -170,16 +170,16 @@ class TestSearch:
     @pytest.mark.parametrize("dead_end", [False, True], ids=["dense", "dead-end"])
     def test_path_enumeration_guard_maps_to_exit_one(self, capsys, tmp_path, dead_end):
         # a complete digraph has more edge-simple paths of length <= 20 than
-        # could be enumerated in hours; the path guard stops the walk early,
-        # also when (dead-end) no walk through the digraph reaches a sink
-        # although the sink distances, which ignore edge-simplicity, let
-        # the walk in
+        # could be enumerated in hours; the path guard stops the exact
+        # search's walk early, also when (dead-end) no walk through the
+        # digraph reaches a sink although the sink distances, which ignore
+        # edge-simplicity, let the walk in
         scenario = tmp_path / "dense.json"
         scenario.write_text(json.dumps(self._digraph_document(dead_end)))
         start = time.perf_counter()
         code, out, err = run(
             capsys, "search", str(scenario), "--K", "3", "--rate", "1/2",
-            "--mode", "greedy", "--max-path-len", "20",
+            "--mode", "exact", "--max-path-len", "20",
         )
         assert time.perf_counter() - start < 5.0
         assert code == 1
@@ -187,18 +187,47 @@ class TestSearch:
         assert err.startswith("error: ") and "paths" in err
 
     def test_dense_benchmark_graph_past_the_path_guard_exits_one(self, capsys, tmp_path):
-        # the benchmark's dense(12, 43, 4) graph at length 10: the walk
-        # visits more than MAX_PATHS partial paths that can reach a sink
+        # the benchmark's dense(12, 43, 4) graph at length 10: the exact
+        # search's walk visits more than MAX_PATHS partial paths that can
+        # reach a sink
         scenario = tmp_path / "dense.json"
         scenario.write_text(json.dumps(helpers.dense_document(12, 43, 4, 1144964661)))
         start = time.perf_counter()
         code, out, err = run(
             capsys, "search", str(scenario), "--K", "3", "--rate", "1/2",
-            "--mode", "greedy", "--max-path-len", "10",
+            "--mode", "exact", "--max-path-len", "10",
         )
         assert time.perf_counter() - start < 5.0
         assert (code, out) == (1, "")
         assert "path enumeration exceeded" in err
+
+    def test_dense_benchmark_graph_routes_greedily_at_length_ten(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # greedy walks no paths, so the graph past the path guard searches,
+        # and the pipeline's route certifies greedy's flow by the cut bound
+        scenario = tmp_path / "dense.json"
+        scenario.write_text(json.dumps(helpers.dense_document(12, 43, 4, 1144964661)))
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "search", str(scenario), "--K", "3", "--rate", "1/2",
+            "--mode", "greedy", "--max-path-len", "10",
+        )
+        assert (code, err) == (0, "")
+        route, modes = search.route, []
+
+        def recorded(*args):
+            result = route(*args)
+            modes.append(result.mode)
+            return result
+
+        monkeypatch.setattr(search, "route", recorded)
+        code, _, err = run(
+            capsys, "pipeline", str(scenario), "--K", "3", "--rate", "1/2",
+            "--max-path-len", "10", "--n", "4096",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (code, err, modes) == (0, "", ["certified-greedy"])
 
     @pytest.mark.parametrize("command", ["search", "pipeline"])
     def test_path_longer_than_the_recursion_limit(self, capsys, tmp_path, command):
@@ -306,10 +335,11 @@ def test_huge_decimal_exponents_exit_one_quickly(capsys, tmp_path):
 
 def test_an_unprintable_result_exits_one_without_a_traceback(capsys):
     # 1e4300 parses, but the rate column's 4,301 digits exceed what str()
-    # renders; the error comes before any output
-    code, out, err = run(capsys, "search", "fig1", "--K", "2", "--rate", "1e4300")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "4300 digits" in err and "Traceback" not in err
+    # renders; format_rational refuses it in either format, before any output
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "search", "fig1", "--K", "2", "--rate", "1e4300", *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: a result of more than 4300 digits is too large to print\n"
 
 
 @pytest.mark.parametrize(
@@ -1095,13 +1125,13 @@ GOLDEN = [
         ["search", "fig2", "--K", "2", "--rate", "1/2", "--mode", "greedy",
          "--max-path-len", "3"],
         "a9bf1859d26b4ecb88d7d70e715b765209165e1822fc248e2ef17c616fdc5d6d",
-        "809777c697029bd8d33c41b6d024374a6a2731d8e1a783d0362ed5ae74cfe8da",
+        "0889a011f368f17d1a3e8b8a18e274d4b408f65266f15d53482722a238ab84d1",
     ),
     (
         ["search", "fig1", "--K", "2", "--rate", "1", "--mode", "greedy", "--objective", "wd",
          "--weights", "0.1,0.2,0.3,0.4", "--y", "0.7,0.3"],
         "83adb721837d4486fb5d7965b4970c3013d7bff6b959cef9cdaca8e94240f9ca",
-        "615d7268d713450bc8c4dcdc76fcbda917f6726b21abf1823abf9df2bf36866d",
+        "f96a44a869c7355b6e35f2f3d0ccf9cb2547ff9d020e9773b0e80dcc54e634ac",
     ),
     (
         ["pipeline", "fig1", "--K", "4", "--rate", "1/2", "--n", "16384", "--seed", "3"],

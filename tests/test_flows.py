@@ -299,6 +299,24 @@ class TestFlowDocuments:
         doc["paths"][0]["color"] = 1.0
         assert load_flow(doc, net) == helpers.fig1_flow(net)
 
+    @pytest.mark.parametrize(
+        "colors, num_colors, message",
+        [((1.7, 1, 2, 2), 2, "color"), ((1, 1, 2, 2), 2.5, "num_colors"),
+         ((1, True, 2, 2), 2, "color"), ((1, 1, 2, Fraction(5, 2)), 2, "color")],
+    )
+    def test_library_flows_refuse_non_integral_colors(self, colors, num_colors, message):
+        # int() would read colour 1.7 as 1 and build the flow with K = 2.5
+        flow = helpers.fig1_flow(helpers.fig1_network())
+        with pytest.raises(FlowDocumentError, match=rf"^{message} must be a whole number"):
+            DiscreteRnf(flow.net, flow.paths, colors, num_colors, flow.rate)
+
+    def test_library_flows_read_integral_numbers_as_integers(self):
+        flow = helpers.fig1_flow(helpers.fig1_network())
+        colors = (1.0, Fraction(1), 2, 2)
+        again = DiscreteRnf(flow.net, flow.paths, colors, 2.0, flow.rate)
+        assert again == flow
+        assert [type(c) for c in again.colors] == [int] * 4 and type(again.num_colors) is int
+
     def test_unknown_edge_rejected(self):
         net = helpers.fig1_network()
         doc = {"rate": "1", "K": 1, "paths": [{"edges": ["zz"], "color": 1}]}

@@ -153,6 +153,13 @@ class TestProfile:
         with pytest.raises(CodecError, match="255"):
             PetProfile.quantize([1.0 / 256] * 256, Fraction(1), 256, 2048 * 8)
 
+    @pytest.mark.parametrize("segments", [(0.5, 3), (True, 2), ("1", 2)])
+    def test_segment_sizes_must_be_whole_numbers(self, segments):
+        # int() would read (0.5, 3) as (0, 3), whose sum fits the 3-byte description
+        with pytest.raises(CodecError, match="^segment size must be a whole number"):
+            PetProfile(2, 1, 24, segments)
+        assert PetProfile(2, 1, 24, (3.0, Fraction(0))).segment_bytes == (3, 0)
+
     def test_segment_arithmetic(self):
         profile = PetProfile(3, Fraction(1, 2), 48, (1, 2, 0))
         assert profile.description_bytes == 3

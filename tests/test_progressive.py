@@ -495,7 +495,7 @@ def test_decode_prefix_reads_huge_prefixes_and_rejects_fractional_ones():
     whole = source.decode_prefix(8 * len(source.bitstream))
     assert np.array_equal(source.decode_prefix(2**70), whole)
     assert np.array_equal(source.decode_prefix(np.int64(8 * len(source.bitstream))), whole)
-    for bad in (10.5, Fraction(21, 2), float("nan"), float("inf"), "8"):
+    for bad in (10.5, Fraction(21, 2), float("nan"), float("inf"), "8", True):
         with pytest.raises(ValueError, match="integer"):
             source.decode_prefix(bad)
 

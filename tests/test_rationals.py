@@ -7,7 +7,7 @@ import pytest
 import helpers
 from rainbownet import FlowDocumentError, IntervalSet, ScenarioError, load_flow, load_scenario
 from rainbownet.data import bundled_text
-from rainbownet.rationals import MAX_DECIMAL_EXPONENT, parse_rational
+from rainbownet.rationals import MAX_DECIMAL_EXPONENT, format_rational, parse_rational
 
 
 @pytest.mark.parametrize(
@@ -53,3 +53,29 @@ def test_every_document_number_goes_through_the_limit():
         load_flow(flow, net)
     with pytest.raises(ValueError, match="interval end: the exponent"):
         IntervalSet.from_pairs([["0", "1e4301"]])
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(10**4300 - 1), "9" * 4300),
+        (Fraction(-(10**4299 - 1), 2), "-4" + "9" * 4298 + ".5"),
+        (Fraction(1, 3 * 10**4299), "1/3" + "0" * 4299),
+    ],
+    ids=["integer", "decimal", "ratio"],
+)
+def test_numerals_up_to_the_digit_limit_print(value, text):
+    assert format_rational(value) == text
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(10**4300), Fraction(-(10**4300), 3), Fraction(1, 3 * 10**4300),
+     Fraction(1, 2**14300)],
+    ids=["integer", "numerator", "denominator", "decimal"],
+)
+def test_longer_numerals_are_refused_with_a_message(value):
+    # str() itself would raise the interpreter's "Exceeds the limit" error
+    message = "^a result of more than 4300 digits is too large to print$"
+    with pytest.raises(ValueError, match=message):
+        format_rational(value)

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -192,7 +193,9 @@ class TestGreedySearch:
             cfg = _cfg(2, Fraction(1, 2), max_path_len=3)
             assert greedy_search(net, cfg).objective <= exact_search(net, cfg).objective
 
-    @pytest.mark.parametrize("family", ["layered", "fanout", "figures", "random"])
+    @pytest.mark.parametrize(
+        "family", ["layered", "fanout", "figures", "random", "dense", "walk"]
+    )
     def test_matches_the_reference_greedy(self, family):
         rng = random.Random(43)
         runs = 0
@@ -237,70 +240,57 @@ class TestGreedySearch:
 
     def test_work_is_bounded_by_the_colors_in_use(self, monkeypatch):
         # at rate 1/2 at most 6 colors carry a path on fig1; a round stops at
-        # the first unused color that places nothing, so K=10**5 visits the
-        # path list as often as K=8 and routes the same flow
-        visits = []
-        best_path = search._best_path
+        # the first unused color that places nothing, so K=10**5 searches
+        # for paths as often as K=8 and routes the same flow
+        calls = []
+        shortest_paths = search._shortest_paths
 
-        def counted(table, *args):
-            visits.extend(table)  # one visit per path the color may scan
-            return best_path(table, *args)
+        def counted(*args):
+            calls.append(1)
+            return shortest_paths(*args)
 
-        monkeypatch.setattr(search, "_best_path", counted)
+        monkeypatch.setattr(search, "_shortest_paths", counted)
         net = helpers.fig1_network()
         small = greedy_search(net, _cfg(8, Fraction(1, 2)))
-        small_visits, visits[:] = len(visits), []
+        small_calls, calls[:] = len(calls), []
         large = greedy_search(net, _cfg(10**5, Fraction(1, 2)))
-        assert len(visits) == small_visits
+        assert len(calls) == small_calls
         assert (large.flow.paths, large.flow.colors) == (small.flow.paths, small.flow.colors)
         assert large.objective == small.objective
 
-
-def _walk_tables():
-    """(network, walk rows) pairs: the walk networks at length 4 and two dense graphs at 6."""
-    tables = [(net, enumerate_path_masks(net, 4)) for net in list(helpers.walk_networks())[:12]]
-    for shape in ((12, 43, 4), (14, 48, 5)):
-        net = helpers.document_network(helpers.dense_document(*shape, 1144964661))
-        tables.append((net, enumerate_path_masks(net, 6)))
-    return tables
-
-
-WALK_TABLES = _walk_tables()
-
-
-class TestBestPath:
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(
-        table_index=st.integers(0, len(WALK_TABLES) - 1),
-        seed=st.integers(0, 2**32 - 1),
-        num_colors=st.integers(1, 4),
-        density=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
-        nudges=st.lists(
-            st.sampled_from([0.0, 1e-16, 4e-16, 1e-15, 1.2e-15, 3e-15]), min_size=5, max_size=5
-        ),
-        wd=st.booleans(),
-    )
-    def test_matches_the_row_scan(self, table_index, seed, num_colors, density, nudges, wd):
-        # random greedy states: weights equal up to nudges of a few 1e-16,
-        # so gains of different sink sets tie within the 1e-15 margin, and
-        # sinks every color reaches (count K) sit in the color's sink mask
-        net, table = WALK_TABLES[table_index]
-        rng = random.Random(seed)
-        sinks = range(len(net.sinks))
-        counts = [rng.randint(0, num_colors) for _ in sinks]
-        sink_mask = sum(1 << t for t in sinks if counts[t] == num_colors or rng.random() < 0.3)
-        color_mask, full = (
-            sum(1 << i for i in range(len(net.edges)) if rng.random() < density) for _ in range(2)
+    def test_a_sink_that_is_a_source_is_gained_by_a_path_leaving_it(self):
+        # s is a source and a sink; the one path out of it reaches t, and
+        # both sinks gain the color
+        net = Network(
+            nodes=("s", "t"),
+            edges=(Edge("e1", "s", "t", Fraction(1)),),
+            sources=("s",),
+            sinks=("s", "t"),
         )
-        weights = [1 + nudge for nudge in nudges[: len(net.sinks)]]
-        if wd:
-            levels = sorted((rng.random() for _ in range(num_colors + 1)), reverse=True)
-        else:
-            levels = list(range(0, -num_colors - 1, -1))
-        state = (color_mask, sink_mask, full, counts, levels, weights)
-        assert search._best_path(table, search._sink_groups(table), *state) == (
-            oracles.reference_best_path(table, *state)
+        result = greedy_search(net, _cfg(1, 1, max_path_len=1))
+        assert [path.edges for path in result.flow.paths] == [("e1",)]
+        assert result.rfv.values == (Fraction(1), Fraction(1))
+
+    def test_gains_within_1e_15_tie(self):
+        # sink a weighs 4e-16 more than sink b, so its path gains a few 1e-16
+        # more: a tie, which b's path wins by its lesser edge id
+        net = Network(
+            nodes=("s", "a", "b"),
+            edges=(Edge("e2", "s", "a", Fraction(1)), Edge("e1", "s", "b", Fraction(1))),
+            sources=("s",),
+            sinks=("a", "b"),
         )
+        weights = (0.5000000000000002, 0.4999999999999998)
+        result = greedy_search(net, _cfg(1, 1, max_path_len=1, objective="wd", weights=weights))
+        assert [path.edges for path in result.flow.paths] == [("e1",), ("e2",)]
+
+    def test_a_huge_length_bound_costs_nothing(self):
+        # the search stops at the first layer that reaches no new node
+        net = helpers.document_network(helpers.dense_document(12, 43, 4, 1144964661))
+        start = time.perf_counter()
+        huge = greedy_search(net, _cfg(3, Fraction(1, 2), max_path_len=100_000_000))
+        assert time.perf_counter() - start < 1.0
+        assert huge == greedy_search(net, _cfg(3, Fraction(1, 2), max_path_len=len(net.nodes)))
 
 
 class TestWeightedObjective:
@@ -587,7 +577,11 @@ class TestPruning:
 
 
 def _scan_instances(family):
-    """(network, K, max_path_len) of one differential-scan family."""
+    """(network, K, max_path_len) of one differential-scan family.
+
+    The coloring scan is checked on the first four families; "dense" and
+    "walk" (second sources, sources that are sinks) serve greedy's check.
+    """
     if family == "layered":
         for width, depth in ((3, 3), (2, 4)):
             for seed in range(24):
@@ -600,6 +594,13 @@ def _scan_instances(family):
         for net in (helpers.fig1_network(), helpers.fig2_network()):
             for K in (2, 3, 4):
                 yield net, K, 4
+    elif family == "dense":
+        for shape in ((12, 43, 4), (14, 48, 5)):
+            for seed in range(8):
+                yield helpers.document_network(helpers.dense_document(*shape, seed)), 3, 5
+    elif family == "walk":
+        for net in helpers.walk_networks():
+            yield net, 2, 4
     else:
         rng = random.Random(31)
         for _ in range(30):
