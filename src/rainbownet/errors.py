@@ -17,7 +17,8 @@ class SearchSizeError(RainbowNetError):
     """A search stopped at one of its work guards.
 
     The guards bound the partial paths the walk visits, the unions the exact
-    search's closure builds and the candidates its coloring scan visits.
+    search's closure builds and the subset tests it makes on them, and the
+    candidates its coloring scan visits.
     """
 
 

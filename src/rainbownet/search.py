@@ -11,9 +11,12 @@ grow a color only by a path that reaches a sink the color lacks. Greedy
 walks no path list: each color and round takes its paths from one
 breadth-first search (`_shortest_paths`). The exact search builds the
 path unions that grow this way as OR-ed masks, reading for each union
-only the paths listed once for its sink set, keeps the minimal ones of
-each sink set (tested against all smaller kept unions at once, packed
-into one int), and scans multisets of K unions depth first (branch and
+only the paths listed once for its sink set. It takes them in popcount
+order and grows only the minimal ones of each sink set (tested against
+all of its kept unions at once, packed into one int): a union holding a
+smaller one of equal sinks grows into nothing minimal that the smaller
+one does not, and every union with fewer edges is built before the test.
+It then scans multisets of K unions depth first (branch and
 bound), testing an edge's room on the edge masks. It skips every
 extension of a prefix that already overloads an edge, and every
 extension whose lower bound is no less than the best cost found: each
@@ -23,8 +26,9 @@ bits and sink positions are built on its first push. Candidate order and
 tie-breaking are fixed, so results are reproducible regardless of
 scheduling. Guards bound the exact search's work: the walk's partial
 paths, and the unions the closure builds and the candidates the scan
-visits, at most `MAX_SEARCH_STEPS` each. It builds edge ids only for
-the paths of the flow it returns.
+visits, at most `MAX_SEARCH_STEPS` each, and the closure's subset tests,
+at most `SUBSET_TESTS_PER_UNION` times as many. It builds edge ids only
+for the paths of the flow it returns.
 
 The cut bound: sink t holds at most cap_t = min(K, λ_t) descriptions in
 any flow, where λ_t is the integer max-flow to t on the edges' color
@@ -55,6 +59,12 @@ from .network import FlowPath, Network, enumerate_path_masks, max_flow, trail_id
 
 # The exact search's guard: the most unions its closure builds, and candidates its scan visits.
 MAX_SEARCH_STEPS = 200_000
+# The closure's subset tests per union its guard allows, a union charged with
+# the kept masks of its sink set it is tested against: 60M at the guard,
+# reached after 0.4-1.9 s on dense random graphs of 30-144 edges (Python
+# 3.11 on one core of a 2-vCPU x86 VM), where every closure that passes
+# it takes at most 47M tests and 0.6 s
+SUBSET_TESTS_PER_UNION = 300
 
 
 @dataclass(frozen=True)
@@ -121,7 +131,7 @@ class SearchResult:
     bound: object = field(default=None, compare=False)
 
 
-def _objective(cfg: SearchConfig, net: Network):
+def _objective(cfg: SearchConfig, net: Network, most: int | None = None):
     """The search cost on per-sink description counts, as (levels, weights).
 
     A flow whose sink at position t holds c_t descriptions costs
@@ -129,13 +139,17 @@ def _objective(cfg: SearchConfig, net: Network):
     "trf" levels[c] is -c under unit weights, so the cost is minus the
     description count; for "wd" it is D(rate of the first c profile layers)
     under the caller's weights, so the cost is the weighted distortion.
+    Only levels[0..most] are built (most = K when not given): the rates are
+    a running sum over the layers, so each level is the same float however
+    many follow it.
     """
+    most = cfg.num_colors if most is None else most
     if cfg.objective == "trf":
-        return range(0, -cfg.num_colors - 1, -1), (1,) * len(net.sinks)
+        return range(0, -most - 1, -1), (1,) * len(net.sinks)
 
     if len(cfg.weights) != len(net.sinks):
         raise ValueError(f"expected {len(net.sinks)} weights, got {len(cfg.weights)}")
-    profile = cfg.profile or tuple(1.0 / cfg.num_colors for _ in range(cfg.num_colors))
+    profile = cfg.profile[:most] if cfg.profile else (1.0 / cfg.num_colors,) * most
     levels = GAUSSIAN.distortion_array(description_rates(profile, cfg.rate)).tolist()
     return levels, cfg.weights
 
@@ -205,76 +219,89 @@ def _result(net: Network, cfg: SearchConfig, chosen, cost, mode=None, bound=None
     )
 
 
+def _growers(rows, sinks: int):
+    """The rows reaching a sink outside `sinks`, as (row index, edge mask, grown sink set)."""
+    return [
+        (index, path_edges, sinks | path_sinks)
+        for index, (path_edges, path_sinks, _) in enumerate(rows)
+        if path_sinks & ~sinks
+    ]
+
+
 def _candidates(rows, limit: int):
     """Each minimal path union for the sinks it reaches, as (edges, sinks, rep).
 
     `rows` are the walk's (edge mask, sink mask, trail) paths; a union's
-    edges and sinks are the ORs of its paths' masks. A breadth-first
-    closure from the empty union grows a union by a path only when the path
-    reaches a sink the union lacks, so the unions of one sink set share
-    their growers: the rows reaching a sink outside it, listed in row order
-    on the set's first visit. `rep` is the first tuple of row indices that
-    builds the union, and its sinks travel with it. A minimal generating set has no
-    path whose sinks the others cover, so every union with no strict subset
-    of equal sinks is built, by the same rep as in the closure over all path
-    subsets. Of each sink set the minimal unions are kept, sorted by their
-    sorted edge ids (as strings, not by bit order).
+    edges and sinks are the ORs of its paths' masks. A union grows by a
+    path only when the path reaches a sink the union lacks, so the unions
+    of one sink set share their growers: the rows reaching a sink outside
+    it, listed in row order on the set's first visit. Only the minimal
+    unions (no strict subset of equal sinks) grow: when V is a strict
+    subset of U with U's sinks, V | p is a subset of U | p with its sinks,
+    so U | p is either not minimal or V | p itself. So every minimal union
+    of the closure over all path subsets is built.
+
+    Unions are taken in popcount order, one bucket per edge count. A path
+    that adds a sink adds an edge, so when a union is taken every union
+    with fewer edges has been built and tested, and a strict subset of
+    equal sinks would contain a kept one: the test against its sink set's
+    kept unions decides minimality exactly. They are packed into one int,
+    one field of `width` bits each with a clear top bit: a kept mask is a
+    subset exactly when its field of `packed & ~union` is zero, and the
+    lowest zero field borrows into its top bit when one is subtracted from
+    every field. `rep` is the least (length, row indices) tuple that a kept
+    union's rep and one of its growers make (a later shorter or
+    lexicographically smaller one replaces the first), which is the rep the
+    breadth-first closure over every sink-adding union records first; its
+    sinks travel with it. Of each sink set the minimal unions are kept,
+    sorted by their sorted edge ids (as strings, not by bit order).
+
+    Raises SearchSizeError once more than `limit` unions are built, or once
+    the subset tests, each charged with the kept masks it is tested
+    against, pass `SUBSET_TESTS_PER_UNION` times `limit`.
     """
-    unions: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-    # sink set -> (row index, edge mask, grown sink set) of its growers
-    growers: dict[int, list[tuple[int, int, int]]] = {}
-    frontier = [0]
-    while frontier:
-        added = []
-        for edges in frontier:
-            sinks, rep = unions[edges]
-            grow = growers.get(sinks)
-            if grow is None:
-                grow = growers[sinks] = [
-                    (index, path_edges, sinks | path_sinks)
-                    for index, (path_edges, path_sinks, _) in enumerate(rows)
-                    if path_sinks & ~sinks
-                ]
-            for index, path_edges, grown in grow:
-                candidate = edges | path_edges
-                if candidate in unions:
-                    continue
-                unions[candidate] = (grown, rep + (index,))
-                added.append(candidate)
-                if len(unions) > limit:
-                    raise SearchSizeError(
-                        f"signature closure exceeded {limit} entries; "
-                        "reduce max_path_len or use greedy mode"
-                    )
-        frontier = added
-    kept = _minimal(unions)
-    kept.sort(key=_id_order)
-    return [(edges, *unions[edges]) for edges in kept]
-
-
-def _minimal(unions):
-    """The unions with no strict subset of equal sinks among `unions`.
-
-    Unions are visited by popcount, so a subset of a union comes before it.
-    Each sink set's kept masks are packed into one int, one field of
-    `width` bits each with a clear top bit, and a union is tested against
-    all of them at once: a kept mask is a subset exactly when its field of
-    `packed & ~union` is zero, and the lowest zero field borrows into its
-    top bit when one is subtracted from every field.
-    """
-    width = max(unions).bit_length() + 1
+    # sink set -> its growers; the empty union grows by every row, so the
+    # widest union is their OR
+    growers = {0: _growers(rows, 0)}
+    width = max((path_edges.bit_length() for _, path_edges, _ in growers[0]), default=0) + 1
     everything = (1 << width - 1) - 1
-    # sink set -> (packed kept masks, a 1 at the bottom of each field)
-    groups: dict[int, tuple[int, int]] = {}
+    # edge count -> {union: (sinks, rep)}
+    buckets: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(width)]
+    buckets[0][0] = (0, ())
+    # sink set -> (packed kept masks, a 1 at the bottom of each field, their count)
+    groups: dict[int, tuple[int, int, int]] = {}
     kept = []
-    for edges in sorted(unions, key=int.bit_count):
-        sinks = unions[edges][0]
-        packed, ones = groups.get(sinks, (0, 0))
-        outside = packed & (everything ^ edges) * ones
-        if (outside - ones) & ones << width - 1:
-            continue
-        groups[sinks] = (packed << width | edges, ones << width | 1)
-        kept.append(edges)
+    built, tests, budget = 1, 0, SUBSET_TESTS_PER_UNION * limit
+    for bucket in buckets:
+        for edges, (sinks, rep) in bucket.items():
+            packed, ones, size = groups.get(sinks, (0, 0, 0))
+            tests += size
+            if tests > budget:
+                raise SearchSizeError(
+                    f"signature closure's subset tests exceeded their guard of {budget}; "
+                    "reduce max_path_len or use greedy mode"
+                )
+            if (packed & (everything ^ edges) * ones) - ones & ones << width - 1:
+                continue
+            groups[sinks] = (packed << width | edges, ones << width | 1, size + 1)
+            kept.append((edges, sinks, rep))
+            if sinks not in growers:
+                growers[sinks] = _growers(rows, sinks)
+            for index, path_edges, grown in growers[sinks]:
+                union = edges | path_edges
+                larger = buckets[union.bit_count()]
+                known = larger.get(union)
+                if known is None:
+                    built += 1
+                    if built > limit:
+                        raise SearchSizeError(
+                            f"signature closure exceeded {limit} entries; "
+                            "reduce max_path_len or use greedy mode"
+                        )
+                elif (len(known[1]), known[1]) <= (len(rep) + 1, rep + (index,)):
+                    continue
+                larger[union] = (grown, rep + (index,))
+    kept.sort(key=lambda candidate: _id_order(candidate[0]))
     return kept
 
 
@@ -436,9 +463,11 @@ def exact_search(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
     cut bound of `caps` (`_sink_caps`, computed when not given). Returns an
     empty flow with objective 0 when nothing admissible exists. Raises
     SearchSizeError, mid-run, when the sink-adding closure builds more than
-    `MAX_SEARCH_STEPS` unions or the scan visits more than `MAX_SEARCH_STEPS`
-    candidates, pushed or skipped; each pop undoes a push, so the guard
-    bounds the work done, however many multisets exist.
+    `MAX_SEARCH_STEPS` unions or tests them against more than
+    `SUBSET_TESTS_PER_UNION` times as many kept unions, or when the scan
+    visits more than `MAX_SEARCH_STEPS` candidates, pushed or skipped; each
+    pop undoes a push, so the guard bounds the work done, however many
+    multisets exist.
     """
     levels, weights = _objective(cfg, net)
     if _nothing_admissible(net, cfg):
@@ -499,11 +528,14 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     at the first unused color that places nothing, since every later color
     would see the same state.
     """
-    levels, weights = _objective(cfg, net)
+    room = _color_capacities(net, cfg)
+    # a sink holds no more descriptions than there are colors with an edge,
+    # and those are at most the edges' room in all; greedy reads one level
+    # past a sink's count
+    levels, weights = _objective(cfg, net, min(cfg.num_colors, max(sum(room.values()), 0) + 1))
     counts = [0] * len(weights)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, counts), "greedy")
-    room = _color_capacities(net, cfg)
     sink_bit = {sink: 1 << t for t, sink in enumerate(net.sinks)}
     arcs = {
         node: [(edge.id, edge.head, sink_bit.get(edge.head, 0)) for edge in net.out_edges(node)]
@@ -587,7 +619,7 @@ def route(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
     if caps is None:
         caps = _sink_caps(net, cfg)
     greedy = greedy_search(net, cfg)
-    bound = _value(cfg, _cut_bound(*_objective(cfg, net), caps))
+    bound = _value(cfg, _cut_bound(*_objective(cfg, net, max(caps, default=0)), caps))
     if greedy.objective == bound:
         return replace(greedy, mode="certified-greedy", bound=bound)
     try:

@@ -35,6 +35,7 @@ from rainbownet.search import (
     _candidates,
     _color_capacities,
     _cost,
+    _id_order,
     _nothing_admissible,
     _objective,
     _result,
@@ -161,6 +162,59 @@ def reference_candidates(infos, limit: int):
             group.append(edges)
     kept = sorted((edges for group in minimal.values() for edges in group), key=sorted)
     return [((edges, unions[edges][0]), unions[edges][1]) for edges in kept]
+
+
+def breadth_first_candidates(rows, limit: int):
+    """`search._candidates` as a breadth-first closure and a separate minimality pass.
+
+    The closure grows every sink-adding union, minimal or not, level by
+    level from the empty union, each union by the rows that reach a sink it
+    lacks in row order; `rep` is the first row-index tuple that builds a
+    union. It raises SearchSizeError once it holds more than `limit`
+    unions. Then each union is tested, in popcount order, against the kept
+    unions of its sink set packed into one int, and the kept unions are
+    sorted by their sorted edge ids.
+    """
+    unions: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+    growers: dict[int, list[tuple[int, int, int]]] = {}
+    frontier = [0]
+    while frontier:
+        added = []
+        for edges in frontier:
+            sinks, rep = unions[edges]
+            grow = growers.get(sinks)
+            if grow is None:
+                grow = growers[sinks] = [
+                    (index, path_edges, sinks | path_sinks)
+                    for index, (path_edges, path_sinks, _) in enumerate(rows)
+                    if path_sinks & ~sinks
+                ]
+            for index, path_edges, grown in grow:
+                candidate = edges | path_edges
+                if candidate in unions:
+                    continue
+                unions[candidate] = (grown, rep + (index,))
+                added.append(candidate)
+                if len(unions) > limit:
+                    raise SearchSizeError(
+                        f"signature closure exceeded {limit} entries; "
+                        "reduce max_path_len or use greedy mode"
+                    )
+        frontier = added
+    # by popcount, so a subset of a union comes first; each sink set's kept
+    # masks packed into one int, as in `search._candidates`
+    width = max(unions).bit_length() + 1
+    everything = (1 << width - 1) - 1
+    groups: dict[int, tuple[int, int]] = {}
+    kept = []
+    for edges in sorted(unions, key=int.bit_count):
+        packed, ones = groups.get(unions[edges][0], (0, 0))
+        if (packed & (everything ^ edges) * ones) - ones & ones << width - 1:
+            continue
+        groups[unions[edges][0]] = (packed << width | edges, ones << width | 1)
+        kept.append(edges)
+    kept.sort(key=_id_order)
+    return [(edges, *unions[edges]) for edges in kept]
 
 
 def signature_closure(infos, limit: int):
@@ -316,7 +370,12 @@ def reference_greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     offers are scanned by (new edges, edge ids), and a later one wins only
     by more than 1e-15.
     """
-    levels, weights = _objective(cfg, net)
+    residual = _color_capacities(net, cfg)
+    # every color that gains a sink holds an edge: levels past the room of
+    # all edges are never read
+    levels, weights = _objective(
+        cfg, net, min(cfg.num_colors, sum(max(room, 0) for room in residual.values()) + 1)
+    )
     counts = [0] * len(weights)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, counts))
@@ -325,7 +384,6 @@ def reference_greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
         (path, frozenset(path.edges), frozenset(sinks), net.edge(path.edges[-1]).head)
         for path, sinks in zip(paths, _path_sinks(net, paths))
     ]
-    residual = _color_capacities(net, cfg)
     color_edges: list[frozenset] = []
     color_sinks: list[frozenset] = []
     chosen: list[tuple[FlowPath, int]] = []

@@ -392,7 +392,8 @@ class TestWeightedObjective:
 
     def test_levels_equal_the_per_entry_distortions(self):
         # bit for bit against one scalar model call per level, on seeded
-        # normalized profiles (and the uniform default) of up to 64 layers
+        # normalized profiles (and the uniform default) of up to 64 layers;
+        # so are the first levels alone, which greedy and route build
         rng = random.Random(41)
         net = helpers.fig1_network()
         for trial in range(200):
@@ -405,6 +406,11 @@ class TestWeightedObjective:
             layers = profile or tuple(1.0 / colors for _ in range(colors))
             expected = [GAUSSIAN.distortion(r) for r in description_rates(layers, rate)]
             assert [level.hex() for level in levels] == [level.hex() for level in expected]
+            most = rng.randint(0, colors)
+            prefix, _ = search._objective(cfg, net, most)
+            assert [level.hex() for level in prefix] == [
+                level.hex() for level in expected[: most + 1]
+            ]
 
     def test_levels_take_one_model_call(self, monkeypatch):
         calls = []
@@ -419,6 +425,23 @@ class TestWeightedObjective:
         levels, _ = search._objective(cfg, helpers.fig1_network())
         assert calls == [1001]
         assert len(levels) == 1001
+
+    def test_greedy_builds_the_levels_of_the_colors_it_can_use(self, monkeypatch):
+        # fig1 at rate 1/2: its edges hold 12 colors in all, so no sink
+        # holds more than 12 descriptions, and greedy reads one level past
+        # a count: K=10**6 builds the 14 levels of counts 0-13, not 10**6 + 1
+        calls = []
+        evaluate = DistortionModel.distortion_array
+
+        def counted(model, rates):
+            calls.append(len(rates))
+            return evaluate(model, rates)
+
+        monkeypatch.setattr(DistortionModel, "distortion_array", counted)
+        net = helpers.fig1_network()
+        cfg = _cfg(10**6, Fraction(1, 2), objective="wd", weights=(0.25,) * 4)
+        greedy_search(net, cfg)
+        assert calls == [sum(search._color_capacities(net, cfg).values()) + 2] == [14]
 
 
 def _signature_keyed(unions, infos):
@@ -482,15 +505,17 @@ class TestPruning:
 
     def test_matches_the_reference_candidates(self):
         # the same order, edge sets, sink sets and reps as the frozenset
-        # closure, and the same raise point under a small guard: layered
-        # (3, 3, 0) at length 4 builds 283 unions. The walk networks'
-        # shuffled x?? ids tell a sort by edge ids from a sort by edge bits
+        # closure wherever neither raises. That closure builds every
+        # sink-adding union (283 on layered(3, 3, 0) at length 4) and the
+        # pass only those grown from minimal ones (213), so their guards
+        # trip at different points. The walk networks' shuffled x?? ids
+        # tell a sort by edge ids from a sort by edge bits
         universes = list(self._path_universes())
         universes += [(net, 4) for net in helpers.walk_networks()]
-        raised = 0
+        compared = raised = 0
         for net, max_len in universes:
             rows = enumerate_path_masks(net, max_len)
-            for limit in (1, 5, 50, 282, 283, 284, search.MAX_SEARCH_STEPS):
+            for limit in (1, 5, 50, 212, 213, 214, 282, 283, 284, search.MAX_SEARCH_STEPS):
                 outcomes = []
                 for build in (
                     lambda: _decoded(net, _candidates(rows, limit)),
@@ -499,14 +524,74 @@ class TestPruning:
                     try:
                         outcomes.append(build())
                     except SearchSizeError:
-                        outcomes.append("raised")
-                assert outcomes[0] == outcomes[1]
-                raised += outcomes[0] == "raised"
-        assert raised > 0
+                        outcomes.append(None)
+                if None not in outcomes:
+                    assert outcomes[0] == outcomes[1]
+                    compared += 1
+                raised += outcomes[0] is None
+        assert compared > len(universes) and raised > 0
+
+    def test_matches_the_breadth_first_closure(self):
+        # the one pass against the breadth-first closure over every
+        # sink-adding union plus a separate minimality pass, as
+        # (edges, sinks, rep) in the same order, wherever neither raises
+        instances = list(self._path_universes())
+        instances += [(net, 4) for net in helpers.walk_networks()]
+        for seed in range(8):
+            for shape in ((7, 14, 3), (8, 20, 4)):
+                net = helpers.document_network(helpers.dense_document(*shape, seed))
+                instances += [(net, max_len) for max_len in range(2, 6)]
+            for width, depth in ((3, 3), (2, 4)):
+                net = helpers.document_network(helpers.layered_document(width, depth, seed))
+                instances += [(net, max_len) for max_len in range(3, 7)]
+            for shape in ((6, 3), (8, 4)):
+                net = helpers.document_network(helpers.fanout_document(*shape, seed))
+                instances.append((net, 4))
+        for net in (helpers.fig1_network(), helpers.fig2_network()):
+            instances += [(net, max_len) for max_len in range(2, 6)]
+        # 4,918 candidates of 16,839 unions built, 17.2M subset tests
+        instances.append((helpers.document_network(helpers.dense_document(40, 144, 4, 10)), 4))
+        compared = 0
+        for net, max_len in instances:
+            rows = enumerate_path_masks(net, max_len)
+            try:
+                reference = oracles.breadth_first_candidates(rows, search.MAX_SEARCH_STEPS)
+                candidates = _candidates(rows, search.MAX_SEARCH_STEPS)
+            except SearchSizeError:
+                continue
+            assert candidates == reference
+            compared += 1
+        assert compared == len(instances)
+
+    def test_closure_guard_trips_on_the_union_past_it(self):
+        # layered(3, 3, 0) at length 4: the pass builds 213 unions
+        rows = enumerate_path_masks(helpers.document_network(helpers.layered_document(3, 3, 0)), 4)
+        assert _candidates(rows, 213) == _candidates(rows, search.MAX_SEARCH_STEPS)
+        with pytest.raises(SearchSizeError, match="signature closure exceeded 212 entries"):
+            _candidates(rows, 212)
+
+    def test_subset_test_guard_trips_on_the_test_past_it(self, monkeypatch):
+        # layered(3, 3, 0) at length 4: its 213 unions are tested against
+        # 2,468 kept masks of their sink sets in all
+        rows = enumerate_path_masks(helpers.document_network(helpers.layered_document(3, 3, 0)), 4)
+        unpatched = _candidates(rows, search.MAX_SEARCH_STEPS)
+        monkeypatch.setattr(search, "SUBSET_TESTS_PER_UNION", 1)
+        assert _candidates(rows, 2468) == unpatched
+        with pytest.raises(SearchSizeError, match="subset tests exceeded their guard of 2467;"):
+            _candidates(rows, 2467)
+
+    def test_subset_tests_bound_the_closure(self):
+        # dense(12, 43, 4, 19) at length 4: the breadth-first closure
+        # overflowed 200,000 unions; the pass builds 78,740 of them, but
+        # their 138M subset tests pass the guard of 60M after about 0.5 s
+        net = helpers.document_network(helpers.dense_document(12, 43, 4, 19))
+        cfg = _cfg(3, Fraction(1, 2), max_path_len=4)
+        with pytest.raises(SearchSizeError, match="subset tests exceeded their guard of 60000000"):
+            exact_search(net, cfg)
 
     def test_guard_counts_only_the_unions_it_builds(self, monkeypatch):
         # layered(3, 3, 0) at length 4: the full closure has 1,040 unions,
-        # the sink-adding pass builds 283, so a guard of 500 no longer trips
+        # the pass builds 213, so a guard of 500 does not trip
         net = helpers.document_network(helpers.layered_document(3, 3, 0))
         cfg = _cfg(2, Fraction(1, 2), max_path_len=4)
         unpatched = exact_search(net, cfg)
@@ -517,7 +602,7 @@ class TestPruning:
     def test_closure_walks_the_rows_once_per_sink_set(self):
         # a union grows only by the rows that reach a sink outside its sink
         # set, listed on the set's first visit: layered(3, 3, 0) at length 4
-        # builds 283 unions over 16 sink sets. The candidates' order ranks
+        # builds 213 unions over 16 sink sets. The candidates' order ranks
         # edge ids from the network, not from the rows
         class CountedRows(list):
             walks = 0
@@ -534,24 +619,44 @@ class TestPruning:
             assert counted.walks == len({sinks for _, sinks, _ in candidates})
 
     def test_packed_subset_test_matches_the_pairwise_one(self):
-        # random unions of up to 90 edges over a few sink sets: kept masks
-        # pack into ints of many machine words, and the highest field borrows
-        # past the top of the packed int when it is a subset
+        # random rows over up to 90 edges, each edge's head one of a few
+        # sinks or none, so a row that adds a sink adds an edge: kept masks
+        # pack into ints of many machine words, and the highest field
+        # borrows past the top of the packed int when it is a subset. The
+        # pass keeps exactly the unions of the sink-adding closure that no
+        # other of equal sinks is a subset of
         rng = random.Random(43)
         for _ in range(200):
             num_edges = rng.choice((1, 3, 8, 30, 90))
-            unions = {0: (0, ())}
-            for _ in range(rng.randint(1, 60)):
+            heads = [rng.choice((0, 0, 1, 2, 4, 8)) for _ in range(num_edges)]
+            rows = []
+            for _ in range(rng.randint(1, 12)):
                 edges = sum(1 << e for e in range(num_edges) if rng.random() < 0.3)
-                unions.setdefault(edges, (rng.randint(0, 3), ()))
-            kept = [
-                edges for edges, (sinks, _) in unions.items()
+                sinks = 0
+                for e in range(num_edges):
+                    sinks |= heads[e] if edges >> e & 1 else 0
+                if sinks:
+                    rows.append((edges, sinks, None))
+            closure = {0: 0}  # every sink-adding union -> its sinks
+            frontier = [0]
+            while frontier:
+                added = []
+                for edges in frontier:
+                    for path_edges, path_sinks, _ in rows:
+                        union = edges | path_edges
+                        if path_sinks & ~closure[edges] and union not in closure:
+                            closure[union] = closure[edges] | path_sinks
+                            added.append(union)
+                frontier = added
+            kept = {
+                (edges, sinks) for edges, sinks in closure.items()
                 if not any(
-                    other != edges and other & ~edges == 0 and unions[other][0] == sinks
-                    for other in unions
+                    other != edges and other & ~edges == 0 and closure[other] == sinks
+                    for other in closure
                 )
-            ]
-            assert sorted(search._minimal(unions)) == sorted(kept)
+            }
+            candidates = _candidates(rows, search.MAX_SEARCH_STEPS)
+            assert {(edges, sinks) for edges, sinks, _ in candidates} == kept
 
     def test_candidates_are_pinned(self):
         # sorted edges, sorted sink names and rep of every pruned candidate on
@@ -1019,7 +1124,7 @@ def _uncertifiable():
 
 class TestRoute:
     def test_guard_overflow_falls_back_to_greedy(self, monkeypatch):
-        # the closure builds 310 unions, past a guard of 5
+        # the closure builds 214 unions, past a guard of 5
         monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 5)
         net, cfg = _uncertifiable()
         with pytest.raises(SearchSizeError, match="closure"):
@@ -1031,7 +1136,7 @@ class TestRoute:
         assert (routed.mode, routed.bound) == ("guard-greedy", Fraction(7, 2))
 
     def test_guard_overflow_is_logged_and_greedy_runs_once(self, monkeypatch, caplog):
-        # the closure builds 310 unions and the scan takes 1384 steps, so a
+        # the closure builds 214 unions and the scan takes 1384 steps, so a
         # guard of 1000 trips in the scan
         monkeypatch.setattr(search, "MAX_SEARCH_STEPS", 1000)
         net, cfg = _uncertifiable()
