@@ -13,14 +13,13 @@ candidate flows can be evaluated concurrently with deterministic results.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import FlowDocumentError
 from .intervals import IntervalSet
-from .network import FlowPath, Network
+from .network import FlowPath, Network, _json_document
 from .rationals import _whole_number, format_rational, parse_rational
 
 
@@ -119,28 +118,26 @@ class AdmissibilityReport:
     rows: tuple[EdgeSlack, ...]
 
 
-def _paths_with_edge(rnf: RainbowFlow, edge_id: str):
-    rnf.net.edge(edge_id)
-    return [i for i, path in enumerate(rnf.paths) if edge_id in path.edges]
+def _spectra(rnf: RainbowFlow, keys, nodes: bool = False) -> list:
+    """The spectrum of each key, in `keys` order, from one pass over the paths.
 
-
-def _paths_with_node(rnf: RainbowFlow, node: str):
-    if not rnf.net.has_node(node):
-        raise ValueError(f"unknown node '{node}'")
-    out = []
+    A key is an edge id, or a node when `nodes` is set (a path holds the
+    nodes of `Network.path_nodes`). Each path counts once per key it holds,
+    in path order; a key's spectrum is the frozenset of its paths' colors,
+    inserted in that order, or one `IntervalSet` over all their intervals.
+    """
+    groups = {key: [] for key in keys}
     for i, path in enumerate(rnf.paths):
-        if node in rnf.net.path_nodes(path):
-            out.append(i)
-    return out
-
-
-def _combine(rnf: RainbowFlow, indices):
+        for key in set(rnf.net.path_nodes(path)) if nodes else path.edges:
+            group = groups.get(key)
+            if group is not None:
+                group.append(i)
     if isinstance(rnf, DiscreteRnf):
-        return frozenset(rnf.colors[i] for i in indices)
-    spectrum = IntervalSet.empty()
-    for i in indices:
-        spectrum = spectrum | rnf.spectra[i]
-    return spectrum
+        return [frozenset(rnf.colors[i] for i in group) for group in groups.values()]
+    return [
+        IntervalSet(tuple(pair for i in group for pair in rnf.spectra[i].intervals))
+        for group in groups.values()
+    ]
 
 
 def spectrum_measure(rnf: RainbowFlow, spectrum) -> Fraction:
@@ -152,7 +149,8 @@ def spectrum_measure(rnf: RainbowFlow, spectrum) -> Fraction:
 
 def edge_spectrum(rnf: RainbowFlow, edge_id: str):
     """Union of the colors (or interval sets) of all paths traversing an edge."""
-    return _combine(rnf, _paths_with_edge(rnf, edge_id))
+    rnf.net.edge(edge_id)
+    return _spectra(rnf, (edge_id,))[0]
 
 
 def node_spectrum(rnf: RainbowFlow, node: str):
@@ -161,21 +159,14 @@ def node_spectrum(rnf: RainbowFlow, node: str):
     A path contains a node if the node is an endpoint of any of its edges,
     so relay nodes acquire the spectra of the data they forward.
     """
-    return _combine(rnf, _paths_with_node(rnf, node))
+    if not rnf.net.has_node(node):
+        raise ValueError(f"unknown node '{node}'")
+    return _spectra(rnf, (node,), nodes=True)[0]
 
 
 def sink_spectra(rnf: RainbowFlow) -> tuple:
-    """Every sink's node spectrum, in sink order, from one pass over the paths.
-
-    Each entry equals `node_spectrum(rnf, sink)`: the same union over the
-    same path indices in path order.
-    """
-    position = {sink: t for t, sink in enumerate(rnf.net.sinks)}
-    members = [[] for _ in position]
-    for i, path in enumerate(rnf.paths):
-        for t in {position[node] for node in rnf.net.path_nodes(path) if node in position}:
-            members[t].append(i)
-    return tuple(_combine(rnf, indices) for indices in members)
+    """Every sink's node spectrum, in sink order, from one pass over the paths."""
+    return tuple(_spectra(rnf, rnf.net.sinks, nodes=True))
 
 
 def check_admissibility(rnf: RainbowFlow, strict: bool = False) -> AdmissibilityReport:
@@ -186,12 +177,9 @@ def check_admissibility(rnf: RainbowFlow, strict: bool = False) -> Admissibility
     on every edge instead.
     """
     rows = []
-    per_edge: dict[str, list[int]] = {edge.id: [] for edge in rnf.net.edges}
-    for i, path in enumerate(rnf.paths):
-        for eid in path.edges:
-            per_edge[eid].append(i)
-    for edge in sorted(rnf.net.edges, key=lambda e: e.id):
-        measure = spectrum_measure(rnf, _combine(rnf, per_edge[edge.id]))
+    edges = sorted(rnf.net.edges, key=lambda e: e.id)
+    for edge, spectrum in zip(edges, _spectra(rnf, [edge.id for edge in edges])):
+        measure = spectrum_measure(rnf, spectrum)
         slack = edge.capacity - measure
         ok = slack > 0 if strict else slack >= 0
         rows.append(EdgeSlack(edge.id, measure, edge.capacity, slack, ok))
@@ -247,17 +235,9 @@ def load_flow(text_or_doc, net: Network) -> RainbowFlow:
     Discrete: ``{"rate": "1", "K": 2, "paths": [{"edges": [...], "color": 1}]}``.
     Continuous: ``{"paths": [{"edges": [...], "intervals": [["0.5","2"]]}]}``.
     """
+    doc = text_or_doc
     if isinstance(text_or_doc, str):
-        try:
-            doc = json.loads(text_or_doc)
-        except json.JSONDecodeError as exc:
-            raise FlowDocumentError(
-                f"flow parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        except RecursionError as exc:
-            raise FlowDocumentError("flow document is nested too deeply to parse") from exc
-    else:
-        doc = text_or_doc
+        doc = _json_document(text_or_doc, "flow", FlowDocumentError)
     if not isinstance(doc, dict) or "paths" not in doc or not isinstance(doc["paths"], list):
         raise FlowDocumentError("flow document must be an object with a 'paths' list")
 

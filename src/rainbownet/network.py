@@ -131,6 +131,18 @@ class Network:
         return tuple(e.tail for e in edges) + (edges[-1].head,)
 
 
+def _json_document(text: str, name: str, error: type[Exception]):
+    """Parse JSON text, raising `error` with the document's `name` when it is unreadable."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{name} parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise error(f"{name} document is nested too deeply to parse") from exc
+
+
 def load_scenario(text: str) -> Network:
     """Parse and validate a scenario document.
 
@@ -138,14 +150,7 @@ def load_scenario(text: str) -> Network:
     ``edges: [{id, tail, head, capacity}]`` (capacity a decimal or ``p/q``
     string, parsed exactly), ``sources: [str]`` and ``sinks: [str]``.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise ScenarioError("scenario document is nested too deeply to parse") from exc
+    doc = _json_document(text, "scenario", ScenarioError)
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     for key in ("nodes", "edges", "sources", "sinks"):

@@ -76,7 +76,8 @@ class SearchConfig:
     `weights`, a finite simplex vector over the sinks, at construction, and
     takes an optional simplex `profile` over the K layers (uniform when
     omitted). K is at most `MAX_LAYERS` under either objective: the exact
-    scan's level floor has K + 1 entries, and it pushes up to K candidates.
+    scan pushes up to K candidates, and `route`'s cut bound builds a level
+    per description a sink can hold, up to K + 1 of them.
     """
 
     num_colors: int
@@ -154,6 +155,16 @@ def _objective(cfg: SearchConfig, net: Network, most: int | None = None):
     return levels, cfg.weights
 
 
+def _last_level(cfg: SearchConfig, room) -> int:
+    """The last level a search reads: min(K, total color room + 1).
+
+    A color that reaches a sink uses an edge, so no sink holds more
+    descriptions than the edges' color room (`_color_capacities`) in all;
+    greedy reads one level past a sink's count.
+    """
+    return min(cfg.num_colors, max(sum(room.values()), 0) + 1)
+
+
 def _cost(levels, weights, counts):
     """sum_t weights[t] * levels[counts[t]], in sink order."""
     return sum(w * levels[c] for w, c in zip(weights, counts))
@@ -191,9 +202,11 @@ def _cut_bound(levels, weights, caps):
     Each term weights[t] * floor[caps[t]], with `floor` the running minimum
     of `levels`, is at most the flow's own term, and the terms add in
     `_cost`'s sink order, so the float sum is at most the flow's cost too.
+    A cap past the last level reads the last one: `levels` end past the
+    most descriptions any sink can hold (`_last_level`).
     """
     floor = list(itertools.accumulate(levels[: max(caps, default=0) + 1], min))
-    return _cost(floor, weights, caps)
+    return _cost(floor, weights, [min(cap, len(floor) - 1) for cap in caps])
 
 
 def _value(cfg: SearchConfig, cost):
@@ -346,9 +359,12 @@ def _completion_bound(floor, weights, counts, reach, left):
     some candidate still to come reaches, and only those can gain up to
     `left` descriptions. `floor` is the running minimum of the levels, so
     each term is at most the completion's, and the terms add in `_cost`'s
-    sink order, so the float sum is at most the completion's cost too.
+    sink order, so the float sum is at most the completion's cost too. An
+    index past the last level reads the last one, which ends past the most
+    descriptions any sink can hold (`_last_level`).
     """
-    return sum(w * floor[c + left * r] for w, c, r in zip(weights, counts, reach))
+    last = len(floor) - 1
+    return sum(w * floor[min(c + left * r, last)] for w, c, r in zip(weights, counts, reach))
 
 
 def _scan_colorings(candidates, capacity_for, num_colors: int, levels, weights, cut_bound=None):
@@ -469,15 +485,14 @@ def exact_search(net: Network, cfg: SearchConfig, caps=None) -> SearchResult:
     pop undoes a push, so the guard bounds the work done, however many
     multisets exist.
     """
-    levels, weights = _objective(cfg, net)
+    room = _color_capacities(net, cfg)
+    levels, weights = _objective(cfg, net, _last_level(cfg, room))
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, [0] * len(weights)), "exact")
     rows = enumerate_path_masks(net, cfg.max_path_len)
     candidates = _candidates(rows, MAX_SEARCH_STEPS)
     bound = _cut_bound(levels, weights, _sink_caps(net, cfg) if caps is None else caps)
-    best_key, best_cost = _scan_colorings(
-        candidates, _color_capacities(net, cfg), cfg.num_colors, levels, weights, bound
-    )
+    best_key, best_cost = _scan_colorings(candidates, room, cfg.num_colors, levels, weights, bound)
     chosen = [
         (FlowPath(trail_ids(rows[path_index][2])), color)
         for color, index in enumerate(best_key, start=1)
@@ -529,10 +544,7 @@ def greedy_search(net: Network, cfg: SearchConfig) -> SearchResult:
     would see the same state.
     """
     room = _color_capacities(net, cfg)
-    # a sink holds no more descriptions than there are colors with an edge,
-    # and those are at most the edges' room in all; greedy reads one level
-    # past a sink's count
-    levels, weights = _objective(cfg, net, min(cfg.num_colors, max(sum(room.values()), 0) + 1))
+    levels, weights = _objective(cfg, net, _last_level(cfg, room))
     counts = [0] * len(weights)
     if _nothing_admissible(net, cfg):
         return _result(net, cfg, [], _cost(levels, weights, counts), "greedy")

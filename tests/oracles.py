@@ -17,6 +17,7 @@ import numpy as np
 from rainbownet import (
     DiscreteRnf,
     FlowPath,
+    IntervalSet,
     Network,
     SearchConfig,
     SearchResult,
@@ -93,6 +94,37 @@ def brute_best_total_flow(net: Network, num_colors: int, rate: Fraction, max_len
                 if is_admissible(flow):
                     best = max(best, total_rainbow_flow(flow))
     return best
+
+
+def reference_edge_spectrum(rnf, edge_id: str):
+    """The union of the spectra of the paths on an edge, by one scan per edge.
+
+    `flows.edge_spectrum` as it was before the flow layer grouped paths in
+    one pass; unknown edges raise `Network.edge`'s ValueError.
+    """
+    rnf.net.edge(edge_id)
+    return _reference_union(rnf, [i for i, path in enumerate(rnf.paths) if edge_id in path.edges])
+
+
+def reference_node_spectrum(rnf, node: str):
+    """The union of the spectra of the paths through a node, by one scan per node."""
+    if not rnf.net.has_node(node):
+        raise ValueError(f"unknown node '{node}'")
+    indices = [i for i, path in enumerate(rnf.paths) if node in rnf.net.path_nodes(path)]
+    return _reference_union(rnf, indices)
+
+
+def _reference_union(rnf, indices):
+    """The union of the listed paths' spectra, interval sets one pair at a time.
+
+    A discrete flow's colors go into one frozenset in path order.
+    """
+    if isinstance(rnf, DiscreteRnf):
+        return frozenset(rnf.colors[i] for i in indices)
+    spectrum = IntervalSet.empty()
+    for i in indices:
+        spectrum = spectrum | rnf.spectra[i]
+    return spectrum
 
 
 def _path_sinks(net: Network, paths: Sequence[FlowPath]) -> list[list[int]]:

@@ -28,6 +28,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 ONE_EDGE = os.path.join(DATA, "one_edge.json")
 # s->a (42), a->t1 (42), a->t2 (33): at rate 3 the sinks hold 14 and 11 descriptions.
 TWO_SINK_LINE = os.path.join(DATA, "two_sink_line.json")
+# A continuous flow on fig1: e12->e24 carries [0, 1) and e12->e25 [1/2, 2),
+# so e12's spectrum is [0, 2) and e25's measure 3/2, both over capacity 1.
+FIG1_CONTINUOUS = os.path.join(DATA, "fig1_continuous_flow.json")
 
 
 def run(capsys, *argv):
@@ -95,6 +98,21 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "fig1", str(flow_path))
         assert (code, out) == (1, "")
         assert err == f"error: {message} must be a whole number, got {value!r}\n"
+
+    def test_continuous_flow_over_capacity_exits_one(self, capsys):
+        code, out, _ = run(capsys, "validate", "fig1", FIG1_CONTINUOUS)
+        assert code == 1
+        blocks = parse_blocks(out)
+        slack = blocks[("edge", "measure", "capacity", "slack", "ok")]
+        assert slack == [
+            ["e12", "2", "1", "-1", "false"],
+            ["e13", "0", "1", "1", "true"],
+            ["e24", "1", "1", "0", "true"],
+            ["e25", "1.5", "1", "-0.5", "false"],
+            ["e34", "0", "1", "1", "true"],
+            ["e35", "0", "1", "1", "true"],
+        ]
+        assert blocks[("sink", "q")] == [["2", "2"], ["3", "0"], ["4", "1"], ["5", "1.5"]]
 
     def test_missing_file_is_a_validation_error(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-scenario.json", "fig1_flow")
@@ -416,6 +434,20 @@ class TestOptimize:
         assert code == 0
         sinks = parse_blocks(out)[("sink", "q", "d")]
         assert [row[1] for row in sinks] == ["2.5", "0.5", "1"]
+
+    def test_continuous_flow_on_fig1(self, capsys):
+        code, out, _ = run(
+            capsys, "optimize", "fig1", "--flow", FIG1_CONTINUOUS, "--K", "4", "--rate", "1/2"
+        )
+        assert code == 0
+        blocks = parse_blocks(out)
+        assert [row[1] for row in blocks[("sink", "q", "d")]] == ["2", "0", "1", "1.5"]
+        assert blocks[("objective", "y_1", "y_2", "y_3", "y_4")] == [
+            ["0.4375", "0.0", "1.0", "0.0", "0.0"]
+        ]
+        code, out, err = run(capsys, "optimize", "fig1", "--flow", FIG1_CONTINUOUS)
+        assert (code, out) == (1, "")
+        assert err == "error: a continuous flow needs explicit --K and --rate\n"
 
     @pytest.mark.parametrize("rate", ["0", "-1"])
     def test_nonpositive_rate_exits_one(self, capsys, rate):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from oracles import enumerate_paths
+from oracles import enumerate_paths, reference_edge_spectrum, reference_node_spectrum
 from rainbownet import (
     ContinuousRnf,
     DiscreteRnf,
@@ -130,7 +130,12 @@ class TestSinkSpectra:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_any_flows())
     def test_one_pass_matches_each_sinks_node_spectrum(self, flow):
-        expected = [node_spectrum(flow, sink) for sink in flow.net.sinks]
+        net = flow.net
+        edges = {edge.id: reference_edge_spectrum(flow, edge.id) for edge in net.edges}
+        assert {edge_id: edge_spectrum(flow, edge_id) for edge_id in edges} == edges
+        for node in net.nodes:
+            assert node_spectrum(flow, node) == reference_node_spectrum(flow, node)
+        expected = [reference_node_spectrum(flow, sink) for sink in net.sinks]
         spectra = sink_spectra(flow)
         assert list(spectra) == expected
         if isinstance(flow, DiscreteRnf):
@@ -139,6 +144,10 @@ class TestSinkSpectra:
         assert rainbow_flow_vector(flow).values == tuple(
             spectrum_measure(flow, spectrum) for spectrum in expected
         )
+        rows = check_admissibility(flow).rows
+        assert [(row.edge_id, row.measure) for row in rows] == [
+            (edge_id, spectrum_measure(flow, edges[edge_id])) for edge_id in sorted(edges)
+        ]
 
 
 class TestAdmissibility:

@@ -385,7 +385,8 @@ class TestWeightedObjective:
         _cfg(MAX_LAYERS, 1, objective="wd", weights=(0.25,) * 4)
 
     def test_config_rejects_a_trf_search_over_too_many_layers(self):
-        # the exact scan's level floor has K + 1 entries and its stack K
+        # the exact scan's stack holds K candidates, and route's cut bound
+        # builds up to K + 1 levels
         with pytest.raises(ValueError, match="limit of"):
             _cfg(MAX_LAYERS + 1, 1)
         _cfg(MAX_LAYERS, 1)
@@ -442,6 +443,25 @@ class TestWeightedObjective:
         cfg = _cfg(10**6, Fraction(1, 2), objective="wd", weights=(0.25,) * 4)
         greedy_search(net, cfg)
         assert calls == [sum(search._color_capacities(net, cfg).values()) + 2] == [14]
+
+    def test_exact_builds_the_levels_of_the_colors_it_can_use(self, monkeypatch):
+        # the exact search sizes its levels by greedy's rule, and its bounds
+        # read the last level for any count past it: K=10**6 builds at most
+        # the edges' total room + 2 levels and still stops at the scan guard
+        calls = []
+        evaluate = DistortionModel.distortion_array
+
+        def counted(model, rates):
+            calls.append(len(rates))
+            return evaluate(model, rates)
+
+        monkeypatch.setattr(DistortionModel, "distortion_array", counted)
+        net = helpers.fig1_network()
+        cfg = _cfg(10**6, Fraction(1, 2), objective="wd", weights=(0.25,) * 4)
+        with pytest.raises(SearchSizeError, match="coloring scan exceeded its guard"):
+            exact_search(net, cfg)
+        room = sum(search._color_capacities(net, cfg).values())
+        assert len(calls) == 1 and calls[0] <= room + 2
 
 
 def _signature_keyed(unions, infos):
